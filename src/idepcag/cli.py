@@ -7,8 +7,9 @@ in-interval sign analysis), ``criterion`` (windowed threshold tests),
 ``oracle-check`` (kernel route vs. fixed-step Runge-Kutta route).
 
 Exit codes: 0 success, 1 oracle deviation above tolerance, 2 config
-error, 3 singular kernel, 4 sweep found no crossing.  stdout carries the
-summary, stderr the diagnostics.
+error, 3 singular kernel, 4 sweep found no crossing, 5 a flow weight or
+solution value outside the float range.  stdout carries the summary,
+stderr the diagnostics.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ EXIT_DEVIATION = 1
 EXIT_CONFIG = 2
 EXIT_SINGULAR = 3
 EXIT_NO_CROSSING = 4
+EXIT_RANGE = 5
 
 _SWEEP_QUANTITIES = ("sup_i_plus", "inf_i_plus", "sup_i_minus", "inf_i_minus")
 
@@ -434,6 +436,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except QuadratureError as exc:
         print(f"quadrature failure: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OverflowError as exc:
+        print(f"range error: {exc}", file=sys.stderr)
+        return EXIT_RANGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

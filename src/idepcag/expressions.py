@@ -408,7 +408,7 @@ def _prec(node: ScalarExpr) -> int:
 
 def _ser(node: ScalarExpr, parent_prec: int) -> str:
     if isinstance(node, Const):
-        if node.value < 0:
+        if math.copysign(1.0, node.value) < 0:  # -0.0 too
             text = "-" + repr(-node.value)
             return f"({text})" if parent_prec > 2 else text
         return repr(node.value)
@@ -424,7 +424,7 @@ def _ser(node: ScalarExpr, parent_prec: int) -> str:
         for c in node.children[1:]:
             if isinstance(c, Neg):
                 parts.append("-" + _ser(c.child, 2))
-            elif isinstance(c, Const) and c.value < 0:
+            elif isinstance(c, Const) and math.copysign(1.0, c.value) < 0:
                 parts.append("-" + repr(-c.value))
             else:
                 parts.append("+" + _ser(c, 2))

@@ -9,16 +9,20 @@ whose zeros are exactly the in-interval zeros of the solution, together
 with e(t, zeta_k) = phi(t, zeta_k) * j(t, zeta_k) and the one-step factor
 w(t, s) = phi(t, s) * j(t, zeta_k) / j(s, zeta_k).
 
-Numerically, e is evaluated through the equivalent form
+Numerically, e is the solution of
 
-    e(t, zeta) = 1 + int_zeta^t phi(t, s) (a(s) + b(s)) ds,
+    e' = a e + b,    e(zeta_k) = 1,
 
-which stays exact for the family b = -a (the integrand vanishes
-pointwise) and avoids the catastrophic cancellation of the product
-phi * j when int |a| over an interval is large.  The step and intra-step
-factors then come out as plain ratios of e values, with no exponential
-prefactors at all.  The criterion integrals keep their direct
-definitional quadrature so they cross-check the e route.
+that is e = 1 + y with y' = a y + (a + b), y(zeta_k) = 0.  For each
+(interval, anchor) pair :class:`KernelTable` builds one
+:class:`~idepcag.series.IntervalSeries` of y, a chain of Chebyshev
+panels, and takes every dense value, both knot values and the in-interval
+zeros from it.  The forcing a + b vanishes pointwise for the family
+b = -a, so e is exactly 1 there, and the step and intra-step factors come
+out as plain ratios of e values with no exponential prefactors.  The
+criterion integrals, the invertibility diagnostics and phi keep their
+direct definitional adaptive quadrature, so they cross-check the series
+route.
 """
 
 from __future__ import annotations
@@ -27,13 +31,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple
 
-from .expressions import Const, ScalarExpr
+from .expressions import Const, ScalarExpr, Sum
 from .grid import LaggedUniformGrid
 from .problem import Problem
 from .quadrature import default_rel_tol, integrate
+from .series import EXP_OVERFLOW, IntervalSeries
 
 SINGULARITY_FACTOR = 1e-12
-_EXP_OVERFLOW = 709.0
 
 
 class SingularKernel(RuntimeError):
@@ -48,7 +52,7 @@ class SingularKernel(RuntimeError):
 
 
 def _exp_guarded(w: float) -> float:
-    if w > _EXP_OVERFLOW:
+    if w > EXP_OVERFLOW:
         return math.inf
     return math.exp(w)
 
@@ -89,23 +93,11 @@ def flow_weighted_integral(
             w = const_a * (anchor - s)
         else:
             w, _ = integrate(a_fn, s, anchor, inner_tol)
-        if w > _EXP_OVERFLOW:
-            raise OverflowError(f"flow weight exp({w:.3g}) overflows")
+        if w > EXP_OVERFLOW:
+            raise OverflowError(f"flow weight exp({w:.3g}) overflows on [{lo!r}, {hi!r}]")
         return math.exp(w) * gs
 
     return integrate(integrand, lo, hi, tol)
-
-
-def _deviation_integral(
-    a: ScalarExpr, b: ScalarExpr, zeta: float, t: float, rel_tol: float | None
-) -> Tuple[float, float]:
-    """r(t; zeta) = int_zeta^t phi(t, s) (a(s) + b(s)) ds, so e = 1 + r."""
-    if t == zeta:
-        return 0.0, 0.0
-    a_fn, b_fn = a.ev, b.ev
-    return flow_weighted_integral(
-        a, lambda s: a_fn(s) + b_fn(s), zeta, t, anchor=t, rel_tol=rel_tol
-    )
 
 
 def _require_invertible(e_value: float, r_value: float, k: int) -> None:
@@ -169,32 +161,38 @@ class KernelTable:
             raise ValueError("kernel table requires a non-lagged grid")
         self.problem = problem
         self.rel_tol = default_rel_tol() if rel_tol is None else rel_tol
+        self._g = Sum((problem.a, problem.b))
+        self._series: Dict[Tuple[int, float], IntervalSeries] = {}
         self._e_knots: Dict[int, Tuple[float, float, float]] = {}
         self._criterion: Dict[int, Tuple[float, float, float]] = {}
         self._h3: Dict[int, Tuple[float, float, float, float]] = {}
 
     # -- e route -------------------------------------------------------------
 
-    def e_value(self, k: int, t: float, zeta: float | None = None) -> float:
-        """e(t, zeta_k) = 1 + r; computed fresh for arbitrary t."""
+    def series(self, k: int, zeta: float | None = None) -> IntervalSeries:
+        """Series of e(., zeta) - 1 on interval k, built once per (k, zeta)."""
         if zeta is None:
             zeta = self.problem.grid.zeta(k)
-        r, _ = _deviation_integral(self.problem.a, self.problem.b, zeta, t, self.rel_tol)
-        return 1.0 + r
+        found = self._series.get((k, zeta))
+        if found is None:
+            grid = self.problem.grid
+            found = IntervalSeries(
+                self.problem.a, self._g, grid.knot(k), grid.knot(k + 1), zeta, k
+            )
+            self._series[(k, zeta)] = found
+        return found
+
+    def e_value(self, k: int, t: float, zeta: float | None = None) -> float:
+        """e(t, zeta_k) = 1 + y(t) for t in the interval."""
+        return 1.0 + self.series(k, zeta).forced(t)
 
     def e_at_knots(self, k: int) -> Tuple[float, float, float]:
         """(e(t_k, zeta_k), e(t_{k+1}, zeta_k), error estimate)."""
         cached = self._e_knots.get(k)
         if cached is None:
             grid = self.problem.grid
-            zeta = grid.zeta(k)
-            r0, err0 = _deviation_integral(
-                self.problem.a, self.problem.b, zeta, grid.knot(k), self.rel_tol
-            )
-            r1, err1 = _deviation_integral(
-                self.problem.a, self.problem.b, zeta, grid.knot(k + 1), self.rel_tol
-            )
-            cached = (1.0 + r0, 1.0 + r1, err0 + err1)
+            s = self.series(k)
+            cached = (1.0 + s.forced(grid.knot(k)), 1.0 + s.forced(grid.knot(k + 1)), s.err)
             self._e_knots[k] = cached
         return cached
 

@@ -9,7 +9,8 @@ two auxiliary problems
 recovers the argument value from z(zeta) = A(zeta) z(t_k) / (1 - B(zeta)),
 and reconstructs z(t) = A(t) z(t_k) + B(t) z(zeta).  The module shares no
 code with :mod:`idepcag.kernel` or :mod:`idepcag.quadrature`, so agreement
-between the two routes validates the whole pipeline.
+between the two routes validates the whole pipeline; its zero search is
+a plain scan with bisection, kept apart from the series root finder.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ import numpy as np
 from .expressions import evaluate_array
 from .kernel import SingularKernel
 from .problem import Problem
-from .solver import SkeletonPoint, Trajectory, _scan_roots, _sgn
+from .solver import SkeletonPoint, Trajectory, _sgn
 
 DEFAULT_STEPS_PER_INTERVAL = 10_000
+ZERO_LOCATION_TOL = 1e-12
 
 
 def _rk4_linear(problem, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -107,10 +109,41 @@ class _OracleTrajectory(Trajectory):
         return float(A[1]) * z0 + float(B[1]) * self._zeta_values[k]
 
     def zeros_in_interval(self, k: int, scan_points: int = 65) -> List[float]:
-        base_t, _, _ = self._interval_base(k)
-        lo = max(base_t, self.problem.tau)
-        hi = min(self.problem.grid.knot(k + 1), self.problem.horizon)
+        lo, hi = self._window(k)
         return _scan_roots(lambda t: self._value_in_interval(t, k), lo, hi, scan_points)
+
+
+def _scan_roots(f, lo: float, hi: float, scan_points: int) -> List[float]:
+    """Sign changes of f on an even scan of [lo, hi), located by bisection."""
+    if hi <= lo:
+        return []
+    n = max(scan_points, 3)
+    ts = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    vals = [f(t) for t in ts]
+    roots: List[float] = []
+    for i in range(n - 1):
+        v0, v1 = vals[i], vals[i + 1]
+        if v0 == 0.0:
+            roots.append(ts[i])
+            continue
+        if v0 * v1 < 0.0:
+            a, b, fa = ts[i], ts[i + 1], v0
+            while b - a > ZERO_LOCATION_TOL:
+                m = 0.5 * (a + b)
+                fm = f(m)
+                if fm == 0.0:
+                    a = b = m
+                    break
+                if fa * fm < 0.0:
+                    b = m
+                else:
+                    a, fa = m, fm
+            roots.append(0.5 * (a + b))
+    deduped: List[float] = []
+    for r in roots:
+        if r < hi and (not deduped or r - deduped[-1] > ZERO_LOCATION_TOL):
+            deduped.append(r)
+    return deduped
 
 
 def oracle_integrate(

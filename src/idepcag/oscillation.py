@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 from .kernel import KernelTable, phi
 from .problem import Problem
 from .quadrature import default_rel_tol, integrate
+from .series import EXP_OVERFLOW
 from .solver import Trajectory, _KernelTrajectory
 
 MIN_WINDOW_KNOTS = 8
@@ -129,16 +130,15 @@ def classify_discrete(
 
 
 def classify_continuous(
-    traj: Trajectory,
-    window: Optional[Tuple[int, int]] = None,
-    samples_per_interval: int = 17,
+    traj: Trajectory, window: Optional[Tuple[int, int]] = None
 ) -> OscillationVerdict:
     """Refine a nonoscillatory skeleton using the in-interval kernel sign.
 
     With a sign-definite skeleton the solution is nonoscillatory exactly
-    when j(t, zeta_k) keeps one strict sign across each interval; a sign
-    change inside any interval produces in-interval zeros and hence
-    oscillation.  Sampled test; requires a kernel-backed trajectory.
+    when j(t, zeta_k) keeps one strict sign across each interval; a root
+    inside any interval produces in-interval zeros and hence oscillation.
+    Uses the roots of :meth:`Trajectory.zeros_in_interval`; requires a
+    kernel-backed trajectory.
     """
     if not isinstance(traj, _KernelTrajectory):
         raise ValueError("continuous classification needs a kernel-backed trajectory")
@@ -148,34 +148,19 @@ def classify_continuous(
             f"discrete classification must be nonoscillatory, got {discrete.status}"
         )
     k_lo, k_hi = discrete.window
-    grid = traj.problem.grid
     for k in range(k_lo, k_hi - 1):
-        base_t, _, zeta = traj._interval_base(k)
-        lo = max(base_t, traj.problem.tau)
-        hi = min(grid.knot(k + 1), traj.problem.horizon)
-        n = max(samples_per_interval, 3)
-        has_pos = has_neg = False
-        for i in range(n):
-            t = lo + (hi - lo) * i / (n - 1)
-            e = traj.table.e_value(k, t, zeta)
-            if e > 0:
-                has_pos = True
-            elif e < 0:
-                has_neg = True
-            else:
-                has_pos = has_neg = True
-            if has_pos and has_neg:
-                return OscillationVerdict(
-                    "oscillatory",
-                    discrete.window,
-                    (),
-                    f"kernel changes sign inside interval k={k}",
-                )
+        if traj.zeros_in_interval(k):
+            return OscillationVerdict(
+                "oscillatory",
+                discrete.window,
+                (),
+                f"kernel changes sign inside interval k={k}",
+            )
     return OscillationVerdict(
         "nonoscillatory",
         discrete.window,
         (),
-        "kernel keeps one strict sign on every sampled interval",
+        "kernel has no root inside any interval",
     )
 
 
@@ -400,6 +385,8 @@ class GronwallBound:
             raise ValueError("t outside [tau, horizon]")
         i = bisect_right(self._piece_starts, t) - 1
         exponent = self._cum_exponent[i] + self._exponent_piece(self._piece_starts[i], t)
+        if exponent > EXP_OVERFLOW:  # an infinite envelope is still a bound
+            return math.inf
         return self._cum_jump[i] * math.exp(exponent) * abs(self.problem.z0)
 
 

@@ -5,6 +5,15 @@ kernel factors of :mod:`idepcag.kernel`, and at each knot the jump
 z(t_k) = (1 + c_k) z(t_k^-) applies.  The skeleton stores both one-sided
 values; dense evaluation reconstructs z anywhere in [tau, horizon].
 
+Every interval carries one :class:`~idepcag.series.IntervalSeries`, built
+on first use and cached: on kernel-backed grids the series of
+e(., zeta_k) - 1 held by the :class:`KernelTable`, on lagged grids the
+series of the flow and of y' = a y + b, y(t_k) = 0 held by the
+trajectory, so that z = exp(A) z(t_k) + y z(t_{k-lag}).  Dense values, the
+knot march and the in-interval zeros all come from that series; zeros are
+the real roots of its Chebyshev interpolant on each panel, polished by
+Newton steps.
+
 Start convention: no impulse is applied at tau itself (z0 is the
 post-jump state), and when the argument value of the start interval lies
 strictly behind tau it is replaced by tau, keeping the construction
@@ -17,11 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .kernel import KernelTable, _require_invertible, flow_weighted_integral, phi
+# flow_weighted_integral is unused here but stays bound in this module:
+# bench/tracing.py rebinds solver.flow_weighted_integral by name.
+from .kernel import KernelTable, _require_invertible, flow_weighted_integral  # noqa: F401
 from .problem import Problem
 from .quadrature import default_rel_tol
-
-ZERO_LOCATION_TOL = 1e-12
+from .series import IntervalSeries
 
 
 def _sgn(x: float) -> int:
@@ -99,24 +109,32 @@ class Trajectory:
     def _interior_value(self, t: float) -> float:
         raise NotImplementedError
 
-    def zeros_in_interval(self, k: int, scan_points: int = 65) -> List[float]:
+    def zeros_in_interval(self, k: int) -> List[float]:
         raise NotImplementedError
+
+    def _window(self, k: int) -> Tuple[float, float]:
+        """The solved part [lo, hi] of interval k."""
+        base_t = self._interval_base(k)[0]
+        lo = max(base_t, self.problem.tau)
+        return lo, min(self.problem.grid.knot(k + 1), self.problem.horizon)
 
     def zero_list(
         self, k_lo: Optional[int] = None, k_hi: Optional[int] = None
     ) -> List[Tuple[int, float]]:
         """(interval, root) pairs over the solved range.
 
-        Intervals whose base knot value is exactly zero carry the zero
-        solution on the whole interval and are reported with the knot
-        itself as the location.
+        Intervals whose base value is zero carry the zero solution on the
+        whole interval and are reported with the base point itself as the
+        location.  The test uses the exact propagated sign, so a base value
+        that merely underflowed to 0.0 is not taken for a zero.
         """
         lo = self.k_start if k_lo is None else k_lo
         hi = self.problem.grid.interval_index(self.problem.horizon) if k_hi is None else k_hi
         out: List[Tuple[int, float]] = []
         for k in range(lo, hi + 1):
             base_t, base_z = self._interval_base(k)[:2]
-            if base_z == 0.0:
+            pt = self._by_k.get(k)
+            if (pt.sign_right if pt is not None else _sgn(base_z)) == 0:
                 out.append((k, base_t))
                 continue
             for root in self.zeros_in_interval(k):
@@ -167,13 +185,11 @@ class _KernelTrajectory(Trajectory):
         e_t = self.table.e_value(k, t, zeta)
         return e_t / e_base * base_z
 
-    def zeros_in_interval(self, k: int, scan_points: int = 65) -> List[float]:
-        """Roots of j(t, zeta_k) in [t_k, t_{k+1}), by sign scan + bisection."""
-        base_t, _, zeta = self._interval_base(k)
-        lo = max(base_t, self.problem.tau)
-        hi = min(self.problem.grid.knot(k + 1), self.problem.horizon)
-        f = lambda t: self.table.e_value(k, t, zeta)
-        return _scan_roots(f, lo, hi, scan_points)
+    def zeros_in_interval(self, k: int) -> List[float]:
+        """Roots of j(t, zeta_k), that is of e(t, zeta_k), in [t_k, t_{k+1})."""
+        zeta = self._interval_base(k)[2]
+        lo, hi = self._window(k)
+        return self.table.series(k, zeta).zeros(lo, hi, flow_coef=0.0, forced_coef=1.0, const=1.0)
 
 
 class _LaggedTrajectory(Trajectory):
@@ -183,6 +199,7 @@ class _LaggedTrajectory(Trajectory):
         super().__init__(problem, rel_tol)
         self.known: Dict[int, float] = {}
         self.metadata["start_argument"] = "lagged history"
+        self._series: Dict[int, IntervalSeries] = {}
 
     def _interval_base(self, k: int):
         if k not in self.known:
@@ -195,54 +212,30 @@ class _LaggedTrajectory(Trajectory):
             raise ValueError(f"missing history value for knot k={k - lag}")
         return self.known[k - lag]
 
+    def series(self, k: int) -> IntervalSeries:
+        """Flow and forced response on interval k, anchored at t_k."""
+        found = self._series.get(k)
+        if found is None:
+            grid = self.problem.grid
+            tk = grid.knot(k)
+            found = IntervalSeries(self.problem.a, self.problem.b, tk, grid.knot(k + 1), tk, k)
+            self._series[k] = found
+        return found
+
     def _value_in_interval(self, t: float, k: int) -> float:
-        tk, zk, _ = self._interval_base(k)
-        flow = phi(self.problem.a, tk, t, self.rel_tol)
-        forced, _ = flow_weighted_integral(
-            self.problem.a, self.problem.b.ev, tk, t, anchor=t, rel_tol=self.rel_tol
-        )
-        return flow * zk + forced * self._deviated_value(k)
+        zk = self._interval_base(k)[1]
+        s = self.series(k)
+        return s.flow(t) * zk + s.forced(t) * self._deviated_value(k)
 
     def _interior_value(self, t: float) -> float:
         return self._value_in_interval(t, self.problem.grid.interval_index(t))
 
-    def zeros_in_interval(self, k: int, scan_points: int = 65) -> List[float]:
-        tk, _, _ = self._interval_base(k)
-        lo = max(tk, self.problem.tau)
-        hi = min(self.problem.grid.knot(k + 1), self.problem.horizon)
-        return _scan_roots(lambda t: self._value_in_interval(t, k), lo, hi, scan_points)
-
-
-def _scan_roots(f, lo: float, hi: float, scan_points: int) -> List[float]:
-    if hi <= lo:
-        return []
-    n = max(scan_points, 3)
-    ts = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    vals = [f(t) for t in ts]
-    roots: List[float] = []
-    for i in range(n - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
-            roots.append(ts[i])
-            continue
-        if v0 * v1 < 0.0:
-            a, b, fa = ts[i], ts[i + 1], v0
-            while b - a > ZERO_LOCATION_TOL:
-                m = 0.5 * (a + b)
-                fm = f(m)
-                if fm == 0.0:
-                    a = b = m
-                    break
-                if fa * fm < 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            roots.append(0.5 * (a + b))
-    deduped: List[float] = []
-    for r in roots:
-        if r < hi and (not deduped or r - deduped[-1] > ZERO_LOCATION_TOL):
-            deduped.append(r)
-    return deduped
+    def zeros_in_interval(self, k: int) -> List[float]:
+        zk = self._interval_base(k)[1]
+        lo, hi = self._window(k)
+        return self.series(k).zeros(
+            lo, hi, flow_coef=zk, forced_coef=self._deviated_value(k), const=0.0
+        )
 
 
 # -- solving -------------------------------------------------------------------
@@ -317,12 +310,8 @@ def solve_lagged(problem: Problem, rel_tol: float | None = None) -> Trajectory:
     traj.points.append(SkeletonPoint(k0, problem.tau, problem.z0, problem.z0, s0, s0))
     k = k0
     while grid.knot(k + 1) <= problem.horizon:
-        tk, tk1 = grid.knot(k), grid.knot(k + 1)
-        flow = phi(problem.a, tk, tk1, tol)
-        forced, _ = flow_weighted_integral(
-            problem.a, problem.b.ev, tk, tk1, anchor=tk1, rel_tol=tol
-        )
-        z_left = flow * traj.known[k] + forced * traj._deviated_value(k)
+        tk1 = grid.knot(k + 1)
+        z_left = traj._value_in_interval(tk1, k)
         z_right = problem.impulses.factor(k + 1) * z_left
         traj.points.append(
             SkeletonPoint(k + 1, tk1, z_left, z_right, _sgn(z_left), _sgn(z_right))

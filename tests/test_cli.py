@@ -7,6 +7,7 @@ from idepcag.cli import (
     EXIT_CONFIG,
     EXIT_NO_CROSSING,
     EXIT_OK,
+    EXIT_RANGE,
     EXIT_SINGULAR,
     build_problem,
     main,
@@ -126,6 +127,16 @@ class TestExitCodes:
         cfg_path = write_config(tmp_path / "cfg.json", cfg)
         assert main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_SINGULAR
         assert "singular" in capsys.readouterr().err
+
+    def test_overflow_exit_names_interval(self, tmp_path, capsys):
+        # exp(int a) passes exp(709) inside the first interval
+        cfg = base_config()
+        cfg["problem"].update({"a": "800", "b": "0.1", "params": {}, "horizon": 3.0})
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        assert main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_RANGE
+        err = capsys.readouterr().err
+        assert "range error" in err and "k=0" in err
+        assert "Traceback" not in err
 
     def test_criterion_rejects_lagged(self, tmp_path, capsys):
         cfg = base_config()

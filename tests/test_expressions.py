@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from idepcag.expressions import (
@@ -149,6 +149,8 @@ _trees = st.recursive(_leaves, _extend, max_leaves=14)
 class TestRoundTripProperty:
     @settings(max_examples=120, deadline=None)
     @given(_trees)
+    @example(Pow(Const(-0.0), 0))  # "-0.0^0" would re-parse as -(0.0^0)
+    @example(Sum((Const(-0.0), Pow(Const(-0.0), 1))))
     def test_serialize_parse_bitwise(self, expr):
         try:
             text = serialize_expression(expr)

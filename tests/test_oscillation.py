@@ -274,6 +274,14 @@ class TestGronwall:
         traj = solve(p)
         assert abs(traj.value(2.5)) <= envelope.bound(2.5)
 
+    def test_bound_past_float_range_is_infinite(self):
+        # theta_hat = 0.99 weights int |b| by 100: the exponent passes 709
+        p = unit_problem(Const(0.0), Const(0.99), alpha=1.0, horizon=10.0)
+        envelope = GronwallBound(p)
+        assert envelope.theta_hat == pytest.approx(0.99, rel=1e-12)
+        assert envelope.bound(1.0) == pytest.approx(math.exp(99.0), rel=1e-9)
+        assert envelope.bound(10.0) == math.inf
+
     def test_unavailable_when_theta_too_large(self):
         p = unit_problem(Const(-2.0), Const(0.0), alpha=1.0, horizon=8.0)
         with pytest.raises(ValueError, match="unavailable"):

@@ -7,6 +7,7 @@ import pytest
 from idepcag.expressions import Const, Cos, Exp, Neg, Pow, Prod, Sin, Sum, Var
 from idepcag.grid import LaggedUniformGrid, UniformGrid
 from idepcag.kernel import SingularKernel, j_value
+from idepcag.oscillation import classify_discrete
 from idepcag.problem import ImpulseDegenerate, ImpulseRule, Problem
 from idepcag.solver import eval_dense, solve, solve_lagged, step, zeros_in_interval
 
@@ -175,6 +176,16 @@ class TestZeros:
         assert [k for k, _ in zl] == [0, 1, 2, 3]
         for k, root in zl:
             assert root == pytest.approx(k + 0.5, abs=1e-10)
+
+    def test_underflowed_knot_is_not_a_zero(self):
+        # the skeleton decays by ~1e-13 a step and underflows to 0.0, but the
+        # propagated sign stays +1: no interval carries the zero solution
+        p = unit_problem(Const(-30.0), Const(0.1), alpha=1.0, horizon=30.0)
+        traj = solve(p)
+        assert any(pt.z_right == 0.0 for pt in traj.skeleton())
+        assert all(pt.sign_right == 1 for pt in traj.skeleton())
+        assert classify_discrete(traj).status == "nonoscillatory"
+        assert traj.zero_list() == []
 
 
 class TestInteriorStart:
