@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -23,12 +24,14 @@ from typing import Dict, List, Optional, Tuple
 
 from .expressions import ExpressionError, parse_expression
 from .grid import ArgumentGrid, ExplicitGrid, GridRangeError, LaggedUniformGrid, UniformGrid
-from .kernel import KernelTable, SingularKernel
+from .kernel import SingularKernel
 from .oracle import oracle_integrate
 from .oscillation import (
     DEFAULT_BURN_IN,
     DEFAULT_CRITERION_TOL,
     DEFAULT_WIDTH,
+    CriterionReport,
+    _window_extrema,
     aw_criterion,
     classify_continuous,
     classify_discrete,
@@ -162,13 +165,16 @@ def _quad_tol(cfg: dict, args) -> Optional[float]:
 
 # -- commands -------------------------------------------------------------------
 
+def _require_finite(k: int, *values: float) -> None:
+    """Refuse a solution value outside the float range rather than write it."""
+    if not all(map(math.isfinite, values)):
+        raise OverflowError(f"solution value is not finite on interval k={k}")
+
+
 def cmd_solve(cfg: dict, args) -> int:
     problem = build_problem(cfg)
-    traj = solve(problem, rel_tol=_quad_tol(cfg, args))
+    traj = solve(problem)
     n_samples = int(cfg.get("output", {}).get("samples_per_interval", 64))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "trajectory.csv"
 
     grid = problem.grid
     k_end = grid.interval_index(problem.horizon)
@@ -186,18 +192,23 @@ def cmd_solve(cfg: dict, args) -> int:
             else:
                 z_left = z_right = traj.value(t)
                 is_knot = 0
+            _require_finite(k, z_left, z_right)
             rows.append(
                 f"{_fmt(t)},{_fmt(z_right)},{k},{is_knot},{_fmt(z_left)},{_fmt(z_right)}"
             )
     t = problem.horizon
+    final, final_left = traj.value(t), traj.value(t, "left")
+    _require_finite(k_end, final, final_left)
     rows.append(
-        f"{_fmt(t)},{_fmt(traj.value(t))},{k_end},"
-        f"{1 if t in traj._by_time else 0},{_fmt(traj.value(t, 'left'))},{_fmt(traj.value(t))}"
+        f"{_fmt(t)},{_fmt(final)},{k_end},"
+        f"{1 if t in traj._by_time else 0},{_fmt(final_left)},{_fmt(final)}"
     )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    out_path = out_dir / "trajectory.csv"
     out_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
     zeros = traj.zero_list()
-    final = traj.value(problem.horizon)
     print(
         f"knots={len(traj.points)} zeros={len(zeros)} final={_fmt(final)} "
         f"start_argument=\"{traj.metadata.get('start_argument', '')}\" out={out_path}"
@@ -207,7 +218,7 @@ def cmd_solve(cfg: dict, args) -> int:
 
 def cmd_classify(cfg: dict, args) -> int:
     problem = build_problem(cfg)
-    traj = solve(problem, rel_tol=_quad_tol(cfg, args))
+    traj = solve(problem)
     window = None
     if args.window:
         k0 = traj.k_start
@@ -237,6 +248,17 @@ def cmd_classify(cfg: dict, args) -> int:
     return EXIT_OK
 
 
+def _criterion_verdict(
+    problem: Problem, window, tol, rel_tol
+) -> Tuple[str, List[CriterionReport]]:
+    """Oscillation test, then the nonoscillation test unless the first fired."""
+    osc = aw_criterion(problem, window, tol, rel_tol)
+    if osc.verdict == "oscillatory":
+        return "oscillatory", [osc]
+    non = nonosc_criterion(problem, window, tol, rel_tol)
+    return ("nonoscillatory" if non.verdict == "nonoscillatory" else "inconclusive"), [osc, non]
+
+
 def cmd_criterion(cfg: dict, args) -> int:
     problem = build_problem(cfg)
     if problem.grid.lagged:
@@ -244,16 +266,8 @@ def cmd_criterion(cfg: dict, args) -> int:
             "criterion not extended to lagged grids; use the lagged solver and classify"
         )
     window = _analysis_window(cfg, args, problem)
-    tol = _criterion_tol(cfg, args)
-    rel_tol = _quad_tol(cfg, args)
-    osc = aw_criterion(problem, window, tol, rel_tol)
-    reports = [osc]
-    if osc.verdict == "oscillatory":
-        final = "oscillatory"
-    else:
-        non = nonosc_criterion(problem, window, tol, rel_tol)
-        reports.append(non)
-        final = "nonoscillatory" if non.verdict == "nonoscillatory" else "inconclusive"
+    tol, rel_tol = _criterion_tol(cfg, args), _quad_tol(cfg, args)
+    final, reports = _criterion_verdict(problem, window, tol, rel_tol)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     text = "\n".join(r.to_text() for r in reports)
@@ -267,16 +281,7 @@ def cmd_criterion(cfg: dict, args) -> int:
 
 
 def _sweep_quantity(problem: Problem, window, quantity: str, rel_tol) -> float:
-    table = KernelTable(problem, rel_tol)
-    vals = [table.criterion(k)[:2] for k in range(window[0], window[1])]
-    i_plus = [v[0] for v in vals]
-    i_minus = [v[1] for v in vals]
-    return {
-        "sup_i_plus": max(i_plus),
-        "inf_i_plus": min(i_plus),
-        "sup_i_minus": max(i_minus),
-        "inf_i_minus": min(i_minus),
-    }[quantity]
+    return _window_extrema(problem, window, rel_tol)[_SWEEP_QUANTITIES.index(quantity)]
 
 
 def cmd_sweep(cfg: dict, args) -> int:
@@ -301,13 +306,8 @@ def cmd_sweep(cfg: dict, args) -> int:
     rows = ["parameter,sup_i_plus,inf_i_plus,sup_i_minus,inf_i_minus,verdict"]
     for i in range(steps):
         v = lo + (hi - lo) * i / (steps - 1)
-        problem = make(v)
-        osc = aw_criterion(problem, window, tol, rel_tol)
-        if osc.verdict == "oscillatory":
-            verdict = "oscillatory"
-        else:
-            non = nonosc_criterion(problem, window, tol, rel_tol)
-            verdict = "nonoscillatory" if non.verdict == "nonoscillatory" else "inconclusive"
+        verdict, reports = _criterion_verdict(make(v), window, tol, rel_tol)
+        osc = reports[0]
         rows.append(
             f"{_fmt(v)},{_fmt(osc.sup_i_plus)},{_fmt(osc.inf_i_plus)},"
             f"{_fmt(osc.sup_i_minus)},{_fmt(osc.inf_i_minus)},{verdict}"
@@ -364,7 +364,7 @@ def cmd_oracle_check(cfg: dict, args) -> int:
     steps = int(acfg.get("oracle_steps", 10_000))
     n_samples = int(acfg.get("check_samples", 100))
     check_tol = float(acfg.get("check_tol", 1e-6))
-    traj = solve(problem, rel_tol=_quad_tol(cfg, args))
+    traj = solve(problem)
     otraj = oracle_integrate(problem, steps)
     span = problem.horizon - problem.tau
     if args.seed is not None:
@@ -402,28 +402,42 @@ def _parse_window(text: str) -> Tuple[int, int]:
         raise argparse.ArgumentTypeError("expected --window K0,W") from exc
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+_OPTIONS = {
+    "--window": dict(type=_parse_window, default=None, metavar="K0,W"),
+    "--tol": dict(type=float, default=None, help="criterion strictness"),
+    "--quad-tol": dict(type=float, default=None, help="quadrature rel tol"),
+    "--seed": dict(type=int, default=None, help="seed for randomized samples"),
+}
+_CRITERION_OPTIONS = ("--window", "--tol", "--quad-tol")
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="idepcag",
         description="Solve and analyze impulsive equations with piecewise constant arguments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("solve", cmd_solve),
-        ("classify", cmd_classify),
-        ("criterion", cmd_criterion),
-        ("sweep", cmd_sweep),
-        ("oracle-check", cmd_oracle_check),
+    for name, fn, options in (
+        ("solve", cmd_solve, ()),
+        ("classify", cmd_classify, ("--window",)),
+        ("criterion", cmd_criterion, _CRITERION_OPTIONS),
+        ("sweep", cmd_sweep, _CRITERION_OPTIONS),
+        ("oracle-check", cmd_oracle_check, ("--seed",)),
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON problem file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--window", type=_parse_window, default=None, metavar="K0,W")
-        p.add_argument("--tol", type=float, default=None, help="criterion strictness")
-        p.add_argument("--quad-tol", type=float, default=None, help="quadrature rel tol")
-        p.add_argument("--seed", type=int, default=None, help="seed for randomized samples")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
         p.set_defaults(fn=fn)
-    args = parser.parse_args(argv)
+    return parser
+
+
+_PARSER = _build_parser()  # parse_args leaves the parser unchanged
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
         cfg = _load_config(args.config)
         return args.fn(cfg, args)

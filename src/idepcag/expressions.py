@@ -4,16 +4,28 @@ The grammar covers every coefficient used by the solver: constants, one
 free variable (``t`` for time, ``k`` for the impulse index), ``pi``, the
 operators ``+ - * /`` and integer powers ``^``, and the functions ``sin``,
 ``cos``, ``exp``.  Division is accepted only by a constant divisor so every
-parsed expression maps onto the node set below.  Trees are immutable and
-safe to share between threads.
+parsed expression maps onto the node set below.
+
+Each tree has one compiled form per evaluator: :func:`_code` turns the tree
+into a single Python expression in its one argument (``Sum`` and ``Prod``
+as left folds, ``Neg`` as unary minus, ``Pow`` as ``**`` with an integer
+literal), which is compiled on first use against ``math`` for
+:attr:`ScalarExpr.ev` and against ``numpy`` for :attr:`ScalarExpr.ev_array`
+and kept on the node.  The code is built as an ``ast`` from node fields
+only, never from user text, so its nesting is not bounded by the
+tokenizer.  Trees are immutable and safe to share between threads: the
+compiled functions are pure, so two threads that race on a first use
+compile the same code and either stored result is correct.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping, Tuple
+from functools import cached_property, reduce
+from typing import Callable, Mapping, Tuple
 
 import numpy as np
 
@@ -31,13 +43,18 @@ class ExpressionError(ValueError):
 class ScalarExpr:
     """Base class for expression nodes."""
 
-    __slots__ = ()
+    @cached_property
+    def ev(self) -> Callable[[float], float]:
+        """The tree as a function of a float, evaluated with ``math``."""
+        return _compile(self, _SCALAR_NAMES)
 
-    def ev(self, x: float) -> float:
-        raise NotImplementedError
-
-    def ev_array(self, xs: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    @cached_property
+    def ev_array(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The tree as a function of a float array, evaluated with ``numpy``."""
+        fn = _compile(self, _ARRAY_NAMES)
+        if _contains_var(self):
+            return fn
+        return lambda xs: np.full_like(xs, fn(xs), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -49,67 +66,25 @@ class Const(ScalarExpr):
         if not math.isfinite(self.value):
             raise ExpressionError("constants must be finite")
 
-    def ev(self, x):
-        return self.value
-
-    def ev_array(self, xs):
-        return np.full_like(xs, self.value, dtype=float)
-
 
 @dataclass(frozen=True)
 class Var(ScalarExpr):
     name: str
-
-    def ev(self, x):
-        return x
-
-    def ev_array(self, xs):
-        return np.asarray(xs, dtype=float)
 
 
 @dataclass(frozen=True)
 class Neg(ScalarExpr):
     child: ScalarExpr
 
-    def ev(self, x):
-        return -self.child.ev(x)
-
-    def ev_array(self, xs):
-        return -self.child.ev_array(xs)
-
 
 @dataclass(frozen=True)
 class Sum(ScalarExpr):
     children: Tuple[ScalarExpr, ...]
 
-    def ev(self, x):
-        acc = self.children[0].ev(x)
-        for c in self.children[1:]:
-            acc += c.ev(x)
-        return acc
-
-    def ev_array(self, xs):
-        acc = self.children[0].ev_array(xs)
-        for c in self.children[1:]:
-            acc = acc + c.ev_array(xs)
-        return acc
-
 
 @dataclass(frozen=True)
 class Prod(ScalarExpr):
     children: Tuple[ScalarExpr, ...]
-
-    def ev(self, x):
-        acc = self.children[0].ev(x)
-        for c in self.children[1:]:
-            acc *= c.ev(x)
-        return acc
-
-    def ev_array(self, xs):
-        acc = self.children[0].ev_array(xs)
-        for c in self.children[1:]:
-            acc = acc * c.ev_array(xs)
-        return acc
 
 
 @dataclass(frozen=True)
@@ -123,47 +98,62 @@ class Pow(ScalarExpr):
         if self.exponent < 0:
             raise ExpressionError("power exponent must be >= 0")
 
-    def ev(self, x):
-        return self.base.ev(x) ** self.exponent
-
-    def ev_array(self, xs):
-        return self.base.ev_array(xs) ** self.exponent
-
 
 @dataclass(frozen=True)
 class Sin(ScalarExpr):
     child: ScalarExpr
-
-    def ev(self, x):
-        return math.sin(self.child.ev(x))
-
-    def ev_array(self, xs):
-        return np.sin(self.child.ev_array(xs))
 
 
 @dataclass(frozen=True)
 class Cos(ScalarExpr):
     child: ScalarExpr
 
-    def ev(self, x):
-        return math.cos(self.child.ev(x))
-
-    def ev_array(self, xs):
-        return np.cos(self.child.ev_array(xs))
-
 
 @dataclass(frozen=True)
 class Exp(ScalarExpr):
     child: ScalarExpr
 
-    def ev(self, x):
-        return math.exp(self.child.ev(x))
-
-    def ev_array(self, xs):
-        return np.exp(self.child.ev_array(xs))
-
 
 _FUNCTIONS = {"sin": Sin, "cos": Cos, "exp": Exp}
+_FUNCTION_NAMES = {node: name for name, node in _FUNCTIONS.items()}
+_SCALAR_NAMES = {"__builtins__": {}, "sin": math.sin, "cos": math.cos, "exp": math.exp}
+_ARRAY_NAMES = {"__builtins__": {}, "sin": np.sin, "cos": np.cos, "exp": np.exp}
+# set while building: ast.fix_missing_locations would add a third to each compile
+_AT = {"lineno": 1, "col_offset": 0}
+
+
+def _code(node: ScalarExpr) -> ast.expr:
+    """``node`` as one Python expression in ``x``, in the tree's evaluation order."""
+    if isinstance(node, Const):
+        return ast.Constant(node.value, **_AT)
+    if isinstance(node, Var):
+        return ast.Name("x", ast.Load(), **_AT)
+    if isinstance(node, Neg):
+        return ast.UnaryOp(ast.USub(), _code(node.child), **_AT)
+    if isinstance(node, (Sum, Prod)):
+        op = ast.Add() if isinstance(node, Sum) else ast.Mult()
+        return reduce(
+            lambda acc, c: ast.BinOp(acc, op, _code(c), **_AT),
+            node.children[1:],
+            _code(node.children[0]),
+        )
+    if isinstance(node, Pow):
+        return ast.BinOp(_code(node.base), ast.Pow(), ast.Constant(node.exponent, **_AT), **_AT)
+    if type(node) in _FUNCTION_NAMES:
+        name = ast.Name(_FUNCTION_NAMES[type(node)], ast.Load(), **_AT)
+        return ast.Call(name, [_code(node.child)], [], **_AT)
+    raise ExpressionError(f"unknown node {node!r}")  # pragma: no cover
+
+
+def _compile(node: ScalarExpr, names: dict) -> Callable:
+    """``lambda x: <_code(node)>`` with ``sin``, ``cos``, ``exp`` from ``names``."""
+    args = ast.arguments(posonlyargs=[], args=[ast.arg("x", **_AT)], kwonlyargs=[],
+                         kw_defaults=[], defaults=[])
+    try:
+        tree = ast.Expression(ast.Lambda(args, _code(node), **_AT))
+        return eval(compile(tree, "<expression>", "eval"), names)
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply to compile") from None
 
 
 def evaluate(expr: ScalarExpr, point: float) -> float:
@@ -325,15 +315,12 @@ class _Parser:
         if kind == "op" and val == "+":
             self.advance()
             return self.parse_factor()
-        return self.parse_power()
-
-    def parse_power(self):
+        # power inlined: one frame less per nesting level of the grammar
         base = self.parse_primary()
-        kind, val, pos = self.peek()
+        kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.advance()
-            exponent = self.parse_exponent()
-            return Pow(base, exponent)
+            return Pow(base, self.parse_exponent())
         return base
 
     def parse_exponent(self) -> int:
@@ -391,7 +378,10 @@ def parse_expression(
     Named parameters in ``bindings`` substitute as constants at parse time,
     so the returned tree contains only the listed variables.
     """
-    return _Parser(text, variables, bindings).parse()
+    try:
+        return _Parser(text, variables, bindings).parse()
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply") from None
 
 
 # --- serialization ----------------------------------------------------------
@@ -437,12 +427,8 @@ def _ser(node: ScalarExpr, parent_prec: int) -> str:
         return f"({text})" if parent_prec > 2 else text
     if isinstance(node, Pow):
         return f"{_ser(node.base, 4)}^{node.exponent}"
-    if isinstance(node, Sin):
-        return f"sin({_ser(node.child, 0)})"
-    if isinstance(node, Cos):
-        return f"cos({_ser(node.child, 0)})"
-    if isinstance(node, Exp):
-        return f"exp({_ser(node.child, 0)})"
+    if type(node) in _FUNCTION_NAMES:
+        return f"{_FUNCTION_NAMES[type(node)]}({_ser(node.child, 0)})"
     raise ExpressionError(f"unknown node {node!r}")  # pragma: no cover
 
 

@@ -16,10 +16,11 @@ inconclusive.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .kernel import KernelTable, phi
 from .problem import Problem
@@ -211,6 +212,45 @@ def default_window(problem: Problem) -> Tuple[int, int]:
     return (k0 + DEFAULT_BURN_IN, k0 + DEFAULT_BURN_IN + DEFAULT_WIDTH)
 
 
+def _criterion(
+    criterion: str,
+    problem: Problem,
+    window: Optional[Tuple[int, int]],
+    tol: float,
+    rel_tol: float | None,
+    decide: Callable[..., Tuple[str, float, str]],
+) -> CriterionReport:
+    """Set-up shared by both criteria: window, branch, extrema, mixed case.
+
+    ``decide(branch, sup_ip, inf_ip, sup_im, inf_im)`` gives (verdict,
+    margin, reason) on a sign-definite branch.
+    """
+    if problem.grid.lagged:
+        raise ValueError("criterion not extended to lagged grids")
+    if window is None:
+        window = default_window(problem)
+    branch = _impulse_branch(problem, window)
+    extrema = _window_extrema(problem, window, rel_tol)
+    sup_ip, inf_ip, sup_im, inf_im = extrema
+    report = functools.partial(
+        CriterionReport,
+        criterion=criterion,
+        branch=branch,
+        window=window,
+        sup_i_plus=sup_ip,
+        inf_i_plus=inf_ip,
+        sup_i_minus=sup_im,
+        inf_i_minus=inf_im,
+        tol=tol,
+    )
+    if branch == "mixed":
+        return report(
+            verdict="inconclusive", margin=math.nan, reason="mixed impulse signs over window"
+        )
+    verdict, margin, reason = decide(branch, *extrema)
+    return report(verdict=verdict, margin=margin, reason=reason)
+
+
 def aw_criterion(
     problem: Problem,
     window: Optional[Tuple[int, int]] = None,
@@ -224,51 +264,18 @@ def aw_criterion(
     asymmetry): inf i_plus < 1 or sup i_minus > -1.  All four extrema are
     reported so alternative readings can be applied by the caller.
     """
-    if problem.grid.lagged:
-        raise ValueError("criterion not extended to lagged grids")
-    if window is None:
-        window = default_window(problem)
-    branch = _impulse_branch(problem, window)
-    sup_ip, inf_ip, sup_im, inf_im = _window_extrema(problem, window, rel_tol)
-    tol = strictness_tol
-    common = dict(
-        criterion="oscillation",
-        window=window,
-        sup_i_plus=sup_ip,
-        inf_i_plus=inf_ip,
-        sup_i_minus=sup_im,
-        inf_i_minus=inf_im,
-        tol=tol,
-    )
-    if branch == "mixed":
-        return CriterionReport(
-            branch=branch,
-            verdict="inconclusive",
-            margin=math.nan,
-            reason="mixed impulse signs over window",
-            **common,
-        )
-    if branch == "positive-impulse":
-        margin = max(sup_ip - 1.0, -1.0 - inf_im)
-    else:
-        margin = max(1.0 - inf_ip, sup_im + 1.0)
-    if margin > tol:
-        return CriterionReport(branch=branch, verdict="oscillatory", margin=margin, **common)
-    if margin > -tol:
-        return CriterionReport(
-            branch=branch,
-            verdict="inconclusive",
-            margin=margin,
-            reason="boundary (within tolerance of threshold)",
-            **common,
-        )
-    return CriterionReport(
-        branch=branch,
-        verdict="inconclusive",
-        margin=margin,
-        reason="no threshold cleared",
-        **common,
-    )
+    def decide(branch, sup_ip, inf_ip, sup_im, inf_im):
+        if branch == "positive-impulse":
+            margin = max(sup_ip - 1.0, -1.0 - inf_im)
+        else:
+            margin = max(1.0 - inf_ip, sup_im + 1.0)
+        if margin > strictness_tol:
+            return "oscillatory", margin, ""
+        if margin > -strictness_tol:
+            return "inconclusive", margin, "boundary (within tolerance of threshold)"
+        return "inconclusive", margin, "no threshold cleared"
+
+    return _criterion("oscillation", problem, window, strictness_tol, rel_tol, decide)
 
 
 def nonosc_criterion(
@@ -278,45 +285,16 @@ def nonosc_criterion(
     rel_tol: float | None = None,
 ) -> CriterionReport:
     """Sufficient nonoscillation test (non-strict thresholds, both branches)."""
-    if problem.grid.lagged:
-        raise ValueError("criterion not extended to lagged grids")
-    if window is None:
-        window = default_window(problem)
-    branch = _impulse_branch(problem, window)
-    sup_ip, inf_ip, sup_im, inf_im = _window_extrema(problem, window, rel_tol)
-    tol = strictness_tol
-    common = dict(
-        criterion="nonoscillation",
-        window=window,
-        sup_i_plus=sup_ip,
-        inf_i_plus=inf_ip,
-        sup_i_minus=sup_im,
-        inf_i_minus=inf_im,
-        tol=tol,
-    )
-    if branch == "mixed":
-        return CriterionReport(
-            branch=branch,
-            verdict="inconclusive",
-            margin=math.nan,
-            reason="mixed impulse signs over window",
-            **common,
-        )
-    if branch == "positive-impulse":
-        margin = min(1.0 - sup_ip, inf_im + 1.0)
-    else:
-        margin = min(inf_ip - 1.0, -1.0 - sup_im)
-    if margin >= -tol:
-        return CriterionReport(
-            branch=branch, verdict="nonoscillatory", margin=margin, **common
-        )
-    return CriterionReport(
-        branch=branch,
-        verdict="inconclusive",
-        margin=margin,
-        reason="bounds exceeded",
-        **common,
-    )
+    def decide(branch, sup_ip, inf_ip, sup_im, inf_im):
+        if branch == "positive-impulse":
+            margin = min(1.0 - sup_ip, inf_im + 1.0)
+        else:
+            margin = min(inf_ip - 1.0, -1.0 - sup_im)
+        if margin >= -strictness_tol:
+            return "nonoscillatory", margin, ""
+        return "inconclusive", margin, "bounds exceeded"
+
+    return _criterion("nonoscillation", problem, window, strictness_tol, rel_tol, decide)
 
 
 class GronwallBound:

@@ -138,6 +138,36 @@ class TestExitCodes:
         assert "range error" in err and "k=0" in err
         assert "Traceback" not in err
 
+    def test_non_finite_solution_is_refused(self, tmp_path, capsys):
+        # e^30 per interval: the knot values leave the float range on k=23
+        cfg = base_config()
+        cfg["problem"].update({"a": "30", "b": "0.1", "params": {}, "horizon": 30.0})
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg_path, "--out", str(out)]) == EXIT_RANGE
+        captured = capsys.readouterr()
+        assert "range error" in captured.err and "not finite on interval k=23" in captured.err
+        assert captured.out == "" and not (out / "trajectory.csv").exists()
+
+    def test_over_deep_expression_is_a_config_error(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["problem"]["a"] = "sin(" * 1000 + "t" + ")" * 1000
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        assert main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "nested too deeply" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [("solve", "--window"), ("solve", "--quad-tol"), ("classify", "--tol"),
+         ("oracle-check", "--quad-tol"), ("criterion", "--seed")],
+    )
+    def test_subcommand_rejects_options_it_does_not_read(self, tmp_path, command, option):
+        cfg_path = write_config(tmp_path / "cfg.json", base_config())
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", cfg_path, "--out", str(tmp_path), option, "1"])
+        assert info.value.code == 2
+
     def test_criterion_rejects_lagged(self, tmp_path, capsys):
         cfg = base_config()
         cfg["problem"]["grid"] = {"type": "lagged", "t0": 0, "h": 1, "lag": 1}

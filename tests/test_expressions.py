@@ -1,6 +1,8 @@
 import math
 import random
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from idepcag.expressions import (
     Sum,
     Var,
     evaluate,
+    fold_constants,
     parse_expression,
     serialize_expression,
 )
@@ -165,3 +168,105 @@ class TestRoundTripProperty:
             except OverflowError:
                 continue
             assert evaluate(back, t) == expected
+
+
+# the compiled forms against the evaluation order the tree fixes
+
+def _reference(node, x, lib):
+    """``node`` at ``x``, walked with ``lib`` (``math`` or ``numpy``)."""
+    if isinstance(node, Const):
+        return node.value if lib is math else np.full_like(x, node.value)
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Neg):
+        return -_reference(node.child, x, lib)
+    if isinstance(node, (Sum, Prod)):
+        acc = _reference(node.children[0], x, lib)
+        for c in node.children[1:]:
+            value = _reference(c, x, lib)
+            acc = acc + value if isinstance(node, Sum) else acc * value
+        return acc
+    if isinstance(node, Pow):
+        return _reference(node.base, x, lib) ** node.exponent
+    return getattr(lib, type(node).__name__.lower())(_reference(node.child, x, lib))
+
+
+_POINTS = np.concatenate([np.linspace(-2.0, 2.0, 33), [0.0, -0.0, 1e-300, -7.5]])
+
+
+# sums and products of three or more terms, where the fold order shows
+_wide = st.lists(_trees, min_size=3, max_size=5).map(tuple)
+_compiled_cases = st.one_of(_trees, _wide.map(Sum), _wide.map(Prod))
+
+
+def _scalar_outcome(fn, x):
+    try:
+        return struct.pack("<d", fn(x))  # bitwise: signed zeros and NaNs too
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+class TestCompiledForms:
+    @settings(max_examples=200, deadline=None)
+    @given(_compiled_cases)
+    @example(Sum((Const(0.1), Const(0.2), Var("t"))))
+    @example(Pow(Const(-0.0), 0))
+    @example(Sum((Neg(Const(0.0)), Prod((Const(-0.0), Var("t"))))))
+    @example(Exp(Exp(Exp(Exp(Var("t"))))))
+    def test_scalar_form_matches_math_walk(self, expr):
+        for x in _POINTS:
+            x = float(x)
+            assert _scalar_outcome(expr.ev, x) == _scalar_outcome(
+                lambda v: _reference(expr, v, math), x
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(_compiled_cases)
+    @example(Sum((Var("t"), Const(0.1), Const(0.2))))
+    @example(Sum((Neg(Const(0.0)), Prod((Const(-0.0), Var("t"))))))
+    @example(Prod((Exp(Exp(Exp(Var("t")))), Const(0.0))))
+    @example(Pow(Sum((Const(1.5), Const(2.0))), 3))
+    def test_array_form_matches_numpy_walk(self, expr):
+        try:
+            folded = fold_constants(expr)
+        except (ExpressionError, OverflowError, ValueError):
+            assume(False)
+        with np.errstate(all="ignore"):
+            got = folded.ev_array(_POINTS)
+            want = _reference(folded, _POINTS, np)
+        assert isinstance(got, np.ndarray) and got.shape == _POINTS.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+    def test_compiled_form_is_cached_on_the_node(self):
+        expr = parse_expression("t^2 + 1")
+        assert expr.ev is expr.ev and expr.ev_array is expr.ev_array
+
+
+class TestDeepNesting:
+    def test_long_negation_chain_evaluates(self):
+        expr = parse_expression("-" * 600 + "t")
+        assert evaluate(expr, 0.5) == 0.5
+        assert list(expr.ev_array(np.array([0.5, -1.0]))) == [0.5, -1.0]
+
+    def test_nested_sin_evaluates(self):
+        expr = parse_expression("sin(" * 190 + "t" + ")" * 190)
+        want = 0.7
+        for _ in range(190):
+            want = math.sin(want)
+        assert evaluate(expr, 0.7) == want
+        assert expr.ev_array(np.array([0.7]))[0] == pytest.approx(want, rel=1e-14)
+
+    def test_too_deep_to_parse_is_an_expression_error(self):
+        with pytest.raises(ExpressionError, match="nested too deeply"):
+            parse_expression("sin(" * 1000 + "t" + ")" * 1000)
+
+    def test_too_deep_to_compile_is_an_expression_error(self):
+        expr = Var("t")
+        for _ in range(5000):
+            expr = Neg(expr)
+        with pytest.raises(ExpressionError, match="nested too deeply"):
+            expr.ev(1.0)
+        with pytest.raises(ExpressionError, match="nested too deeply"):
+            expr.ev_array(np.ones(2))
