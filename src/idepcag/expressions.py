@@ -184,6 +184,8 @@ def fold_constants(node: ScalarExpr) -> ScalarExpr:
         return node
     if isinstance(node, Neg):
         child = fold_constants(node.child)
+        if isinstance(child, Const):  # unary minus is exact: no need to compile
+            return Const(-child.value)
         folded = Neg(child)
     elif isinstance(node, (Sin, Cos, Exp)):
         child = fold_constants(node.child)

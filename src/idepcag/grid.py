@@ -47,25 +47,18 @@ class ArgumentGrid:
         return (tk, zk), (zk, tk1)
 
 
-@dataclass(frozen=True)
-class UniformGrid(ArgumentGrid):
-    """t_k = t0 + k*h with zeta_k = t_k + alpha*h, alpha in [0, 1]."""
+class _EvenKnots(ArgumentGrid):
+    """Knots t_k = t0 + k*h, shared by the uniform and lagged grids; the
+    subclass holds ``t0`` and ``h``."""
 
-    t0: float
-    h: float
-    alpha: float = 0.0
+    __slots__ = ()
 
     def __post_init__(self):
         if not (self.h > 0 and math.isfinite(self.h)):
             raise ValueError("step h must be positive and finite")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError("alpha must lie in [0, 1]")
 
     def knot(self, k):
         return self.t0 + k * self.h
-
-    def zeta(self, k):
-        return self.t0 + (k + self.alpha) * self.h
 
     def interval_index(self, t):
         if not math.isfinite(t):
@@ -77,6 +70,23 @@ class UniformGrid(ArgumentGrid):
         while t >= self.knot(k + 1):
             k += 1
         return k
+
+
+@dataclass(frozen=True)
+class UniformGrid(_EvenKnots):
+    """t_k = t0 + k*h with zeta_k = t_k + alpha*h, alpha in [0, 1]."""
+
+    t0: float
+    h: float
+    alpha: float = 0.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not (0.0 <= self.alpha <= 1.0):
+            raise ValueError("alpha must lie in [0, 1]")
+
+    def zeta(self, k):
+        return self.t0 + (k + self.alpha) * self.h
 
 
 @dataclass(frozen=True)
@@ -117,7 +127,7 @@ class ExplicitGrid(ArgumentGrid):
 
 
 @dataclass(frozen=True)
-class LaggedUniformGrid(ArgumentGrid):
+class LaggedUniformGrid(_EvenKnots):
     """Uniform knots with the argument pinned to an earlier knot.
 
     zeta_k = t_{k-lag} lies outside [t_k, t_{k+1}], e.g. gamma(t) = [t-1]
@@ -132,23 +142,9 @@ class LaggedUniformGrid(ArgumentGrid):
     lagged = True
 
     def __post_init__(self):
-        if not (self.h > 0 and math.isfinite(self.h)):
-            raise ValueError("step h must be positive and finite")
+        super().__post_init__()
         if not (isinstance(self.lag, int) and self.lag >= 1):
             raise ValueError("lag must be an integer >= 1")
 
-    def knot(self, k):
-        return self.t0 + k * self.h
-
     def zeta(self, k):
         return self.knot(k - self.lag)
-
-    def interval_index(self, t):
-        if not math.isfinite(t):
-            raise ValueError("t must be finite")
-        k = math.floor((t - self.t0) / self.h)
-        while t < self.knot(k):
-            k -= 1
-        while t >= self.knot(k + 1):
-            k += 1
-        return k

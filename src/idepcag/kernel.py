@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple
 
 from .expressions import Const, ScalarExpr, Sum
-from .grid import LaggedUniformGrid
 from .problem import Problem
 from .quadrature import default_rel_tol, integrate
 from .series import EXP_OVERFLOW, IntervalSeries
@@ -342,7 +341,7 @@ def h3_check(
     )
 
 
-def gl2_lagged_integral(p: float, k: int = 1, rel_tol: float | None = None) -> float:
+def gl2_lagged_integral(p: float, k: int = 1) -> float:
     """Flow integral over [t_{k-1}, t_{k+1}] for the unit-lag argument.
 
     For the grid gamma(t) = [t - 1] the delayed window of interval k spans
@@ -350,24 +349,14 @@ def gl2_lagged_integral(p: float, k: int = 1, rel_tol: float | None = None) -> f
 
         int_{k-1}^{k+1} exp(-p (gamma(s) - s)) ds
           = int_{k-1}^{k} exp(-p ((k-2) - s)) ds
-            + int_{k}^{k+1} exp(-p ((k-1) - s)) ds,
+            + int_{k}^{k+1} exp(-p ((k-1) - s)) ds
+          = 2 e^p (e^p - 1) / p,
 
-    independent of k.  Requires p != 0.
+    independent of k, so ``k`` has no effect.  Requires p != 0.
     """
     if p == 0:
         raise ValueError("p must be nonzero")
-    grid = LaggedUniformGrid(0.0, 1.0, 1)
-    total = 0.0
-    for j in (k - 1, k):
-        zeta = grid.zeta(j)
-        value, _ = integrate(
-            lambda s, z=zeta: math.exp(-p * (z - s)),
-            grid.knot(j),
-            grid.knot(j + 1),
-            rel_tol,
-        )
-        total += value
-    return total
+    return 2.0 * math.exp(p) * math.expm1(p) / p
 
 
 def gl2_oscillation_bound(p: float) -> float:

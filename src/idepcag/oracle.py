@@ -76,22 +76,10 @@ class _OracleTrajectory(Trajectory):
     """Dense evaluation from the stored per-interval Runge-Kutta grids."""
 
     def __init__(self, problem: Problem, steps: int):
-        super().__init__(problem, rel_tol=0.0)
+        super().__init__(problem)
         self.steps = steps
         self._grids: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._zeta_values: Dict[int, float] = {}
-
-    def _interval_base(self, k: int):
-        if k == self.k_start:
-            return self.problem.tau, self.problem.z0, None
-        pt = self._by_k.get(k)
-        if pt is None:
-            raise ValueError(f"interval k={k} not in solved range")
-        return pt.t, pt.z_right, None
-
-    def _interior_value(self, t: float) -> float:
-        k = self.problem.grid.interval_index(t)
-        return self._value_in_interval(t, k)
 
     def _value_in_interval(self, t: float, k: int) -> float:
         ts, zs = self._grids[k]
@@ -162,7 +150,7 @@ def oracle_integrate(
     z = problem.z0
     if problem.tau == grid.knot(k):
         s0 = _sgn(z)
-        traj.points.append(SkeletonPoint(k, problem.tau, z, z, s0, s0))
+        traj._append(SkeletonPoint(k, problem.tau, z, z, s0, s0))
 
     t_base = problem.tau
     while True:
@@ -182,12 +170,11 @@ def oracle_integrate(
             break
         z_left = float(zs[-1])
         z_right = problem.impulses.factor(k + 1) * z_left
-        traj.points.append(
+        traj._append(
             SkeletonPoint(k + 1, t_end, z_left, z_right, _sgn(z_left), _sgn(z_right))
         )
         z = z_right
         k += 1
         if grid.knot(k) >= problem.horizon:
             break
-    traj._finish()
     return traj

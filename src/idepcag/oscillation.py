@@ -26,7 +26,7 @@ from .kernel import KernelTable, phi
 from .problem import Problem
 from .quadrature import default_rel_tol, integrate
 from .series import EXP_OVERFLOW
-from .solver import Trajectory, _KernelTrajectory
+from .solver import Trajectory
 
 MIN_WINDOW_KNOTS = 8
 DEFAULT_BURN_IN = 8
@@ -141,7 +141,7 @@ def classify_continuous(
     Uses the roots of :meth:`Trajectory.zeros_in_interval`; requires a
     kernel-backed trajectory.
     """
-    if not isinstance(traj, _KernelTrajectory):
+    if type(traj) is not Trajectory or traj.problem.grid.lagged:
         raise ValueError("continuous classification needs a kernel-backed trajectory")
     discrete = classify_discrete(traj, window)
     if discrete.status != "nonoscillatory":

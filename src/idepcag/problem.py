@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .expressions import ScalarExpr, evaluate
-from .grid import ArgumentGrid
+from .grid import ArgumentGrid, GridRangeError
 
 
 class ImpulseDegenerate(ValueError):
@@ -116,6 +116,11 @@ class Problem:
             raise ValueError("tau and horizon must be finite")
         if not self.horizon > self.tau:
             raise ValueError("horizon must exceed tau")
+        for name, t in (("tau", self.tau), ("horizon", self.horizon)):
+            try:
+                self.grid.interval_index(t)
+            except GridRangeError as exc:
+                raise ValueError(f"{name}={t!r} is not inside the grid: {exc}") from None
         if self.history is not None:
             object.__setattr__(
                 self, "history", tuple(float(v) for v in self.history)

@@ -173,9 +173,10 @@ class IntervalSeries:
     """Flow and forced response on one interval, built once and evaluated
     anywhere in it.
 
-    ``flow(t)`` is exp(int_anchor^t a) and ``forced(t)`` is y(t) above;
-    ``zeros`` finds the roots of a fixed combination of the two.  Each side
-    of the anchor is built on first use.  Raises :class:`QuadratureError`
+    ``forced(t)`` is y(t) above, ``combination`` a fixed combination of
+    it with the flow exp(int_anchor^t a) and a constant, and ``zeros`` the
+    roots of such a combination.  Each side of the anchor is built on
+    first use.  Raises :class:`QuadratureError`
     when the coefficients do not level off after ``MAX_BISECTIONS`` halvings
     or the chain needs more than ``MAX_PANELS`` panels, and ``OverflowError``
     when exp(A) passes exp(709) where it multiplies a nonzero value; both
@@ -300,17 +301,23 @@ class IntervalSeries:
             raise OverflowError(f"flow weight exp({A:.3g}) overflows on {self._where}")
         return math.exp(A)
 
-    def flow(self, t: float) -> float:
-        """exp(int_anchor^t a)."""
-        if t == self.anchor:
-            return 1.0
-        return self._flow(self._evaluate(self._panel(t), t)[0])
-
     def forced(self, t: float) -> float:
         """y(t); exactly 0 at the anchor and wherever g vanishes identically."""
         if t == self.anchor:
             return 0.0
         return self._evaluate(self._panel(t), t)[1]
+
+    def combination(self, t: float, flow_coef: float, forced_coef: float, const: float) -> float:
+        """forced_coef y(t) + const + flow_coef exp(A(t)) from one panel
+        lookup; the flow is not evaluated when flow_coef is 0."""
+        if t == self.anchor:
+            A = y = 0.0
+        else:
+            A, y = self._evaluate(self._panel(t), t)
+        u = forced_coef * y + const
+        if flow_coef:
+            u += flow_coef * self._flow(A)
+        return u
 
     def zeros(
         self, lo: float, hi: float, flow_coef: float, forced_coef: float, const: float

@@ -149,6 +149,17 @@ class TestExitCodes:
         assert "range error" in captured.err and "not finite on interval k=23" in captured.err
         assert captured.out == "" and not (out / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "classify", "oracle-check"])
+    def test_explicit_grid_must_cover_the_horizon(self, command, tmp_path, capsys):
+        cfg = base_config()
+        grid = {"type": "explicit", "knots": [0, 1, 2, 3], "zetas": [0.5, 1.5, 2.5]}
+        cfg["problem"]["grid"] = grid
+        cfg["problem"]["horizon"] = 3.0
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "horizon=3.0" in err and "[0.0, 3.0)" in err
+
     def test_over_deep_expression_is_a_config_error(self, tmp_path, capsys):
         cfg = base_config()
         cfg["problem"]["a"] = "sin(" * 1000 + "t" + ")" * 1000

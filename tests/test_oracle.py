@@ -5,7 +5,7 @@ import pytest
 
 from idepcag.expressions import Const, Cos, Prod, Sin, Sum, Var
 from idepcag.grid import UniformGrid
-from idepcag.kernel import SingularKernel
+from idepcag.kernel import KernelTable, SingularKernel
 from idepcag.oracle import oracle_integrate
 from idepcag.problem import ImpulseRule, Problem
 from idepcag.solver import solve
@@ -148,6 +148,23 @@ class TestValidation:
         )
         with pytest.raises(ValueError, match="non-lagged"):
             oracle_integrate(p)
+
+    def test_builds_no_kernel_table(self, monkeypatch):
+        built = []
+        init = KernelTable.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(KernelTable, "__init__", spy)
+        p = make(Const(-0.5), Sin(Var("t")), alpha=0.3, horizon=4.0)
+        traj = oracle_integrate(p, 200)
+        traj.value(2.5)
+        traj.zero_list()
+        assert built == []
+        KernelTable(p)  # the spy is live
+        assert len(built) == 1
 
     def test_step_count_validated(self):
         p = make(Const(0.0), Const(0.0))

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from idepcag.expressions import Const, Cos, Prod, Sin, Sum, Var
-from idepcag.grid import UniformGrid
+from idepcag.grid import LaggedUniformGrid, UniformGrid
+from idepcag.oracle import oracle_integrate
 from idepcag.oscillation import (
     GronwallBound,
     aw_criterion,
@@ -122,6 +123,22 @@ class TestClassifyContinuous:
         verdict = classify_continuous(traj)
         assert verdict.status == "oscillatory"
         assert "interval" in verdict.evidence
+
+    def test_rejects_lagged_and_oracle_trajectories(self):
+        lagged = Problem(
+            a=Const(-0.4),
+            b=Const(0.1),
+            grid=LaggedUniformGrid(0.0, 1.0, 1),
+            tau=0.0,
+            z0=1.0,
+            horizon=40.0,
+            history=(1.0,),
+        )
+        oracle = oracle_integrate(unit_problem(Const(-0.4), Const(0.0), horizon=40.0), 100)
+        for traj in (solve(lagged), oracle):
+            assert classify_discrete(traj).status == "nonoscillatory"
+            with pytest.raises(ValueError, match="kernel-backed"):
+                classify_continuous(traj)
 
     def test_precondition_enforced(self):
         p = unit_problem(Const(0.0), Const(1.0), ImpulseRule.multiplier(-0.5), horizon=40.0)

@@ -257,6 +257,31 @@ class TestLagged:
         with pytest.raises(ValueError, match="knot"):
             solve_lagged(p)
 
+    def test_solve_lagged_rejects_a_non_lagged_grid(self):
+        with pytest.raises(ValueError, match="lagged grid"):
+            solve_lagged(unit_problem(Const(-1.0), Const(0.3)))
+
+    @pytest.mark.parametrize("lag", [2, 3])
+    def test_longer_lag_from_a_later_knot(self, lag):
+        a, b, h, k0 = -0.7, 0.4, 0.5, 2
+        history = (0.3, -0.5, 0.8)[:lag]
+        p = Problem(
+            a=Const(a),
+            b=Const(b),
+            grid=LaggedUniformGrid(0.0, h, lag),
+            tau=k0 * h,
+            z0=1.2,
+            horizon=(k0 + 12) * h,
+            history=history,
+        )
+        traj = solve(p)
+        # z at t_{k0-lag} .. t_{k0}, then the exact one-step recurrence
+        z = list(history) + [1.2]
+        growth = math.exp(a * h)
+        for k in range(k0, k0 + 12):
+            z.append(growth * z[-1] + (b / a) * (growth - 1.0) * z[-1 - lag])
+            assert traj.knot_value(k + 1) == pytest.approx(z[-1], rel=1e-12, abs=1e-14)
+
     def test_lagged_zero_scan(self):
         traj = solve_lagged(self.lagged_problem(1.0, 0.3, horizon=20.0))
         skeleton = [pt.z_right for pt in traj.skeleton()]
