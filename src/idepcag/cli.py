@@ -149,18 +149,15 @@ def _analysis_window(cfg: dict, args, problem: Problem) -> Tuple[int, int]:
 
 
 def _criterion_tol(cfg: dict, args) -> float:
+    tolerances = cfg.get("analysis", {}).get("tolerances", {})
+    if "quad_rel_tol" in tolerances:
+        raise ConfigError(
+            "analysis.tolerances.quad_rel_tol is not supported; "
+            "set the quadrature tolerance with the IDEPCAG_QUAD_TOL environment variable"
+        )
     if args.tol is not None:
         return args.tol
-    return float(
-        cfg.get("analysis", {}).get("tolerances", {}).get("criterion_tol", DEFAULT_CRITERION_TOL)
-    )
-
-
-def _quad_tol(cfg: dict, args) -> Optional[float]:
-    if args.quad_tol is not None:
-        return args.quad_tol
-    t = cfg.get("analysis", {}).get("tolerances", {}).get("quad_rel_tol")
-    return float(t) if t is not None else None
+    return float(tolerances.get("criterion_tol", DEFAULT_CRITERION_TOL))
 
 
 # -- commands -------------------------------------------------------------------
@@ -176,12 +173,10 @@ def cmd_solve(cfg: dict, args) -> int:
     traj = solve(problem)
     n_samples = int(cfg.get("output", {}).get("samples_per_interval", 64))
 
-    grid = problem.grid
-    k_end = grid.interval_index(problem.horizon)
+    k_end = problem.grid.interval_index(problem.horizon)
     rows: List[str] = ["t,z,interval_k,is_knot,z_left,z_right"]
     for k in range(traj.k_start, k_end + 1):
-        lo = problem.tau if k == traj.k_start else grid.knot(k)
-        hi = min(grid.knot(k + 1), problem.horizon)
+        lo, hi = traj._window(k)
         if hi <= lo:
             continue
         for i in range(n_samples):
@@ -248,14 +243,12 @@ def cmd_classify(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _criterion_verdict(
-    problem: Problem, window, tol, rel_tol
-) -> Tuple[str, List[CriterionReport]]:
+def _criterion_verdict(problem: Problem, window, tol) -> Tuple[str, List[CriterionReport]]:
     """Oscillation test, then the nonoscillation test unless the first fired."""
-    osc = aw_criterion(problem, window, tol, rel_tol)
+    osc = aw_criterion(problem, window, tol)
     if osc.verdict == "oscillatory":
         return "oscillatory", [osc]
-    non = nonosc_criterion(problem, window, tol, rel_tol)
+    non = nonosc_criterion(problem, window, tol)
     return ("nonoscillatory" if non.verdict == "nonoscillatory" else "inconclusive"), [osc, non]
 
 
@@ -266,8 +259,7 @@ def cmd_criterion(cfg: dict, args) -> int:
             "criterion not extended to lagged grids; use the lagged solver and classify"
         )
     window = _analysis_window(cfg, args, problem)
-    tol, rel_tol = _criterion_tol(cfg, args), _quad_tol(cfg, args)
-    final, reports = _criterion_verdict(problem, window, tol, rel_tol)
+    final, reports = _criterion_verdict(problem, window, _criterion_tol(cfg, args))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     text = "\n".join(r.to_text() for r in reports)
@@ -280,8 +272,8 @@ def cmd_criterion(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _sweep_quantity(problem: Problem, window, quantity: str, rel_tol) -> float:
-    return _window_extrema(problem, window, rel_tol)[_SWEEP_QUANTITIES.index(quantity)]
+def _sweep_quantity(problem: Problem, window, quantity: str) -> float:
+    return _window_extrema(problem, window)[_SWEEP_QUANTITIES.index(quantity)]
 
 
 def cmd_sweep(cfg: dict, args) -> int:
@@ -297,7 +289,6 @@ def cmd_sweep(cfg: dict, args) -> int:
     if steps < 2:
         raise ConfigError("sweep needs steps >= 2")
     tol = _criterion_tol(cfg, args)
-    rel_tol = _quad_tol(cfg, args)
 
     def make(value: float) -> Problem:
         return build_problem(cfg, {pname: value})
@@ -306,7 +297,7 @@ def cmd_sweep(cfg: dict, args) -> int:
     rows = ["parameter,sup_i_plus,inf_i_plus,sup_i_minus,inf_i_minus,verdict"]
     for i in range(steps):
         v = lo + (hi - lo) * i / (steps - 1)
-        verdict, reports = _criterion_verdict(make(v), window, tol, rel_tol)
+        verdict, reports = _criterion_verdict(make(v), window, tol)
         osc = reports[0]
         rows.append(
             f"{_fmt(v)},{_fmt(osc.sup_i_plus)},{_fmt(osc.inf_i_plus)},"
@@ -327,7 +318,7 @@ def cmd_sweep(cfg: dict, args) -> int:
     xtol = float(target.get("xtol", 1e-6))
 
     def g(v: float) -> float:
-        return _sweep_quantity(make(v), window, quantity, rel_tol) - threshold
+        return _sweep_quantity(make(v), window, quantity) - threshold
 
     g_lo, g_hi = g(lo), g(hi)
     if g_lo == 0.0:
@@ -405,10 +396,9 @@ def _parse_window(text: str) -> Tuple[int, int]:
 _OPTIONS = {
     "--window": dict(type=_parse_window, default=None, metavar="K0,W"),
     "--tol": dict(type=float, default=None, help="criterion strictness"),
-    "--quad-tol": dict(type=float, default=None, help="quadrature rel tol"),
     "--seed": dict(type=int, default=None, help="seed for randomized samples"),
 }
-_CRITERION_OPTIONS = ("--window", "--tol", "--quad-tol")
+_CRITERION_OPTIONS = ("--window", "--tol")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,7 @@ Numerically, e is the solution of
     e' = a e + b,    e(zeta_k) = 1,
 
 that is e = 1 + y with y' = a y + (a + b), y(zeta_k) = 0.  For each
-(interval, anchor) pair :class:`KernelTable` builds one
+interval :class:`KernelTable` builds one
 :class:`~idepcag.series.IntervalSeries` of y, a chain of Chebyshev
 panels, and takes every dense value, both knot values and the in-interval
 zeros from it.  The forcing a + b vanishes pointwise for the family
@@ -58,8 +58,6 @@ def _exp_guarded(w: float) -> float:
 
 def phi(a: ScalarExpr, s: float, t: float, rel_tol: float | None = None) -> float:
     """Flow factor exp(int_s^t a(u) du) of the homogeneous part."""
-    if s == t:
-        return 1.0
     if isinstance(a, Const):
         return _exp_guarded(a.value * (t - s))
     value, _ = integrate(a.ev, s, t, rel_tol)
@@ -149,51 +147,43 @@ class H3Report:
 
 
 class KernelTable:
-    """Lazy per-interval cache of kernel quantities for one problem.
+    """Kernel quantities of one problem, with a lazy per-interval series cache.
 
-    Construction is single-writer: computing an entry mutates only the
-    private dicts, and every stored value is immutable afterwards.
+    The quadrature tolerance is read once, at construction.  Construction
+    is single-writer: building a series mutates only the private dict, and
+    every stored series is immutable afterwards.
     """
 
-    def __init__(self, problem: Problem, rel_tol: float | None = None):
+    def __init__(self, problem: Problem):
         if problem.grid.lagged:
             raise ValueError("kernel table requires a non-lagged grid")
         self.problem = problem
-        self.rel_tol = default_rel_tol() if rel_tol is None else rel_tol
+        self.rel_tol = default_rel_tol()
         self._g = Sum((problem.a, problem.b))
-        self._series: Dict[Tuple[int, float], IntervalSeries] = {}
-        self._e_knots: Dict[int, Tuple[float, float, float]] = {}
-        self._criterion: Dict[int, Tuple[float, float, float]] = {}
-        self._h3: Dict[int, Tuple[float, float, float, float]] = {}
+        self._series: Dict[int, IntervalSeries] = {}
 
     # -- e route -------------------------------------------------------------
 
-    def series(self, k: int, zeta: float | None = None) -> IntervalSeries:
-        """Series of e(., zeta) - 1 on interval k, built once per (k, zeta)."""
-        if zeta is None:
-            zeta = self.problem.grid.zeta(k)
-        found = self._series.get((k, zeta))
+    def series(self, k: int) -> IntervalSeries:
+        """Series of e(., zeta_k) - 1 on interval k, built once per k."""
+        found = self._series.get(k)
         if found is None:
             grid = self.problem.grid
             found = IntervalSeries(
-                self.problem.a, self._g, grid.knot(k), grid.knot(k + 1), zeta, k
+                self.problem.a, self._g, grid.knot(k), grid.knot(k + 1), grid.zeta(k), k
             )
-            self._series[(k, zeta)] = found
+            self._series[k] = found
         return found
 
-    def e_value(self, k: int, t: float, zeta: float | None = None) -> float:
+    def e_value(self, k: int, t: float) -> float:
         """e(t, zeta_k) = 1 + y(t) for t in the interval."""
-        return 1.0 + self.series(k, zeta).forced(t)
+        return 1.0 + self.series(k).forced(t)
 
     def e_at_knots(self, k: int) -> Tuple[float, float, float]:
         """(e(t_k, zeta_k), e(t_{k+1}, zeta_k), error estimate)."""
-        cached = self._e_knots.get(k)
-        if cached is None:
-            grid = self.problem.grid
-            s = self.series(k)
-            cached = (1.0 + s.forced(grid.knot(k)), 1.0 + s.forced(grid.knot(k + 1)), s.err)
-            self._e_knots[k] = cached
-        return cached
+        grid = self.problem.grid
+        s = self.series(k)
+        return 1.0 + s.forced(grid.knot(k)), 1.0 + s.forced(grid.knot(k + 1)), s.err
 
     def w_step(self, k: int) -> float:
         """One-interval propagation factor w(t_{k+1}, t_k)."""
@@ -218,56 +208,31 @@ class KernelTable:
     def j_value(self, k: int, t: float) -> float:
         """j(t, zeta_k); equals 1 exactly at t = zeta_k."""
         zeta = self.problem.grid.zeta(k)
-        e = self.e_value(k, t, zeta)
-        return e * phi(self.problem.a, t, zeta, self.rel_tol)
+        return self.e_value(k, t) * phi(self.problem.a, t, zeta, self.rel_tol)
 
     # -- definitional integrals ----------------------------------------------
 
     def criterion(self, k: int) -> Tuple[float, float, float]:
         """(i_plus, i_minus, err): the advanced and delayed kernel integrals."""
-        cached = self._criterion.get(k)
-        if cached is None:
-            grid = self.problem.grid
-            tk, tk1, zeta = grid.knot(k), grid.knot(k + 1), grid.zeta(k)
-            b_fn = self.problem.b.ev
-            if zeta == tk:
-                i_plus, err_p = 0.0, 0.0
-            else:
-                i_plus, err_p = flow_weighted_integral(
-                    self.problem.a, b_fn, tk, zeta, anchor=zeta, rel_tol=self.rel_tol
-                )
-            if zeta == tk1:
-                i_minus, err_m = 0.0, 0.0
-            else:
-                i_minus, err_m = flow_weighted_integral(
-                    self.problem.a, b_fn, zeta, tk1, anchor=zeta, rel_tol=self.rel_tol
-                )
-            cached = (i_plus, i_minus, err_p + err_m)
-            self._criterion[k] = cached
-        return cached
+        grid = self.problem.grid
+        tk, tk1, zeta = grid.knot(k), grid.knot(k + 1), grid.zeta(k)
+        a, b_fn = self.problem.a, self.problem.b.ev
+        i_plus, err_p = flow_weighted_integral(a, b_fn, tk, zeta, zeta, self.rel_tol)
+        i_minus, err_m = flow_weighted_integral(a, b_fn, zeta, tk1, zeta, self.rel_tol)
+        return i_plus, i_minus, err_p + err_m
 
     def h3(self, k: int) -> Tuple[float, float, float, float]:
         """(rho_plus, rho_minus, nu_plus, nu_minus) for interval k."""
-        cached = self._h3.get(k)
-        if cached is None:
-            grid = self.problem.grid
-            tk, tk1, zeta = grid.knot(k), grid.knot(k + 1), grid.zeta(k)
-            a_fn, b_fn = self.problem.a.ev, self.problem.b.ev
-            abs_a = lambda s: abs(a_fn(s))
-            abs_b = lambda s: abs(b_fn(s))
-            if zeta == tk:
-                rho_p, int_b_p = 1.0, 0.0
-            else:
-                rho_p = _exp_guarded(integrate(abs_a, tk, zeta, self.rel_tol)[0])
-                int_b_p = integrate(abs_b, tk, zeta, self.rel_tol)[0]
-            if zeta == tk1:
-                rho_m, int_b_m = 1.0, 0.0
-            else:
-                rho_m = _exp_guarded(integrate(abs_a, zeta, tk1, self.rel_tol)[0])
-                int_b_m = integrate(abs_b, zeta, tk1, self.rel_tol)[0]
-            cached = (rho_p, rho_m, rho_p * int_b_p, rho_m * int_b_m)
-            self._h3[k] = cached
-        return cached
+        grid = self.problem.grid
+        tk, tk1, zeta = grid.knot(k), grid.knot(k + 1), grid.zeta(k)
+        a_fn, b_fn = self.problem.a.ev, self.problem.b.ev
+        abs_a = lambda s: abs(a_fn(s))
+        abs_b = lambda s: abs(b_fn(s))
+        rho_p = _exp_guarded(integrate(abs_a, tk, zeta, self.rel_tol)[0])
+        rho_m = _exp_guarded(integrate(abs_a, zeta, tk1, self.rel_tol)[0])
+        int_b_p = integrate(abs_b, tk, zeta, self.rel_tol)[0]
+        int_b_m = integrate(abs_b, zeta, tk1, self.rel_tol)[0]
+        return rho_p, rho_m, rho_p * int_b_p, rho_m * int_b_m
 
     def interval_kernel(self, k: int) -> IntervalKernel:
         e0, e1, err_e = self.e_at_knots(k)
@@ -293,31 +258,25 @@ class KernelTable:
 
 # -- module-level operations -------------------------------------------------
 
-def j_value(problem: Problem, k: int, t: float, rel_tol: float | None = None) -> float:
+def j_value(problem: Problem, k: int, t: float) -> float:
     """Kernel j(t, zeta_k) for t in [t_k, t_{k+1}]."""
-    return KernelTable(problem, rel_tol).j_value(k, t)
+    return KernelTable(problem).j_value(k, t)
 
 
-def w_intra(
-    problem: Problem, k: int, t: float, s: float, rel_tol: float | None = None
-) -> float:
+def w_intra(problem: Problem, k: int, t: float, s: float) -> float:
     """In-interval propagation factor carrying z(s) to z(t)."""
-    return KernelTable(problem, rel_tol).w_intra(k, t, s)
+    return KernelTable(problem).w_intra(k, t, s)
 
 
-def criterion_integrals(
-    problem: Problem, k: int, rel_tol: float | None = None
-) -> Tuple[float, float]:
+def criterion_integrals(problem: Problem, k: int) -> Tuple[float, float]:
     """(i_plus, i_minus): kernel integrals over the advanced/delayed parts."""
-    i_plus, i_minus, _ = KernelTable(problem, rel_tol).criterion(k)
+    i_plus, i_minus, _ = KernelTable(problem).criterion(k)
     return i_plus, i_minus
 
 
-def h3_check(
-    problem: Problem, k_range: Sequence[int], rel_tol: float | None = None
-) -> H3Report:
+def h3_check(problem: Problem, k_range: Sequence[int]) -> H3Report:
     """Invertibility diagnostics (sup nu^+/- < 1) over the given intervals."""
-    table = KernelTable(problem, rel_tol)
+    table = KernelTable(problem)
     ks = tuple(k_range)
     if not ks:
         raise ValueError("empty interval range")

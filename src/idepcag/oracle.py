@@ -26,6 +26,7 @@ from .solver import SkeletonPoint, Trajectory, _sgn
 
 DEFAULT_STEPS_PER_INTERVAL = 10_000
 ZERO_LOCATION_TOL = 1e-12
+SCAN_POINTS = 65
 
 
 def _rk4_linear(problem, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -96,16 +97,16 @@ class _OracleTrajectory(Trajectory):
         # A, B here restart at t0, so z(t) = A z(t0) + B z(zeta_k)
         return float(A[1]) * z0 + float(B[1]) * self._zeta_values[k]
 
-    def zeros_in_interval(self, k: int, scan_points: int = 65) -> List[float]:
+    def zeros_in_interval(self, k: int) -> List[float]:
         lo, hi = self._window(k)
-        return _scan_roots(lambda t: self._value_in_interval(t, k), lo, hi, scan_points)
+        return _scan_roots(lambda t: self._value_in_interval(t, k), lo, hi)
 
 
-def _scan_roots(f, lo: float, hi: float, scan_points: int) -> List[float]:
+def _scan_roots(f, lo: float, hi: float) -> List[float]:
     """Sign changes of f on an even scan of [lo, hi), located by bisection."""
     if hi <= lo:
         return []
-    n = max(scan_points, 3)
+    n = SCAN_POINTS
     ts = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     vals = [f(t) for t in ts]
     roots: List[float] = []

@@ -165,16 +165,14 @@ def classify_continuous(
     )
 
 
-def wn_sequence(
-    problem: Problem, k_range: Sequence[int], rel_tol: float | None = None
-) -> List[float]:
+def wn_sequence(problem: Problem, k_range: Sequence[int]) -> List[float]:
     """Step ratios w_n = (1 + c_n) j(t_{n+1}, zeta_n) / j(t_n, zeta_n).
 
     The flow factor cancels out of the ratio, so for b = 0, c = 0 the
     sequence is identically 1.  Recurring sign changes of this sequence
     force oscillation; check with :func:`recurring_sign_changes`.
     """
-    table = KernelTable(problem, rel_tol)
+    table = KernelTable(problem)
     grid = problem.grid
     out = []
     for n in k_range:
@@ -184,11 +182,11 @@ def wn_sequence(
     return out
 
 
-def _window_extrema(problem: Problem, window: Tuple[int, int], rel_tol):
+def _window_extrema(problem: Problem, window: Tuple[int, int]):
     k_lo, k_hi = window
     if k_hi <= k_lo:
         raise ValueError("empty criterion window")
-    table = KernelTable(problem, rel_tol)
+    table = KernelTable(problem)
     i_plus = []
     i_minus = []
     for k in range(k_lo, k_hi):
@@ -217,7 +215,6 @@ def _criterion(
     problem: Problem,
     window: Optional[Tuple[int, int]],
     tol: float,
-    rel_tol: float | None,
     decide: Callable[..., Tuple[str, float, str]],
 ) -> CriterionReport:
     """Set-up shared by both criteria: window, branch, extrema, mixed case.
@@ -230,7 +227,7 @@ def _criterion(
     if window is None:
         window = default_window(problem)
     branch = _impulse_branch(problem, window)
-    extrema = _window_extrema(problem, window, rel_tol)
+    extrema = _window_extrema(problem, window)
     sup_ip, inf_ip, sup_im, inf_im = extrema
     report = functools.partial(
         CriterionReport,
@@ -255,7 +252,6 @@ def aw_criterion(
     problem: Problem,
     window: Optional[Tuple[int, int]] = None,
     strictness_tol: float = DEFAULT_CRITERION_TOL,
-    rel_tol: float | None = None,
 ) -> CriterionReport:
     """Sufficient oscillation test from windowed kernel-integral extrema.
 
@@ -275,14 +271,13 @@ def aw_criterion(
             return "inconclusive", margin, "boundary (within tolerance of threshold)"
         return "inconclusive", margin, "no threshold cleared"
 
-    return _criterion("oscillation", problem, window, strictness_tol, rel_tol, decide)
+    return _criterion("oscillation", problem, window, strictness_tol, decide)
 
 
 def nonosc_criterion(
     problem: Problem,
     window: Optional[Tuple[int, int]] = None,
     strictness_tol: float = DEFAULT_CRITERION_TOL,
-    rel_tol: float | None = None,
 ) -> CriterionReport:
     """Sufficient nonoscillation test (non-strict thresholds, both branches)."""
     def decide(branch, sup_ip, inf_ip, sup_im, inf_im):
@@ -294,7 +289,7 @@ def nonosc_criterion(
             return "nonoscillatory", margin, ""
         return "inconclusive", margin, "bounds exceeded"
 
-    return _criterion("nonoscillation", problem, window, strictness_tol, rel_tol, decide)
+    return _criterion("nonoscillation", problem, window, strictness_tol, decide)
 
 
 class GronwallBound:
@@ -306,13 +301,15 @@ class GronwallBound:
 
         |z(t)| <= prod_{tau < t_k <= t} (1 + |c_k|)
                   * exp(int_tau^t (|a| + |b| / (1 - theta_hat))) * |z0|.
+
+    The quadrature tolerance is read once, at construction.
     """
 
-    def __init__(self, problem: Problem, rel_tol: float | None = None):
+    def __init__(self, problem: Problem):
         if problem.grid.lagged:
             raise ValueError("envelope needs the advanced/delayed split")
         self.problem = problem
-        self.rel_tol = default_rel_tol() if rel_tol is None else rel_tol
+        self.rel_tol = default_rel_tol()
         grid = problem.grid
         abs_a = lambda s: abs(problem.a.ev(s))
         abs_b = lambda s: abs(problem.b.ev(s))
@@ -322,12 +319,9 @@ class GronwallBound:
         thetas = []
         for k in range(k0, k_end + 1):
             tk, zk = grid.knot(k), grid.zeta(k)
-            if zk == tk:
-                thetas.append(0.0)
-            else:
-                va, _ = integrate(abs_a, tk, zk, self.rel_tol)
-                vb, _ = integrate(abs_b, tk, zk, self.rel_tol)
-                thetas.append(va + vb)
+            va, _ = integrate(abs_a, tk, zk, self.rel_tol)
+            vb, _ = integrate(abs_b, tk, zk, self.rel_tol)
+            thetas.append(va + vb)
         self.theta_hat = max(thetas)
         if self.theta_hat >= 1.0:
             raise ValueError(
@@ -352,8 +346,6 @@ class GronwallBound:
             k += 1
 
     def _exponent_piece(self, lo: float, hi: float) -> float:
-        if hi == lo:
-            return 0.0
         va, _ = integrate(self._abs_a, lo, hi, self.rel_tol)
         vb, _ = integrate(self._abs_b, lo, hi, self.rel_tol)
         return va + self._weight * vb
@@ -368,6 +360,6 @@ class GronwallBound:
         return self._cum_jump[i] * math.exp(exponent) * abs(self.problem.z0)
 
 
-def gronwall_bound(problem: Problem, t: float, rel_tol: float | None = None) -> float:
+def gronwall_bound(problem: Problem, t: float) -> float:
     """Envelope value at one time point; see :class:`GronwallBound`."""
-    return GronwallBound(problem, rel_tol).bound(t)
+    return GronwallBound(problem).bound(t)

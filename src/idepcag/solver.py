@@ -24,7 +24,7 @@ choice is recorded in ``Trajectory.metadata``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .expressions import Sum
 
@@ -179,9 +179,7 @@ class Trajectory:
         lo = max(self._interval_base(k)[0], self.problem.tau)
         return lo, min(self.problem.grid.knot(k + 1), self.problem.horizon)
 
-    def zero_list(
-        self, k_lo: Optional[int] = None, k_hi: Optional[int] = None
-    ) -> List[Tuple[int, float]]:
+    def zero_list(self) -> List[Tuple[int, float]]:
         """(interval, root) pairs over the solved range.
 
         Intervals whose base value is zero carry the zero solution on the
@@ -189,10 +187,9 @@ class Trajectory:
         location.  The test uses the exact propagated sign, so a base value
         that merely underflowed to 0.0 is not taken for a zero.
         """
-        lo = self.k_start if k_lo is None else k_lo
-        hi = self.problem.grid.interval_index(self.problem.horizon) if k_hi is None else k_hi
+        k_end = self.problem.grid.interval_index(self.problem.horizon)
         out: List[Tuple[int, float]] = []
-        for k in range(lo, hi + 1):
+        for k in range(self.k_start, k_end + 1):
             base_t, base_z = self._interval_base(k)
             pt = self._by_k.get(k)
             if (pt.sign_right if pt is not None else _sgn(base_z)) == 0:

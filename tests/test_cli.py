@@ -171,13 +171,24 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command, option",
         [("solve", "--window"), ("solve", "--quad-tol"), ("classify", "--tol"),
-         ("oracle-check", "--quad-tol"), ("criterion", "--seed")],
+         ("oracle-check", "--quad-tol"), ("criterion", "--seed"),
+         ("criterion", "--quad-tol"), ("sweep", "--quad-tol")],
     )
     def test_subcommand_rejects_options_it_does_not_read(self, tmp_path, command, option):
         cfg_path = write_config(tmp_path / "cfg.json", base_config())
         with pytest.raises(SystemExit) as info:
             main([command, "--config", cfg_path, "--out", str(tmp_path), option, "1"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("command", ["criterion", "sweep"])
+    def test_quadrature_tolerance_key_is_refused(self, tmp_path, capsys, command):
+        cfg = base_config()
+        cfg["analysis"]["tolerances"] = {"quad_rel_tol": 1e-12}
+        cfg["sweep"] = {"parameter": "a0", "lo": 1.5, "hi": 2.5, "steps": 2}
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "IDEPCAG_QUAD_TOL" in err and "Traceback" not in err
 
     def test_criterion_rejects_lagged(self, tmp_path, capsys):
         cfg = base_config()

@@ -1,8 +1,15 @@
+import json
 import math
+from pathlib import Path
 
 import pytest
 
+from idepcag.cli import EXIT_CONFIG, build_problem, main
+from idepcag.kernel import h3_check
+from idepcag.oscillation import GronwallBound
 from idepcag.quadrature import QuadratureError, default_rel_tol, integrate
+
+SINE_FORCING = Path(__file__).resolve().parent.parent / "configs" / "sine_forcing.json"
 
 
 class TestClosedForms:
@@ -69,3 +76,26 @@ class TestContract:
         assert default_rel_tol() == 1e-10
         monkeypatch.setenv("IDEPCAG_QUAD_TOL", "1e-6")
         assert default_rel_tol() == 1e-6
+
+
+class TestOneToleranceSetting:
+    """IDEPCAG_QUAD_TOL reaches every adaptive quadrature: 1e-30 cannot be met."""
+
+    @pytest.fixture(autouse=True)
+    def unreachable_tolerance(self, monkeypatch):
+        monkeypatch.setenv("IDEPCAG_QUAD_TOL", "1e-30")
+
+    def test_criterion_command(self, tmp_path, capsys):
+        code = main(["criterion", "--config", str(SINE_FORCING), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "quadrature failure" in capsys.readouterr().err
+
+    def test_h3_check(self):
+        problem = build_problem(json.loads(SINE_FORCING.read_text()))
+        with pytest.raises(QuadratureError):
+            h3_check(problem, range(0, 3))
+
+    def test_envelope(self):
+        problem = build_problem(json.loads(SINE_FORCING.read_text()))
+        with pytest.raises(QuadratureError):
+            GronwallBound(problem)
