@@ -32,11 +32,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple
 
 from .expressions import Const, ScalarExpr, Sum
-from .problem import Problem
+from .problem import SINGULARITY_FACTOR, Problem
 from .quadrature import default_rel_tol, integrate
 from .series import EXP_OVERFLOW, IntervalSeries
-
-SINGULARITY_FACTOR = 1e-12
 
 
 class SingularKernel(RuntimeError):

@@ -9,6 +9,12 @@ from typing import Optional, Tuple
 from .expressions import ScalarExpr, evaluate
 from .grid import ArgumentGrid, GridRangeError
 
+# A divisor d with |d| < SINGULARITY_FACTOR * (1 + |r|), r the quantity it was
+# formed from, is treated as zero: the impulse factors here, the kernel
+# values the solver divides by (:mod:`idepcag.kernel`) and the oracle's
+# 1 - B(zeta_k).
+SINGULARITY_FACTOR = 1e-12
+
 
 class ImpulseDegenerate(ValueError):
     """An impulse factor 1 + c_k vanished, so the jump is not invertible."""
@@ -84,8 +90,9 @@ class ImpulseRule:
 
     def factor(self, k: int) -> float:
         """1 + c_k, raising if the jump degenerates."""
-        f = 1.0 + self.c(k)
-        if f == 0.0:
+        c = self.c(k)
+        f = 1.0 + c
+        if abs(f) < SINGULARITY_FACTOR * (1.0 + abs(c)):
             raise ImpulseDegenerate(k)
         return f
 

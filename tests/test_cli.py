@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -148,6 +149,33 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "range error" in captured.err and "not finite on interval k=23" in captured.err
         assert captured.out == "" and not (out / "trajectory.csv").exists()
+
+    def test_oracle_overflow_exit_names_interval(self, tmp_path, capsys):
+        # h a = -15 per RK4 step is far outside the stability region: the
+        # oracle leaves the float range on k=0 while the kernel route is fine
+        cfg = base_config()
+        cfg["problem"].update({"a": "-3000", "b": "0.1", "params": {}, "horizon": 3.0})
+        cfg["analysis"].update({"oracle_steps": 200, "check_samples": 3})
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["oracle-check", "--config", cfg_path, "--out", str(tmp_path)])
+        assert code == EXIT_RANGE
+        err = capsys.readouterr().err
+        assert "range error" in err and "not finite on interval k=0" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert caught == []
+
+    @pytest.mark.parametrize("command", ["solve", "classify", "oracle-check"])
+    @pytest.mark.parametrize("c", [-1.0, -0.9999999999999999])
+    def test_singular_impulse_is_refused(self, tmp_path, capsys, command, c):
+        # 1 + c_k = 1.1e-16 is not an exact zero, but no more invertible than one
+        cfg = base_config()
+        cfg["problem"]["impulse"] = {"type": "constant", "c": c}
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "k=1" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["solve", "classify", "oracle-check"])
     def test_explicit_grid_must_cover_the_horizon(self, command, tmp_path, capsys):

@@ -1,17 +1,22 @@
 """Property tests of the Chebyshev series route for e, dense values and zeros.
 
 Each property is compared against the definitional adaptive quadrature of
-:meth:`KernelTable.criterion` or against a closed form.
+:meth:`KernelTable.criterion`, against a closed form, against the RK4
+oracle or against the Gronwall envelope.
 """
 
 import math
+from itertools import accumulate
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from idepcag.expressions import Const, Cos, Neg, Prod, Sin, Sum, Var
-from idepcag.grid import LaggedUniformGrid, UniformGrid
+from idepcag.grid import ExplicitGrid, LaggedUniformGrid, UniformGrid
 from idepcag.kernel import KernelTable, SingularKernel, w_intra
+from idepcag.oracle import oracle_integrate
+from idepcag.oscillation import GronwallBound
 from idepcag.problem import ImpulseRule, Problem
 from idepcag.solver import solve
 
@@ -133,3 +138,91 @@ def test_repeated_solves_are_bitwise_equal(p, f):
     assert first.zero_list() == second.zero_list()
     t = p.tau + f * (p.horizon - p.tau)
     assert first.value(t) == second.value(t)
+
+
+@st.composite
+def _uniform_grids(draw):
+    h = draw(st.floats(min_value=0.5, max_value=1.5))
+    return UniformGrid(0.0, h, draw(st.floats(min_value=0.0, max_value=1.0)))
+
+
+@st.composite
+def _explicit_grids(draw):
+    widths = draw(st.lists(st.floats(min_value=0.3, max_value=1.5), min_size=4, max_size=8))
+    knots = list(accumulate(widths, initial=0.0))
+    fracs = draw(st.lists(st.floats(0.0, 1.0), min_size=len(widths), max_size=len(widths)))
+    zetas = [min(lo + f * (hi - lo), hi) for lo, hi, f in zip(knots, knots[1:], fracs)]
+    return ExplicitGrid(tuple(knots), tuple(zetas))
+
+
+_small_c = st.floats(min_value=-0.5, max_value=0.5)
+_impulses = st.one_of(
+    st.just(ImpulseRule.none()),
+    _small_c.map(ImpulseRule.constant),
+    (st.floats(min_value=0.5, max_value=1.5) | st.floats(min_value=-1.5, max_value=-0.5)).map(
+        ImpulseRule.multiplier
+    ),
+    _small_c.map(ImpulseRule.alternating),
+    st.lists(_small_c, min_size=10, max_size=10).map(ImpulseRule.explicit),
+    st.tuples(_small_c, _small_c).map(
+        lambda c: ImpulseRule.from_expression(
+            Sum((Const(c[0]), Prod((Const(c[1]), Sin(Var("k"))))))
+        )
+    ),
+)
+
+
+@st.composite
+def small_problems(draw):
+    """Variable a and b on a uniform or explicit grid, tau strictly inside an interval."""
+    grid = draw(st.one_of(_uniform_grids(), _explicit_grids()))
+    k0 = draw(st.integers(min_value=0, max_value=1))
+    lo, hi = grid.knot(k0), grid.knot(k0 + 1)
+    tau = lo + draw(st.floats(min_value=0.05, max_value=0.95)) * (hi - lo)
+    horizon = min(tau + draw(st.floats(min_value=0.5, max_value=4.0)), grid.knot(4) - 0.01)
+    return Problem(
+        a=_wave(draw(_coef), draw(_coef), draw(_freq)),
+        b=_wave(draw(_coef), draw(_coef), draw(_freq), Cos),
+        grid=grid,
+        impulses=draw(_impulses),
+        tau=tau,
+        z0=draw(st.sampled_from([-1.0, 1.0])),
+        horizon=horizon,
+    )
+
+
+def _sample_times(p, fractions):
+    return [p.tau + f * (p.horizon - p.tau) for f in fractions]
+
+
+_fractions = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)
+
+
+@PROPERTY
+@given(small_problems(), _fractions)
+def test_kernel_route_matches_oracle(p, fractions):
+    try:
+        kernel_traj = solve(p)
+    except SingularKernel:
+        with pytest.raises(SingularKernel):
+            oracle_integrate(p, 2000)
+        return
+    oracle_traj = oracle_integrate(p, 2000)
+    ts = _sample_times(p, fractions)
+    zs = [kernel_traj.value(t) for t in ts]
+    scale = max([1.0] + [abs(z) for z in zs])
+    for t, z in zip(ts, zs):
+        assert abs(z - oracle_traj.value(t)) <= 1e-9 * scale, t
+
+
+@PROPERTY
+@given(small_problems(), _fractions)
+def test_solution_stays_inside_gronwall_envelope(p, fractions):
+    try:
+        envelope = GronwallBound(p)
+    except ValueError as exc:  # theta_hat >= 1: the bound does not apply
+        assert "theta_hat" in str(exc)
+        return
+    traj = solve(p)
+    for t in _sample_times(p, fractions):
+        assert abs(traj.value(t)) <= envelope.bound(t) * (1.0 + 1e-9), t
