@@ -41,12 +41,8 @@ SCAN_POINTS = 65
 def _rk4_linear(problem, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """March A and B across the given nodes; returns arrays on the nodes.
 
-    A classical RK4 step of y' = a y + b is the affine map y -> g y + f, with
-    g and f taken from the same four stages as the scalar scheme.  The chain
-    of maps is one prefix scan: A = [1, cumprod(g)] and
-    B = A [0, cumsum(f / A[1:])].  The step coefficients are float64; the scan
-    is carried in long double, which keeps its rounding no larger than that
-    of the step-by-step recursion in float64.
+    Step i maps y to g_i y + f_i, so A = [1, cumprod(g)] and
+    B = A [0, cumsum(f / A[1:])]; g and f are float64, the scan long double.
     """
     h = np.diff(nodes)
     mids = 0.5 * (nodes[:-1] + nodes[1:])
