@@ -18,8 +18,9 @@ and an interval is one prefix scan of those maps, with no loop over steps
 Where that type is only float64 (MSVC, Apple arm64) the oracle keeps the
 accuracy of a plain float64 scan, about 2e-13 relative against the
 closed form on a unit interval instead of 3e-14, still seven orders
-below the default check tolerance of 1e-6.  A non-finite A or B (an unstable step size, or
-A leaving the long double range) is refused as an ``OverflowError``.
+below the default check tolerance of 1e-6.  A non-finite A or B (an
+unstable step size, or A leaving the long double range) is refused as
+an ``OverflowError``.
 """
 
 from __future__ import annotations
