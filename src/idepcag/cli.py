@@ -248,7 +248,7 @@ def _criterion_verdict(problem: Problem, window, tol) -> Tuple[str, List[Criteri
     osc = aw_criterion(problem, window, tol)
     if osc.verdict == "oscillatory":
         return "oscillatory", [osc]
-    non = nonosc_criterion(problem, window, tol)
+    non = nonosc_criterion(problem, window, tol, osc.extrema)
     return ("nonoscillatory" if non.verdict == "nonoscillatory" else "inconclusive"), [osc, non]
 
 
@@ -272,10 +272,6 @@ def cmd_criterion(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _sweep_quantity(problem: Problem, window, quantity: str) -> float:
-    return _window_extrema(problem, window)[_SWEEP_QUANTITIES.index(quantity)]
-
-
 def cmd_sweep(cfg: dict, args) -> int:
     sweep = cfg.get("sweep")
     if not sweep:
@@ -295,10 +291,13 @@ def cmd_sweep(cfg: dict, args) -> int:
 
     window = _analysis_window(cfg, args, make(lo))
     rows = ["parameter,sup_i_plus,inf_i_plus,sup_i_minus,inf_i_minus,verdict"]
+    ends = {}  # extrema of the first and last rows, by the exact bits of their value
     for i in range(steps):
         v = lo + (hi - lo) * i / (steps - 1)
         verdict, reports = _criterion_verdict(make(v), window, tol)
         osc = reports[0]
+        if i in (0, steps - 1):
+            ends[v.hex()] = osc.extrema
         rows.append(
             f"{_fmt(v)},{_fmt(osc.sup_i_plus)},{_fmt(osc.inf_i_plus)},"
             f"{_fmt(osc.sup_i_minus)},{_fmt(osc.inf_i_minus)},{verdict}"
@@ -318,7 +317,8 @@ def cmd_sweep(cfg: dict, args) -> int:
     xtol = float(target.get("xtol", 1e-6))
 
     def g(v: float) -> float:
-        return _sweep_quantity(make(v), window, quantity) - threshold
+        extrema = ends.get(v.hex()) or _window_extrema(make(v), window)
+        return extrema[_SWEEP_QUANTITIES.index(quantity)] - threshold
 
     g_lo, g_hi = g(lo), g(hi)
     if g_lo == 0.0:

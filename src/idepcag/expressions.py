@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import ast
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -179,29 +180,34 @@ def _contains_var(node: ScalarExpr) -> bool:
 
 
 def fold_constants(node: ScalarExpr) -> ScalarExpr:
-    """Collapse variable-free subtrees to Const nodes."""
+    """Collapse variable-free subtrees to Const nodes, bottom up.
+
+    Each value is the one the compiled form gives.  A sum or product of
+    constants is its left fold and a negation is exact, so neither is
+    compiled; a function or power of a constant is.
+    """
     if isinstance(node, (Const, Var)):
         return node
-    if isinstance(node, Neg):
-        child = fold_constants(node.child)
-        if isinstance(child, Const):  # unary minus is exact: no need to compile
-            return Const(-child.value)
-        folded = Neg(child)
-    elif isinstance(node, (Sin, Cos, Exp)):
+    if isinstance(node, (Sum, Prod)):
+        children = tuple(fold_constants(c) for c in node.children)
+        if not all(isinstance(c, Const) for c in children):
+            return type(node)(children)
+        op = operator.add if isinstance(node, Sum) else operator.mul
+        return Const(reduce(op, (c.value for c in children)))
+    if isinstance(node, Pow):
+        folded = Pow(fold_constants(node.base), node.exponent)
+        child = folded.base
+    else:  # Neg, Sin, Cos, Exp
         child = fold_constants(node.child)
         folded = type(node)(child)
-    elif isinstance(node, (Sum, Prod)):
-        folded = type(node)(tuple(fold_constants(c) for c in node.children))
-    elif isinstance(node, Pow):
-        folded = Pow(fold_constants(node.base), node.exponent)
-    else:  # pragma: no cover - node set is closed
-        raise ExpressionError(f"unknown node {node!r}")
-    if not _contains_var(folded):
-        try:
-            return Const(folded.ev(0.0))
-        except OverflowError:
-            raise ExpressionError("constant subexpression overflows") from None
-    return folded
+    if not isinstance(child, Const):
+        return folded
+    if isinstance(node, Neg):
+        return Const(-child.value)
+    try:
+        return Const(folded.ev(0.0))
+    except OverflowError:
+        raise ExpressionError("constant subexpression overflows") from None
 
 
 # --- parsing ----------------------------------------------------------------

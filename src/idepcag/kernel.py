@@ -22,7 +22,7 @@ b = -a, so e is exactly 1 there, and the step and intra-step factors come
 out as plain ratios of e values with no exponential prefactors.  The
 criterion integrals, the invertibility diagnostics and phi keep their
 direct definitional adaptive quadrature, so they cross-check the series
-route.
+route; the criterion integrals of a whole window are one array pass.
 """
 
 from __future__ import annotations
@@ -31,9 +31,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple
 
+import numpy as np
+
 from .expressions import Const, ScalarExpr, Sum
 from .problem import SINGULARITY_FACTOR, Problem
-from .quadrature import default_rel_tol, integrate
+from .quadrature import default_rel_tol, integrate, integrate_rows
 from .series import EXP_OVERFLOW, IntervalSeries
 
 
@@ -62,37 +64,50 @@ def phi(a: ScalarExpr, s: float, t: float, rel_tol: float | None = None) -> floa
     return _exp_guarded(value)
 
 
+def _in_range(values: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Coefficient values at the points ``at``, refused outside the float range."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise OverflowError(f"coefficient leaves the float range at t={float(at[bad][0])!r}")
+    return values
+
+
 def flow_weighted_integral(
     a: ScalarExpr,
-    g: Callable[[float], float],
-    lo: float,
-    hi: float,
-    anchor: float,
+    g: Callable[[np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    anchor: np.ndarray,
     rel_tol: float | None = None,
-) -> Tuple[float, float]:
-    """int_lo^hi exp(int_s^anchor a(u) du) * g(s) ds with error estimate.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Row i: int_lo^hi exp(int_s^anchor a(u) du) * g(s) ds over arrays, with errors.
 
-    The inner flow integral is exact for constant ``a`` and adaptive
-    otherwise; a vanishing ``g(s)`` short-circuits the inner work.
+    One row pass for all rows, ``g`` a function of a float array.  The inner
+    flow integral is exact for constant ``a``, otherwise a second row pass
+    over the outer nodes at a tenth of the tolerance.  A node where ``g``
+    vanishes contributes exactly 0.0 and skips the inner work.
     """
     tol = default_rel_tol() if rel_tol is None else rel_tol
-    inner_tol = 0.1 * tol
-    a_fn = a.ev
-    const_a = a.value if isinstance(a, Const) else None
 
-    def integrand(s: float) -> float:
-        gs = g(s)
-        if gs == 0.0:
-            return 0.0
-        if const_a is not None:
-            w = const_a * (anchor - s)
+    def integrand(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        gs = _in_range(g(s), s)
+        nz = gs != 0.0
+        at = np.broadcast_to(anchor[rows, None], s.shape)[nz]
+        if isinstance(a, Const):
+            w = a.value * (at - s[nz])
         else:
-            w, _ = integrate(a_fn, s, anchor, inner_tol)
-        if w > EXP_OVERFLOW:
-            raise OverflowError(f"flow weight exp({w:.3g}) overflows on [{lo!r}, {hi!r}]")
-        return math.exp(w) * gs
+            a_values = lambda x, _: _in_range(a.ev_array(x), x)
+            w, _ = integrate_rows(a_values, s[nz], at, 0.1 * tol)
+        over = w > EXP_OVERFLOW
+        if over.any():
+            i = rows[np.nonzero(nz)[0][np.argmax(over)]]
+            where = f"[{float(lo[i])!r}, {float(hi[i])!r}]"
+            raise OverflowError(f"flow weight exp({w[over][0]:.3g}) overflows on {where}")
+        out = np.zeros_like(gs)
+        out[nz] = np.exp(w) * gs[nz]
+        return out
 
-    return integrate(integrand, lo, hi, tol)
+    return integrate_rows(integrand, lo, hi, tol)
 
 
 def _require_invertible(e_value: float, r_value: float, k: int) -> None:
@@ -210,14 +225,22 @@ class KernelTable:
 
     # -- definitional integrals ----------------------------------------------
 
-    def criterion(self, k: int) -> Tuple[float, float, float]:
-        """(i_plus, i_minus, err): the advanced and delayed kernel integrals."""
+    def criterion(self, k: int, k_end: int | None = None):
+        """(i_plus, i_minus, err): the advanced and delayed kernel integrals of
+        interval k, or with ``k_end`` arrays of them over [k, k_end), in one pass."""
         grid = self.problem.grid
-        tk, tk1, zeta = grid.knot(k), grid.knot(k + 1), grid.zeta(k)
-        a, b_fn = self.problem.a, self.problem.b.ev
-        i_plus, err_p = flow_weighted_integral(a, b_fn, tk, zeta, zeta, self.rel_tol)
-        i_minus, err_m = flow_weighted_integral(a, b_fn, zeta, tk1, zeta, self.rel_tol)
-        return i_plus, i_minus, err_p + err_m
+        ks = range(k, k + 1 if k_end is None else k_end)
+        knots = np.array([grid.knot(j) for j in range(ks.start, ks.stop + 1)])
+        zetas = np.array([grid.zeta(j) for j in ks])
+        lo, hi = np.concatenate([knots[:-1], zetas]), np.concatenate([zetas, knots[1:]])
+        values, errs = flow_weighted_integral(
+            self.problem.a, self.problem.b.ev_array, lo, hi, np.tile(zetas, 2), self.rel_tol
+        )
+        n = len(zetas)
+        i_plus, i_minus, err = values[:n], values[n:], errs[:n] + errs[n:]
+        if k_end is None:
+            return float(i_plus[0]), float(i_minus[0]), float(err[0])
+        return i_plus, i_minus, err
 
     def h3(self, k: int) -> Tuple[float, float, float, float]:
         """(rho_plus, rho_minus, nu_plus, nu_minus) for interval k."""

@@ -63,6 +63,11 @@ class CriterionReport:
     tol: float
     reason: str = ""
 
+    @property
+    def extrema(self) -> Tuple[float, float, float, float]:
+        """(sup_i_plus, inf_i_plus, sup_i_minus, inf_i_minus) over the window."""
+        return self.sup_i_plus, self.inf_i_plus, self.sup_i_minus, self.inf_i_minus
+
     def to_text(self) -> str:
         lines = [
             f"criterion: {self.criterion}",
@@ -186,14 +191,8 @@ def _window_extrema(problem: Problem, window: Tuple[int, int]):
     k_lo, k_hi = window
     if k_hi <= k_lo:
         raise ValueError("empty criterion window")
-    table = KernelTable(problem)
-    i_plus = []
-    i_minus = []
-    for k in range(k_lo, k_hi):
-        ip, im, _ = table.criterion(k)
-        i_plus.append(ip)
-        i_minus.append(im)
-    return max(i_plus), min(i_plus), max(i_minus), min(i_minus)
+    i_plus, i_minus, _ = KernelTable(problem).criterion(k_lo, k_hi)
+    return float(i_plus.max()), float(i_plus.min()), float(i_minus.max()), float(i_minus.min())
 
 
 def _impulse_branch(problem: Problem, window: Tuple[int, int]) -> str:
@@ -216,18 +215,20 @@ def _criterion(
     window: Optional[Tuple[int, int]],
     tol: float,
     decide: Callable[..., Tuple[str, float, str]],
+    extrema: Optional[Tuple[float, float, float, float]] = None,
 ) -> CriterionReport:
     """Set-up shared by both criteria: window, branch, extrema, mixed case.
 
     ``decide(branch, sup_ip, inf_ip, sup_im, inf_im)`` gives (verdict,
-    margin, reason) on a sign-definite branch.
+    margin, reason) on a sign-definite branch.  ``extrema`` of the same
+    window, when given, replace the window pass.
     """
     if problem.grid.lagged:
         raise ValueError("criterion not extended to lagged grids")
     if window is None:
         window = default_window(problem)
     branch = _impulse_branch(problem, window)
-    extrema = _window_extrema(problem, window)
+    extrema = extrema or _window_extrema(problem, window)
     sup_ip, inf_ip, sup_im, inf_im = extrema
     report = functools.partial(
         CriterionReport,
@@ -278,8 +279,10 @@ def nonosc_criterion(
     problem: Problem,
     window: Optional[Tuple[int, int]] = None,
     strictness_tol: float = DEFAULT_CRITERION_TOL,
+    extrema: Optional[Tuple[float, float, float, float]] = None,
 ) -> CriterionReport:
-    """Sufficient nonoscillation test (non-strict thresholds, both branches)."""
+    """Sufficient nonoscillation test (non-strict thresholds, both branches);
+    ``extrema`` of the same window (``CriterionReport.extrema``) save its pass."""
     def decide(branch, sup_ip, inf_ip, sup_im, inf_im):
         if branch == "positive-impulse":
             margin = min(1.0 - sup_ip, inf_im + 1.0)
@@ -289,7 +292,7 @@ def nonosc_criterion(
             return "nonoscillatory", margin, ""
         return "inconclusive", margin, "bounds exceeded"
 
-    return _criterion("nonoscillation", problem, window, strictness_tol, decide)
+    return _criterion("nonoscillation", problem, window, strictness_tol, decide, extrema)
 
 
 class GronwallBound:

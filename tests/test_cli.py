@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,9 @@ from idepcag.cli import (
     build_problem,
     main,
 )
+from idepcag.kernel import KernelTable
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(path, cfg):
@@ -375,3 +379,46 @@ class TestWindowFlag:
         )
         text = (tmp_path / "criterion_report.txt").read_text()
         assert "window: [3, 15)" in text
+
+
+@pytest.fixture
+def window_passes(monkeypatch):
+    """Arguments of every window pass, that is every KernelTable.criterion call."""
+    calls = []
+    original = KernelTable.criterion
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(KernelTable, "criterion", counted)
+    return calls
+
+
+class TestWindowPasses:
+    def test_criterion_hands_the_extrema_to_the_second_test(self, tmp_path, capsys, window_passes):
+        cfg = json.loads((CONFIGS / "sine_forcing.json").read_text())
+        cfg["problem"]["params"]["a0"] = 1.9
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        assert main(["criterion", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "oscillation: inconclusive" in out and "nonoscillation: nonoscillatory" in out
+        assert window_passes == [(8, 48)]
+
+    @pytest.mark.parametrize(
+        "name, passes, crossing",
+        [
+            # 5 rows; 1.5 + 1.0*4/4 is 2.5, so both end rows stand in for
+            # g(lo) and g(hi); then 20 bisection steps down to xtol = 1e-6
+            ("sine_forcing.json", 5 + 20, "a0=2.07553339 "),
+            # 7 rows; 0.3 + 0.6*6/6 is 0.8999999999999999, not 0.9, so only
+            # the first row stands in and g(hi) takes its own pass
+            ("decay_with_floor.json", 7 + 1 + 20, "q0=0.58197699 "),
+        ],
+    )
+    def test_sweep_reuses_end_rows_only_on_equal_bits(
+        self, tmp_path, capsys, window_passes, name, passes, crossing
+    ):
+        assert main(["sweep", "--config", str(CONFIGS / name), "--out", str(tmp_path)]) == EXIT_OK
+        assert f"crossing: {crossing}" in capsys.readouterr().out
+        assert len(window_passes) == passes

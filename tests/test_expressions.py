@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import idepcag.expressions as expressions_module
 from idepcag.expressions import (
     Const,
     Cos,
@@ -242,6 +243,62 @@ class TestCompiledForms:
     def test_compiled_form_is_cached_on_the_node(self):
         expr = parse_expression("t^2 + 1")
         assert expr.ev is expr.ev and expr.ev_array is expr.ev_array
+
+
+# variable-free trees, with constants over the whole float range
+_constant_trees = st.recursive(
+    st.floats(allow_nan=False, allow_infinity=False).map(Const),
+    lambda children: st.one_of(
+        st.lists(children, min_size=2, max_size=4).map(lambda cs: Sum(tuple(cs))),
+        st.lists(children, min_size=2, max_size=4).map(lambda cs: Prod(tuple(cs))),
+        children.map(Neg),
+        children.map(Sin),
+        children.map(Exp),
+        st.tuples(children, st.integers(0, 3)).map(lambda be: Pow(*be)),
+    ),
+    max_leaves=10,
+)
+
+
+def _compiled_fold(node):
+    """Bottom-up fold that evaluates every node by its compiled form."""
+    if isinstance(node, Const):
+        return node
+    if isinstance(node, (Sum, Prod)):
+        node = type(node)(tuple(_compiled_fold(c) for c in node.children))
+    elif isinstance(node, Pow):
+        node = Pow(_compiled_fold(node.base), node.exponent)
+    else:
+        node = type(node)(_compiled_fold(node.child))
+    try:
+        return Const(node.ev(0.0))
+    except OverflowError:
+        raise ExpressionError("constant subexpression overflows") from None
+
+
+def _fold_outcome(fold, node):
+    try:
+        return struct.pack("<d", fold(node).value)  # bitwise: signed zeros too
+    except ExpressionError:
+        return ExpressionError
+
+
+class TestDirectConstantFold:
+    @settings(max_examples=200, deadline=None)
+    @given(_constant_trees)
+    @example(Sum((Const(0.1), Const(0.2), Const(0.3))))
+    @example(Prod((Const(1e200), Const(1e200), Const(0.0))))  # inf * 0 is nan
+    @example(Sum((Const(-0.0), Const(-0.0))))
+    @example(Prod((Const(2.0), Const(math.pi))))
+    def test_direct_fold_is_bitwise_the_compiled_fold(self, node):
+        assert _fold_outcome(fold_constants, node) == _fold_outcome(_compiled_fold, node)
+
+    @pytest.mark.parametrize("text", ["b1*sin(2*pi*t)", "sin(t/(2*pi))", "(0.5+0.25)*t - 2*pi"])
+    def test_parsing_compiles_nothing(self, monkeypatch, text):
+        compiled = []
+        monkeypatch.setattr(expressions_module, "_compile", lambda *args: compiled.append(args))
+        parse_expression(text, ("t",), {"b1": 0.3})
+        assert compiled == []
 
 
 class TestDeepNesting:

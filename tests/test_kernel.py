@@ -2,9 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import idepcag.kernel as kernel_module
+import idepcag.oscillation as oscillation_module
+import idepcag.quadrature as quadrature_module
 from idepcag.expressions import Const, Cos, Neg, Pow, Prod, Sin, Sum, Var, parse_expression
-from idepcag.grid import UniformGrid
+from idepcag.grid import ExplicitGrid, GridRangeError, UniformGrid
 from idepcag.kernel import (
     KernelTable,
     SingularKernel,
@@ -16,7 +21,9 @@ from idepcag.kernel import (
     phi,
     w_intra,
 )
+from idepcag.oscillation import _window_extrema
 from idepcag.problem import ImpulseRule, Problem
+from idepcag.quadrature import default_rel_tol, integrate
 
 
 def make_problem(a, b, alpha=0.0, h=1.0, t0=0.0, horizon=20.0, impulses=None):
@@ -230,3 +237,109 @@ class TestIntervalKernel:
         )
         with pytest.raises(ValueError, match="non-lagged"):
             KernelTable(p)
+
+
+# -- criterion windows as one array pass ----------------------------------------
+
+def _definitional(problem, k):
+    """(i_plus, i_minus) of interval k from the scalar quadrature, one row at a time."""
+    a, b, grid = problem.a, problem.b, problem.grid
+    tk, zeta, tk1 = grid.knot(k), grid.zeta(k), grid.knot(k + 1)
+    tol = default_rel_tol()
+
+    def integrand(s):
+        inner = integrate(a.ev, s, zeta, 0.1 * tol)[0]
+        return math.exp(inner) * b.ev(s)
+
+    return integrate(integrand, tk, zeta, tol)[0], integrate(integrand, zeta, tk1, tol)[0]
+
+
+def _explicit_grid(t0, steps, alphas):
+    knots = [t0]
+    for h in steps:
+        knots.append(knots[-1] + h)
+    zetas = [lo + f * (hi - lo) for lo, hi, f in zip(knots, knots[1:], alphas)]
+    return ExplicitGrid(tuple(knots), tuple(zetas))
+
+
+_ALPHA = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+_COEF = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _window_problems(draw):
+    """A problem with constant or varying a, on a uniform or explicit grid."""
+    if draw(st.booleans()):
+        a = Const(draw(st.floats(-2.0, 2.0)))
+    else:
+        a = Sum((Const(draw(_COEF)), Prod((Const(draw(_COEF)), Sin(Var("t"))))))
+    omega = draw(st.floats(0.5, 2 * math.pi))
+    b = Sum((Const(draw(_COEF)), Prod((Const(draw(_COEF)), Sin(Prod((Const(omega), Var("t"))))))))
+    t0 = draw(st.floats(-3.0, 3.0))
+    if draw(st.booleans()):
+        grid = UniformGrid(t0, draw(st.floats(0.2, 1.5)), draw(_ALPHA))
+    else:
+        steps = draw(st.lists(st.floats(0.2, 1.5), min_size=6, max_size=6))
+        grid = _explicit_grid(t0, steps, draw(st.lists(_ALPHA, min_size=6, max_size=6)))
+    return Problem(a=a, b=b, grid=grid, impulses=ImpulseRule.none(), tau=t0, z0=1.0,
+                   horizon=grid.knot(5))
+
+
+class TestCriterionWindowPass:
+    @settings(max_examples=40, deadline=None)
+    @given(_window_problems(), st.integers(0, 3))
+    @example(  # h = 1, alpha = 0 of sine_forcing: every delayed row refines
+        make_problem(Const(-2.2), parse_expression("sin(2*pi*t)")), 0
+    )
+    def test_matches_scalar_definitional_quadrature(self, problem, k_lo):
+        tol = default_rel_tol()
+        i_plus, i_minus, err = KernelTable(problem).criterion(k_lo, 6)
+        assert len(i_plus) == len(i_minus) == len(err) == 6 - k_lo
+        for n, k in enumerate(range(k_lo, 6)):
+            want_plus, want_minus = _definitional(problem, k)
+            assert abs(i_plus[n] - want_plus) <= 10 * tol * max(1.0, abs(want_plus))
+            assert abs(i_minus[n] - want_minus) <= 10 * tol * max(1.0, abs(want_minus))
+            assert err[n] >= 0.0
+
+    def test_one_interval_is_the_window_of_one(self):
+        p = make_problem(Sin(Var("t")), parse_expression("0.3 - 0.5*cos(3*t)"), alpha=0.4)
+        i_plus, i_minus, err = KernelTable(p).criterion(2, 5)
+        for n, k in enumerate(range(2, 5)):
+            assert KernelTable(p).criterion(k) == (i_plus[n], i_minus[n], err[n])
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_zero_length_rows_are_exactly_zero(self, alpha):
+        for a in (Const(-0.7), Sin(Var("t"))):
+            p = make_problem(a, Cos(Var("t")), alpha=alpha)
+            i_plus, i_minus, err = KernelTable(p).criterion(0, 10)
+            empty = i_plus if alpha == 0.0 else i_minus
+            assert all(x == 0.0 and math.copysign(1.0, x) == 1.0 for x in empty)
+            assert all(x != 0.0 for x in (i_minus if alpha == 0.0 else i_plus))
+
+    @pytest.mark.parametrize("a", ["800", "800 + 0*t"])
+    def test_flow_weight_overflow_is_an_overflow_error(self, a):
+        # exp(int_s^zeta a) reaches exp(800) on the advanced part
+        p = make_problem(parse_expression(a), Const(0.1), alpha=1.0)
+        with pytest.raises(OverflowError, match="flow weight"):
+            KernelTable(p).criterion(0, 4)
+
+    def test_vanishing_b_skips_the_overflow_check(self):
+        p = make_problem(Const(800.0), Const(0.0), alpha=1.0)
+        assert _window_extrema(p, (0, 4)) == (0.0, 0.0, 0.0, 0.0)
+
+    def test_explicit_grid_must_cover_the_window(self):
+        grid = _explicit_grid(0.0, [1.0] * 4, [0.5] * 4)
+        p = Problem(a=Const(-1.0), b=Const(0.5), grid=grid, tau=0.0, z0=1.0, horizon=3.5)
+        assert len(KernelTable(p).criterion(0, 4)[0]) == 4
+        with pytest.raises(GridRangeError):
+            KernelTable(p).criterion(2, 6)
+
+    def test_scalar_integrate_is_never_called(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scalar integrate called")
+
+        for module in (quadrature_module, kernel_module, oscillation_module):
+            monkeypatch.setattr(module, "integrate", refuse)
+        for a in (Const(-0.9), Sin(Var("t"))):
+            p = make_problem(a, parse_expression("sin(2*pi*t)"), alpha=0.3)
+            assert len(_window_extrema(p, (0, 12))) == 4
