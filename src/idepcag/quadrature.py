@@ -50,6 +50,7 @@ _NODES = np.array([-x for x in _XGK] + [0.0] + list(_XGK[::-1]))
 _KRONROD = np.array(_WGK + (_WGK_CENTER,) + _WGK[::-1])
 _GAUSS = np.zeros(15)
 _GAUSS[1::2] = _WG + (_WG_CENTER,) + _WG[::-1]
+_ROWS_PER_GROUP = 64  # rows that integrate_rows refines together
 
 
 class QuadratureError(RuntimeError):
@@ -165,9 +166,10 @@ def integrate_rows(
 
     ``f(x, rows)`` gives the integrand at ``x``, one line of nodes for each
     entry of ``rows``, the row indices.  A row that misses its target
-    bisects its panel of largest error, as :func:`integrate` would; all
-    such rows do so together, one panel each per step.  Zero-length rows
-    are exactly 0.0 and never evaluate ``f``.  Returns ``(values, errs)``.
+    bisects its panel of largest error, as :func:`integrate` would; such
+    rows do so together, up to 64 at a time, one panel each per step.
+    Zero-length rows are exactly 0.0 and never evaluate ``f``.  Returns
+    ``(values, errs)``.
     """
     tol = default_rel_tol() if rel_tol is None else rel_tol
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
@@ -175,15 +177,19 @@ def integrate_rows(
     value, err = np.zeros(a.shape), np.zeros(a.shape)
     rows = np.flatnonzero(a != b)
     value[rows], err[rows] = _gk15_rows(f, rows, a[rows], b[rows])
+    failing = rows[err[rows] > np.maximum(tol * np.abs(value[rows]), tol)]
+    # in groups, so that the panel store and the cost of a failure stay bounded
+    for group in np.split(failing, range(_ROWS_PER_GROUP, failing.size, _ROWS_PER_GROUP)):
+        _refine(f, group, a, b, value, err, tol, max_panels)
+    return np.where(lo > hi, -value, value), err
+
+
+def _refine(f, rows, a, b, value, err, tol: float, max_panels: int) -> None:
+    """Bisect the worst panel of every row in ``rows`` until each meets its target."""
     # (lo, hi, value, err) of every panel of the rows still refining; each has n
     panels = np.stack([a, b, value, err])[:, rows, None]
     n = 1
-    while True:
-        fail = err[rows] > np.maximum(tol * np.abs(value[rows]), tol)
-        if not fail.all():
-            rows, panels = rows[fail], panels[:, fail]
-        if not rows.size:
-            return np.where(lo > hi, -value, value), err
+    while rows.size:
         if n >= max_panels:
             i = rows[0]
             msg = f"quadrature did not converge on [{float(a[i])}, {float(b[i])}] (panels={n}, "
@@ -197,10 +203,13 @@ def integrate_rows(
         collapsed = (mid <= pa) | (mid >= pb)
         if collapsed.any():
             raise QuadratureError(f"panel collapsed near t={float(pa[np.argmax(collapsed)])!r}")
-        v, e = _gk15_rows(f, np.tile(rows, 2), np.concatenate([pa, mid]), np.concatenate([mid, pb]))
+        v, e = _gk15_rows(f, np.concatenate([rows, rows]), np.concatenate([pa, mid]), np.concatenate([mid, pb]))
         (v1, v2), (e1, e2) = v.reshape(2, -1), e.reshape(2, -1)
         value[rows] += v1 + v2 - pv
         err[rows] += e1 + e2 - pe
         panels[:, m, j] = pa, mid, v1, e1
         panels[:, :, n] = mid, pb, v2, e2
         n += 1
+        fail = err[rows] > np.maximum(tol * np.abs(value[rows]), tol)
+        if not fail.all():
+            rows, panels = rows[fail], panels[:, fail]

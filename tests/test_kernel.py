@@ -301,10 +301,18 @@ class TestCriterionWindowPass:
             assert abs(i_minus[n] - want_minus) <= 10 * tol * max(1.0, abs(want_minus))
             assert err[n] >= 0.0
 
-    def test_one_interval_is_the_window_of_one(self):
-        p = make_problem(Sin(Var("t")), parse_expression("0.3 - 0.5*cos(3*t)"), alpha=0.4)
-        i_plus, i_minus, err = KernelTable(p).criterion(2, 5)
-        for n, k in enumerate(range(2, 5)):
+    @pytest.mark.parametrize(
+        "a, b, alpha, k_end",
+        [
+            (Sin(Var("t")), "0.3 - 0.5*cos(3*t)", 0.4, 5),
+            # h = 1, alpha = 0: all 150 delayed rows refine, 64 at a time
+            (Const(-2.2), "sin(2*pi*t)", 0.0, 152),
+        ],
+    )
+    def test_one_interval_is_the_window_of_one(self, a, b, alpha, k_end):
+        p = make_problem(a, parse_expression(b), alpha=alpha, horizon=200.0)
+        i_plus, i_minus, err = KernelTable(p).criterion(2, k_end)
+        for n, k in enumerate(range(2, k_end)):
             assert KernelTable(p).criterion(k) == (i_plus[n], i_minus[n], err[n])
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
