@@ -35,7 +35,7 @@ import numpy as np
 
 from .expressions import Const, ScalarExpr, Sum
 from .problem import SINGULARITY_FACTOR, Problem
-from .quadrature import default_rel_tol, integrate, integrate_rows
+from .quadrature import default_rel_tol, integrate
 from .series import EXP_OVERFLOW, IntervalSeries
 
 
@@ -77,37 +77,37 @@ def flow_weighted_integral(
     g: Callable[[np.ndarray], np.ndarray],
     lo: np.ndarray,
     hi: np.ndarray,
-    anchor: np.ndarray,
+    gamma: Callable[[np.ndarray], np.ndarray],
     rel_tol: float | None = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Row i: int_lo^hi exp(int_s^anchor a(u) du) * g(s) ds over arrays, with errors.
+    """Row i: int_lo^hi exp(int_s^gamma(s) a(u) du) * g(s) ds over arrays, with errors.
 
-    One row pass for all rows, ``g`` a function of a float array.  The inner
-    flow integral is exact for constant ``a``, otherwise a second row pass
-    over the outer nodes at a tenth of the tolerance.  A node where ``g``
+    One row pass for all rows, ``g`` and ``gamma`` functions of a float
+    array; ``gamma``, the piecewise constant argument, must be constant on
+    each row and is read at the middle node of each panel.  The inner flow
+    integral is exact for constant ``a``, otherwise a second row pass over
+    the outer nodes at a tenth of the tolerance.  A node where ``g``
     vanishes contributes exactly 0.0 and skips the inner work.
     """
     tol = default_rel_tol() if rel_tol is None else rel_tol
 
-    def integrand(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def integrand(s: np.ndarray) -> np.ndarray:
         gs = _in_range(g(s), s)
         nz = gs != 0.0
-        at = np.broadcast_to(anchor[rows, None], s.shape)[nz]
+        at = np.broadcast_to(gamma(s[:, s.shape[1] // 2])[:, None], s.shape)[nz]
         if isinstance(a, Const):
             w = a.value * (at - s[nz])
         else:
-            a_values = lambda x, _: _in_range(a.ev_array(x), x)
-            w, _ = integrate_rows(a_values, s[nz], at, 0.1 * tol)
+            w, _ = integrate(lambda x: _in_range(a.ev_array(x), x), s[nz], at, 0.1 * tol)
         over = w > EXP_OVERFLOW
         if over.any():
-            i = rows[np.nonzero(nz)[0][np.argmax(over)]]
-            where = f"[{float(lo[i])!r}, {float(hi[i])!r}]"
-            raise OverflowError(f"flow weight exp({w[over][0]:.3g}) overflows on {where}")
+            where = f"s={float(s[nz][np.argmax(over)])!r}"
+            raise OverflowError(f"flow weight exp({w[over][0]:.3g}) overflows at {where}")
         out = np.zeros_like(gs)
         out[nz] = np.exp(w) * gs[nz]
         return out
 
-    return integrate_rows(integrand, lo, hi, tol)
+    return integrate(integrand, lo, hi, tol)
 
 
 def _require_invertible(e_value: float, r_value: float, k: int) -> None:
@@ -233,10 +233,14 @@ class KernelTable:
         knots = np.array([grid.knot(j) for j in range(ks.start, ks.stop + 1)])
         zetas = np.array([grid.zeta(j) for j in ks])
         lo, hi = np.concatenate([knots[:-1], zetas]), np.concatenate([zetas, knots[1:]])
-        values, errs = flow_weighted_integral(
-            self.problem.a, self.problem.b.ev_array, lo, hi, np.tile(zetas, 2), self.rel_tol
-        )
         n = len(zetas)
+
+        def gamma(s: np.ndarray) -> np.ndarray:  # zeta_j on [t_j, t_{j+1})
+            return zetas[np.searchsorted(knots[1:-1], s, side="right")]
+
+        values, errs = flow_weighted_integral(
+            self.problem.a, self.problem.b.ev_array, lo, hi, gamma, self.rel_tol
+        )
         i_plus, i_minus, err = values[:n], values[n:], errs[:n] + errs[n:]
         if k_end is None:
             return float(i_plus[0]), float(i_minus[0]), float(err[0])

@@ -50,7 +50,7 @@ _NODES = np.array([-x for x in _XGK] + [0.0] + list(_XGK[::-1]))
 _KRONROD = np.array(_WGK + (_WGK_CENTER,) + _WGK[::-1])
 _GAUSS = np.zeros(15)
 _GAUSS[1::2] = _WG + (_WG_CENTER,) + _WG[::-1]
-_ROWS_PER_GROUP = 64  # rows that integrate_rows refines together
+_ROWS_PER_GROUP = 64  # rows that the row pass refines together
 
 
 class QuadratureError(RuntimeError):
@@ -88,12 +88,12 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> Tuple[float, float
 
 
 def integrate(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
+    f: Callable,
+    lo: float | np.ndarray,
+    hi: float | np.ndarray,
     rel_tol: float | None = None,
     max_panels: int = DEFAULT_MAX_PANELS,
-) -> Tuple[float, float]:
+) -> Tuple:
     """Integrate ``f`` from ``lo`` to ``hi`` adaptively.
 
     Limits may come in either order; the result is antisymmetric under a
@@ -101,8 +101,17 @@ def integrate(
     The target is ``err <= max(rel_tol * |value|, rel_tol)``; failure to get
     there within ``max_panels`` raises :class:`QuadratureError` carrying the
     best estimate.
+
+    With ``lo`` and ``hi`` arrays, row ``i`` is the integral from ``lo[i]``
+    to ``hi[i]`` and ``f`` takes a 2-D array, one line of nodes per panel,
+    each panel inside one row.  A row that misses its target bisects its
+    panel of largest error, as a single integral would; such rows do so
+    together, up to 64 at a time, one panel each per step.  Zero-length
+    rows are exactly 0.0 and never evaluate ``f``.  Returns arrays.
     """
     tol = default_rel_tol() if rel_tol is None else rel_tol
+    if isinstance(lo, np.ndarray):
+        return _integrate_rows(f, lo, hi, tol, max_panels)
     if lo == hi:
         return 0.0, 0.0
     if lo > hi:
@@ -142,9 +151,9 @@ def integrate(
     return total_v, total_e
 
 
-def _gk15_rows(f, rows: np.ndarray, a: np.ndarray, b: np.ndarray):
+def _gk15_rows(f, a: np.ndarray, b: np.ndarray):
     c, h = 0.5 * (a + b), 0.5 * (b - a)
-    fx = f(c[:, None] + h[:, None] * _NODES, rows)
+    fx = f(c[:, None] + h[:, None] * _NODES)
     # einsum, unlike a BLAS product, sums each row alike whatever the row count
     value = np.einsum("ij,j->i", fx, _KRONROD) * h
     finite = np.isfinite(value)
@@ -155,28 +164,12 @@ def _gk15_rows(f, rows: np.ndarray, a: np.ndarray, b: np.ndarray):
 
 
 @np.errstate(all="ignore")
-def integrate_rows(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    rel_tol: float | None = None,
-    max_panels: int = DEFAULT_MAX_PANELS,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`integrate` from ``lo[i]`` to ``hi[i]`` for every row ``i`` at once.
-
-    ``f(x, rows)`` gives the integrand at ``x``, one line of nodes for each
-    entry of ``rows``, the row indices.  A row that misses its target
-    bisects its panel of largest error, as :func:`integrate` would; such
-    rows do so together, up to 64 at a time, one panel each per step.
-    Zero-length rows are exactly 0.0 and never evaluate ``f``.  Returns
-    ``(values, errs)``.
-    """
-    tol = default_rel_tol() if rel_tol is None else rel_tol
+def _integrate_rows(f, lo: np.ndarray, hi: np.ndarray, tol: float, max_panels: int):
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     a, b = np.minimum(lo, hi), np.maximum(lo, hi)
     value, err = np.zeros(a.shape), np.zeros(a.shape)
     rows = np.flatnonzero(a != b)
-    value[rows], err[rows] = _gk15_rows(f, rows, a[rows], b[rows])
+    value[rows], err[rows] = _gk15_rows(f, a[rows], b[rows])
     failing = rows[err[rows] > np.maximum(tol * np.abs(value[rows]), tol)]
     # in groups, so that the panel store and the cost of a failure stay bounded
     for group in np.split(failing, range(_ROWS_PER_GROUP, failing.size, _ROWS_PER_GROUP)):
@@ -203,7 +196,7 @@ def _refine(f, rows, a, b, value, err, tol: float, max_panels: int) -> None:
         collapsed = (mid <= pa) | (mid >= pb)
         if collapsed.any():
             raise QuadratureError(f"panel collapsed near t={float(pa[np.argmax(collapsed)])!r}")
-        v, e = _gk15_rows(f, np.concatenate([rows, rows]), np.concatenate([pa, mid]), np.concatenate([mid, pb]))
+        v, e = _gk15_rows(f, np.concatenate([pa, mid]), np.concatenate([mid, pb]))
         (v1, v2), (e1, e2) = v.reshape(2, -1), e.reshape(2, -1)
         value[rows] += v1 + v2 - pv
         err[rows] += e1 + e2 - pe
