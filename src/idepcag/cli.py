@@ -35,6 +35,7 @@ from .oscillation import (
     aw_criterion,
     classify_continuous,
     classify_discrete,
+    default_window,
     nonosc_criterion,
 )
 from .problem import ImpulseDegenerate, ImpulseRule, Problem
@@ -137,7 +138,6 @@ def _load_config(path: str) -> dict:
 
 
 def _analysis_window(cfg: dict, args, problem: Problem) -> Tuple[int, int]:
-    k0 = problem.grid.interval_index(problem.tau)
     burn, width = DEFAULT_BURN_IN, DEFAULT_WIDTH
     wcfg = cfg.get("analysis", {}).get("window")
     if wcfg:
@@ -145,7 +145,7 @@ def _analysis_window(cfg: dict, args, problem: Problem) -> Tuple[int, int]:
         width = int(wcfg.get("width", width))
     if args.window:
         burn, width = args.window
-    return (k0 + burn, k0 + burn + width)
+    return default_window(problem, burn, width)
 
 
 def _criterion_tol(cfg: dict, args) -> float:
@@ -214,11 +214,7 @@ def cmd_solve(cfg: dict, args) -> int:
 def cmd_classify(cfg: dict, args) -> int:
     problem = build_problem(cfg)
     traj = solve(problem)
-    window = None
-    if args.window:
-        k0 = traj.k_start
-        burn, width = args.window
-        window = (k0 + burn, k0 + burn + width)
+    window = default_window(problem, *args.window) if args.window else None
     verdict = classify_discrete(traj, window)
     lines = [
         f"discrete: {verdict.status}",

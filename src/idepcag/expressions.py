@@ -394,16 +394,6 @@ def parse_expression(
 
 # --- serialization ----------------------------------------------------------
 
-def _prec(node: ScalarExpr) -> int:
-    if isinstance(node, Sum):
-        return 1
-    if isinstance(node, (Prod, Neg)):
-        return 2
-    if isinstance(node, Pow):
-        return 3
-    return 4
-
-
 def _ser(node: ScalarExpr, parent_prec: int) -> str:
     if isinstance(node, Const):
         if math.copysign(1.0, node.value) < 0:  # -0.0 too

@@ -190,13 +190,13 @@ class KernelTable:
 
     def e_value(self, k: int, t: float) -> float:
         """e(t, zeta_k) = 1 + y(t) for t in the interval."""
-        return 1.0 + self.series(k).forced(t)
+        return self.series(k).combination(t, 0.0, 1.0, 1.0)
 
     def e_at_knots(self, k: int) -> Tuple[float, float, float]:
         """(e(t_k, zeta_k), e(t_{k+1}, zeta_k), error estimate)."""
-        grid = self.problem.grid
-        s = self.series(k)
-        return 1.0 + s.forced(grid.knot(k)), 1.0 + s.forced(grid.knot(k + 1)), s.err
+        grid, s = self.problem.grid, self.series(k)
+        e = lambda t: s.combination(t, 0.0, 1.0, 1.0)
+        return e(grid.knot(k)), e(grid.knot(k + 1)), s.err
 
     def w_step(self, k: int) -> float:
         """One-interval propagation factor w(t_{k+1}, t_k)."""
@@ -205,15 +205,11 @@ class KernelTable:
         return e1 / e0
 
     def w_intra(self, k: int, t: float, s: float) -> float:
-        """w(t, s) = phi(t, s) j(t, zeta_k)/j(s, zeta_k) for t, s in I_k."""
-        grid = self.problem.grid
-        slack = 1e-9 * (grid.knot(k + 1) - grid.knot(k))
-        for x in (t, s):
-            if not (grid.knot(k) - slack <= x <= grid.knot(k + 1) + slack):
-                raise ValueError(f"point {x} outside interval k={k}")
+        """w(t, s) = phi(t, s) j(t, zeta_k)/j(s, zeta_k) for t, s in I_k; the
+        series refuses a point outside the interval."""
+        et = self.e_value(k, t)
         if t == s:
             return 1.0
-        et = self.e_value(k, t)
         es = self.e_value(k, s)
         _require_invertible(es, es - 1.0, k)
         return et / es
@@ -260,24 +256,20 @@ class KernelTable:
         return rho_p, rho_m, rho_p * int_b_p, rho_m * int_b_m
 
     def interval_kernel(self, k: int) -> IntervalKernel:
-        e0, e1, err_e = self.e_at_knots(k)
+        w = self.w_step(k)  # raises SingularKernel before any quadrature
         grid = self.problem.grid
-        zeta = grid.zeta(k)
-        j0 = e0 * phi(self.problem.a, grid.knot(k), zeta, self.rel_tol)
-        j1 = e1 * phi(self.problem.a, grid.knot(k + 1), zeta, self.rel_tol)
-        _require_invertible(e0, e0 - 1.0, k)
         i_plus, i_minus, err_c = self.criterion(k)
         _, _, nu_p, nu_m = self.h3(k)
         return IntervalKernel(
             k=k,
-            j_at_tk=j0,
-            j_at_tk1=j1,
-            w_step=e1 / e0,
+            j_at_tk=self.j_value(k, grid.knot(k)),
+            j_at_tk1=self.j_value(k, grid.knot(k + 1)),
+            w_step=w,
             i_plus=i_plus,
             i_minus=i_minus,
             nu_plus=nu_p,
             nu_minus=nu_m,
-            quadrature_error_estimate=err_e + err_c,
+            quadrature_error_estimate=self.series(k).err + err_c,
         )
 
 

@@ -91,9 +91,7 @@ def recurring_sign_changes(values: Sequence[float]) -> bool:
     """True when the tail (final quarter) still takes both signs."""
     if len(values) < 2:
         return False
-    tail = list(values)[(3 * len(values)) // 4 :]
-    if not tail:
-        tail = [values[-1]]
+    tail = list(values)[(3 * len(values)) // 4 :]  # nonempty: 3n // 4 < n
     return max(tail) >= 0.0 and min(tail) <= 0.0
 
 
@@ -204,9 +202,12 @@ def _impulse_branch(problem: Problem, window: Tuple[int, int]) -> str:
     return "mixed"
 
 
-def default_window(problem: Problem) -> Tuple[int, int]:
+def default_window(
+    problem: Problem, burn_in: int = DEFAULT_BURN_IN, width: int = DEFAULT_WIDTH
+) -> Tuple[int, int]:
+    """Knots [k0 + burn_in, k0 + burn_in + width), k0 the interval holding tau."""
     k0 = problem.grid.interval_index(problem.tau)
-    return (k0 + DEFAULT_BURN_IN, k0 + DEFAULT_BURN_IN + DEFAULT_WIDTH)
+    return (k0 + burn_in, k0 + burn_in + width)
 
 
 def _criterion(

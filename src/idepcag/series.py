@@ -173,9 +173,9 @@ class IntervalSeries:
     """Flow and forced response on one interval, built once and evaluated
     anywhere in it.
 
-    ``forced(t)`` is y(t) above, ``combination`` a fixed combination of
-    it with the flow exp(int_anchor^t a) and a constant, and ``zeros`` the
-    roots of such a combination.  Each side of the anchor is built on
+    ``combination`` is a fixed combination of y(t) above, exactly 0 at the
+    anchor, with the flow exp(int_anchor^t a) and a constant, and ``zeros``
+    the roots of such a combination.  Each side of the anchor is built on
     first use.  Raises :class:`QuadratureError`
     when the coefficients do not level off after ``MAX_BISECTIONS`` halvings
     or the chain needs more than ``MAX_PANELS`` panels, and ``OverflowError``
@@ -300,12 +300,6 @@ class IntervalSeries:
         if A > EXP_OVERFLOW:
             raise OverflowError(f"flow weight exp({A:.3g}) overflows on {self._where}")
         return math.exp(A)
-
-    def forced(self, t: float) -> float:
-        """y(t); exactly 0 at the anchor and wherever g vanishes identically."""
-        if t == self.anchor:
-            return 0.0
-        return self._evaluate(self._panel(t), t)[1]
 
     def combination(self, t: float, flow_coef: float, forced_coef: float, const: float) -> float:
         """forced_coef y(t) + const + flow_coef exp(A(t)) from one panel

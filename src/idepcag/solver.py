@@ -139,7 +139,7 @@ class Trajectory:
                 # an argument value behind tau on the start interval is clamped to tau
                 zeta = max(grid.zeta(k), problem.tau) if k == self.k_start else grid.zeta(k)
                 series = IntervalSeries(problem.a, self._g, lo, hi, zeta, k)
-                e = 1.0 + series.forced(base_t)
+                e = series.combination(base_t, 0.0, 1.0, 1.0)
                 _require_invertible(e, e - 1.0, k)
                 piece = (series, 0.0, 1.0, 1.0, e, base_z)
             self._pieces[k] = piece
