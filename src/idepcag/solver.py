@@ -23,6 +23,7 @@ choice is recorded in ``Trajectory.metadata``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -87,6 +88,7 @@ class Trajectory:
         self._by_time: Dict[float, SkeletonPoint] = {}
         self._by_k: Dict[int, SkeletonPoint] = {}
         self._pieces: Dict[int, Tuple[IntervalSeries, float, float, float, float, float]] = {}
+        self._pairs: Dict[int, Tuple[float, int]] = {}  # lagged grids: math.frexp of z(t_k)
         if grid.lagged:
             self._g = problem.b
             self.metadata["start_argument"] = "lagged history"
@@ -145,6 +147,14 @@ class Trajectory:
             self._pieces[k] = piece
         return piece
 
+    def _lagged_pair(self, k: int) -> Tuple[float, float, int]:
+        """(p, q, top) with z(t_k) = p 2^top and z(t_{k-lag}) = q 2^top, from the
+        march's frexp pairs: their combination keeps its sign and its roots where
+        |z| underflows, and scales the float one exactly while that is normal."""
+        (p, ep), (q, eq) = self._pairs[k], self._pairs[k - self.problem.grid.lag]
+        top = max(ep, eq)
+        return math.ldexp(p, ep - top), math.ldexp(q, eq - top), top
+
     # -- dense evaluation ------------------------------------------------------
 
     def value(self, t: float, side: str = "right") -> float:
@@ -172,6 +182,8 @@ class Trajectory:
         if hi <= lo:
             return []
         series, p, q, r = self._piece(k)[:4]
+        if self.problem.grid.lagged:
+            p, q = self._lagged_pair(k)[:2]
         return series.zeros(lo, hi, p, q, r)
 
     def _window(self, k: int) -> Tuple[float, float]:
@@ -223,6 +235,8 @@ def solve(problem: Problem) -> Trajectory:
                 f"lagged solve needs exactly {grid.lag} history value(s) for the knots "
                 f"t_{{{k - grid.lag}}}..t_{{{k - 1}}}"
             )
+        start = (*problem.history, problem.z0)  # z(t_{k-lag}) .. z(t_k)
+        traj._pairs.update(enumerate(map(math.frexp, start), k - grid.lag))
     z = problem.z0
     sign = _sgn(z)
     if problem.tau == grid.knot(k):
@@ -234,6 +248,11 @@ def solve(problem: Problem) -> Trajectory:
         fac = problem.impulses.factor(k + 1)
         z_left = w * m
         z_right = fac * z_left
+        if grid.lagged:  # the sign and the next pair come from the scaled values
+            p, q, top = traj._lagged_pair(k)
+            w = series.combination(t_next, p, q, r)
+            mant, ex = math.frexp(fac * w)
+            traj._pairs[k + 1] = (mant, ex + top)
         # m is 1 or the base value, whose float sign is exact unless it
         # underflowed to 0.0; then the propagated sign stands in for it
         sign_left = (_sgn(m) or sign) * _sgn(w)

@@ -265,6 +265,25 @@ class TestClassifyCommand:
         assert "verdict: oscillatory" in capsys.readouterr().out
 
 
+class TestLaggedUnderflow:
+    """z stays positive (b > 0, positive data) while |z| underflows past knot
+    about 215; the float values then round to 0.0, which must read as
+    neither a zero nor a sign change."""
+
+    @pytest.mark.parametrize("horizon", [150.0, 300.0])
+    def test_no_false_zeros_or_sign_changes(self, tmp_path, capsys, horizon):
+        cfg = base_config()
+        cfg["problem"].update({"a": "-10", "b": "0.01", "params": {}, "history": [1.0]})
+        cfg["problem"]["grid"] = {"type": "lagged", "t0": 0, "h": 1, "lag": 1}
+        cfg["problem"]["impulse"] = {"type": "none"}
+        cfg["problem"]["horizon"] = horizon
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        assert main(["classify", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_OK
+        assert "verdict: nonoscillatory" in capsys.readouterr().out
+        assert main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_OK
+        assert " zeros=0 " in capsys.readouterr().out
+
+
 class TestCriterionCommand:
     def test_oscillatory_report(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "cfg.json", base_config())
