@@ -15,6 +15,7 @@ stderr the diagnostics.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import random
@@ -60,6 +61,17 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+@contextlib.contextmanager
+def _reading(section: str):
+    """Report a missing key or a value of the wrong type in ``section`` as ConfigError."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, ConfigError):
+            raise
+        raise ConfigError(f"bad {section} config: {exc}") from exc
+
+
 # -- config -> problem ---------------------------------------------------------
 
 def _build_grid(cfg: dict) -> ArgumentGrid:
@@ -103,7 +115,7 @@ def _bound_value(v, params: Dict[str, float]) -> float:
 
 
 def build_problem(cfg: dict, param_overrides: Optional[Dict[str, float]] = None) -> Problem:
-    try:
+    with _reading("problem"):
         pcfg = cfg["problem"]
         params = dict(pcfg.get("params", {}))
         if param_overrides:
@@ -123,10 +135,6 @@ def build_problem(cfg: dict, param_overrides: Optional[Dict[str, float]] = None)
             horizon=float(pcfg.get("horizon", 10.0)),
             history=tuple(history) if history is not None else None,
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad problem config: {exc}") from exc
 
 
 def _load_config(path: str) -> dict:
@@ -139,25 +147,27 @@ def _load_config(path: str) -> dict:
 
 def _analysis_window(cfg: dict, args, problem: Problem) -> Tuple[int, int]:
     burn, width = DEFAULT_BURN_IN, DEFAULT_WIDTH
-    wcfg = cfg.get("analysis", {}).get("window")
-    if wcfg:
-        burn = int(wcfg.get("burn_in", burn))
-        width = int(wcfg.get("width", width))
+    with _reading("analysis"):
+        wcfg = cfg.get("analysis", {}).get("window")
+        if wcfg:
+            burn = int(wcfg.get("burn_in", burn))
+            width = int(wcfg.get("width", width))
     if args.window:
         burn, width = args.window
     return default_window(problem, burn, width)
 
 
 def _criterion_tol(cfg: dict, args) -> float:
-    tolerances = cfg.get("analysis", {}).get("tolerances", {})
-    if "quad_rel_tol" in tolerances:
-        raise ConfigError(
-            "analysis.tolerances.quad_rel_tol is not supported; "
-            "set the quadrature tolerance with the IDEPCAG_QUAD_TOL environment variable"
-        )
-    if args.tol is not None:
-        return args.tol
-    return float(tolerances.get("criterion_tol", DEFAULT_CRITERION_TOL))
+    with _reading("analysis"):
+        tolerances = cfg.get("analysis", {}).get("tolerances", {})
+        if "quad_rel_tol" in tolerances:
+            raise ConfigError(
+                "analysis.tolerances.quad_rel_tol is not supported; "
+                "set the quadrature tolerance with the IDEPCAG_QUAD_TOL environment variable"
+            )
+        if args.tol is not None:
+            return args.tol
+        return float(tolerances.get("criterion_tol", DEFAULT_CRITERION_TOL))
 
 
 # -- commands -------------------------------------------------------------------
@@ -170,8 +180,11 @@ def _require_finite(k: int, *values: float) -> None:
 
 def cmd_solve(cfg: dict, args) -> int:
     problem = build_problem(cfg)
+    with _reading("output"):
+        n_samples = int(cfg.get("output", {}).get("samples_per_interval", 64))
+        if n_samples < 1:
+            raise ConfigError("output.samples_per_interval must be at least 1")
     traj = solve(problem)
-    n_samples = int(cfg.get("output", {}).get("samples_per_interval", 64))
 
     k_end = problem.grid.interval_index(problem.horizon)
     rows: List[str] = ["t,z,interval_k,is_knot,z_left,z_right"]
@@ -269,17 +282,25 @@ def cmd_criterion(cfg: dict, args) -> int:
 
 
 def cmd_sweep(cfg: dict, args) -> int:
-    sweep = cfg.get("sweep")
-    if not sweep:
-        raise ConfigError("sweep section missing")
-    pname = sweep.get("parameter")
-    params = cfg.get("problem", {}).get("params", {})
-    if pname not in params:
-        raise ConfigError(f"sweep parameter {pname!r} not in problem params")
-    lo, hi = float(sweep["lo"]), float(sweep["hi"])
-    steps = int(sweep.get("steps", 11))
-    if steps < 2:
-        raise ConfigError("sweep needs steps >= 2")
+    with _reading("sweep"):
+        sweep = cfg.get("sweep")
+        if not sweep:
+            raise ConfigError("sweep section missing")
+        pname = sweep.get("parameter")
+        params = cfg.get("problem", {}).get("params", {})
+        if pname not in params:
+            raise ConfigError(f"sweep parameter {pname!r} not in problem params")
+        lo, hi = float(sweep["lo"]), float(sweep["hi"])
+        steps = int(sweep.get("steps", 11))
+        if steps < 2:
+            raise ConfigError("sweep needs steps >= 2")
+        target = sweep.get("target")
+        if target:
+            quantity = target.get("quantity")
+            if quantity not in _SWEEP_QUANTITIES:
+                raise ConfigError(f"target.quantity must be one of {_SWEEP_QUANTITIES}")
+            threshold = float(target["threshold"])
+            xtol = float(target.get("xtol", 1e-6))
     tol = _criterion_tol(cfg, args)
 
     def make(value: float) -> Problem:
@@ -302,15 +323,9 @@ def cmd_sweep(cfg: dict, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "sweep.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
-    target = sweep.get("target")
     if not target:
         print(f"sweep: {steps} rows -> {out_dir / 'sweep.csv'}")
         return EXIT_OK
-    quantity = target.get("quantity")
-    if quantity not in _SWEEP_QUANTITIES:
-        raise ConfigError(f"target.quantity must be one of {_SWEEP_QUANTITIES}")
-    threshold = float(target["threshold"])
-    xtol = float(target.get("xtol", 1e-6))
 
     def g(v: float) -> float:
         extrema = ends.get(v.hex()) or _window_extrema(make(v), window)
@@ -347,10 +362,11 @@ def cmd_oracle_check(cfg: dict, args) -> int:
     problem = build_problem(cfg)
     if problem.grid.lagged:
         raise ConfigError("oracle check supports non-lagged grids only")
-    acfg = cfg.get("analysis", {})
-    steps = int(acfg.get("oracle_steps", 10_000))
-    n_samples = int(acfg.get("check_samples", 100))
-    check_tol = float(acfg.get("check_tol", 1e-6))
+    with _reading("analysis"):
+        acfg = cfg.get("analysis", {})
+        steps = int(acfg.get("oracle_steps", 10_000))
+        n_samples = int(acfg.get("check_samples", 100))
+        check_tol = float(acfg.get("check_tol", 1e-6))
     traj = solve(problem)
     otraj = oracle_integrate(problem, steps)
     span = problem.horizon - problem.tau

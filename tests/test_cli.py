@@ -229,6 +229,41 @@ class TestExitCodes:
         cfg_path = write_config(tmp_path / "cfg.json", cfg)
         assert main(["criterion", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "command, section, value",
+        [
+            ("sweep", "sweep", {"parameter": "q0", "hi": 0.9}),
+            ("sweep", "sweep", {"parameter": "q0", "lo": 0.3, "hi": 0.9,
+                                "target": {"quantity": "inf_i_minus"}}),
+            ("sweep", "sweep", {"parameter": "q0", "lo": 0.3, "hi": 0.9, "target": "inf_i_minus"}),
+            ("sweep", "sweep", {"parameter": ["q0"], "lo": 0.3, "hi": 0.9}),
+            ("sweep", "sweep", {"parameter": "q0", "lo": 0.3, "hi": 0.9,
+                                "target": {"quantity": "sup_q0", "threshold": -1.0}}),
+            ("criterion", "analysis", [8, 64]),
+            ("sweep", "analysis", [8, 64]),
+            ("oracle-check", "analysis", [8, 64]),
+            ("solve", "output", {"samples_per_interval": 0}),
+            ("solve", "output", {"samples_per_interval": -3}),
+        ],
+        ids=[
+            "sweep-without-lo", "target-without-threshold", "target-as-string",
+            "parameter-as-list", "unknown-quantity", "criterion-analysis-as-list",
+            "sweep-analysis-as-list", "oracle-check-analysis-as-list", "zero-samples",
+            "negative-samples",
+        ],
+    )
+    def test_malformed_section_exits_before_any_work(
+        self, tmp_path, capsys, command, section, value
+    ):
+        cfg = json.loads((CONFIGS / "decay_with_floor.json").read_text())
+        cfg[section] = value
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestClassifyCommand:
     def test_oscillatory_verdict(self, tmp_path, capsys):
