@@ -226,3 +226,37 @@ def test_solution_stays_inside_gronwall_envelope(p, fractions):
     traj = solve(p)
     for t in _sample_times(p, fractions):
         assert abs(traj.value(t)) <= envelope.bound(t) * (1.0 + 1e-9), t
+
+
+@st.composite
+def knot_start_problems(draw):
+    """Variable a and b on a uniform or explicit grid, tau on a knot."""
+    grid = draw(st.one_of(_uniform_grids(), _explicit_grids()))
+    tau = grid.knot(draw(st.integers(min_value=0, max_value=1)))
+    return Problem(
+        a=_wave(draw(_coef), draw(_coef), draw(_freq)),
+        b=_wave(3.0 * draw(_coef), draw(_coef), draw(_freq), Cos),
+        grid=grid,
+        impulses=draw(_impulses),
+        tau=tau,
+        z0=draw(st.sampled_from([-1.0, 1.0])),
+        horizon=min(tau + draw(st.floats(min_value=0.5, max_value=4.0)), grid.knot(4) - 0.01),
+    )
+
+
+@PROPERTY
+@given(knot_start_problems(), st.floats(min_value=0.01, max_value=0.99))
+def test_dense_values_are_kernel_table_steps(p, f):
+    # the solver and KernelTable each build the series of interval k, from the
+    # same a, a + b, knots and zeta_k, so z(t) = w(t, t_k) z(t_k) holds bitwise
+    traj, table, grid = _solved(p), KernelTable(p), p.grid
+    for k in range(traj.k_start, grid.interval_index(p.horizon) + 1):
+        t_k = grid.knot(k)
+        t = t_k + f * (min(grid.knot(k + 1), p.horizon) - t_k)
+        try:
+            expected = table.w_intra(k, t, t_k) * traj.knot_value(k)
+        except SingularKernel:  # e(t_k) vanished on the unsolved last interval
+            with pytest.raises(SingularKernel):
+                traj.value(t)
+            continue
+        assert traj.value(t) == expected, (k, t)
