@@ -194,9 +194,8 @@ class KernelTable:
 
     def e_at_knots(self, k: int) -> Tuple[float, float, float]:
         """(e(t_k, zeta_k), e(t_{k+1}, zeta_k), error estimate)."""
-        grid, s = self.problem.grid, self.series(k)
-        e = lambda t: s.combination(t, 0.0, 1.0, 1.0)
-        return e(grid.knot(k)), e(grid.knot(k + 1)), s.err
+        grid = self.problem.grid
+        return self.e_value(k, grid.knot(k)), self.e_value(k, grid.knot(k + 1)), self.series(k).err
 
     def w_step(self, k: int) -> float:
         """One-interval propagation factor w(t_{k+1}, t_k)."""
