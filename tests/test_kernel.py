@@ -107,6 +107,12 @@ class TestWIntra:
         with pytest.raises(ValueError, match="outside"):
             w_intra(p, 2, 4.5, 2.5)
 
+    def test_outside_interval_rejected_at_equal_times(self):
+        # the series makes the range check, so e(t) is read before t == s returns 1
+        p = make_problem(Const(0.0), Const(0.5))
+        with pytest.raises(ValueError, match="outside"):
+            w_intra(p, 2, 4.5, 4.5)
+
 
 class TestH3Check:
     def test_trivial(self):

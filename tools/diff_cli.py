@@ -72,8 +72,7 @@ def _differences(old, new) -> List[str]:
 
 def main(argv: List[str]) -> int:
     if len(argv) < 2:
-        print(__doc__.strip().splitlines()[0], file=sys.stderr)
-        print("usage: diff_cli.py OLD_SRC NEW_SRC [CONFIG...]", file=sys.stderr)
+        print("usage: python tools/diff_cli.py OLD_SRC NEW_SRC [CONFIG...]", file=sys.stderr)
         return 2
     old_src, new_src = _source_path(argv[0]), _source_path(argv[1])
     configs = sorted((ROOT / "configs").glob("*.json")) + [Path(c).resolve() for c in argv[2:]]
