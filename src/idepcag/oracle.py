@@ -20,7 +20,9 @@ accuracy of a plain float64 scan, about 2e-13 relative against the
 closed form on a unit interval instead of 3e-14, still seven orders
 below the default check tolerance of 1e-6.  A non-finite A or B (an
 unstable step size, or A leaving the long double range) is refused as
-an ``OverflowError``.
+an ``OverflowError``.  The march carries z(t_k) as a float, unlike the
+solver's frexp pairs, so a solution that decays below the float range and
+recovers stays 0.0 here, and ``oracle-check`` reports that as a deviation.
 """
 
 from __future__ import annotations

@@ -105,7 +105,7 @@ def classify_discrete(
     if window is None:
         window = (pts[0].k, pts[-1].k + 1)
     k_lo, k_hi = window
-    # exact propagated signs survive float under/overflow of the values
+    # the knot signs stay exact where the values under- or overflow
     seq = [(p.k, p.sign_right) for p in pts if k_lo <= p.k < k_hi]
     if len(seq) < MIN_WINDOW_KNOTS:
         raise ValueError(f"window too short ({len(seq)} < {MIN_WINDOW_KNOTS} knots)")

@@ -14,6 +14,11 @@ and one march serves both grid kinds.  Dense values, the knot march and
 the in-interval zeros all come from that series; zeros are the real roots
 of its Chebyshev interpolant on each panel, polished by Newton steps.
 
+The march carries z at each interval base as its ``math.frexp`` pair, so
+|z| may leave the float range and come back.  A value is rounded to a float
+only when it is read (to 0.0 or a subnormal below 2^-1022, to +-inf above
+the largest float), and the knot signs are the signs of the mantissas.
+
 Start convention: no impulse is applied at tau itself (z0 is the
 post-jump state), and when the argument value of the start interval lies
 strictly behind tau it is replaced by tau, keeping the construction
@@ -37,20 +42,23 @@ from .series import IntervalSeries
 
 
 def _sgn(x: float) -> int:
-    if x > 0.0:
-        return 1
-    if x < 0.0:
-        return -1
-    return 0
+    return (x > 0.0) - (x < 0.0)
+
+
+def _ldexp(m: float, x: int) -> float:
+    """m 2^x as a float: rounded once, and +-inf beyond the float range."""
+    try:
+        return math.ldexp(m, x)
+    except OverflowError:
+        return math.copysign(math.inf, m)
 
 
 @dataclass(frozen=True)
 class SkeletonPoint:
     """Solution values at one knot: left limit and post-jump value.
 
-    ``sign_left`` / ``sign_right`` carry the exact sign of the true
-    solution, propagated through the step factors, so classification
-    stays correct even after |z| under- or overflows the float range.
+    ``sign_left`` / ``sign_right`` are the signs of the march's mantissas,
+    exact where ``z_left`` / ``z_right`` leave the float range.
     """
 
     k: int
@@ -65,15 +73,15 @@ class Trajectory:
     """Solved instance: skeleton plus a dense evaluator.
 
     Interval k holds one :class:`~idepcag.series.IntervalSeries`, giving
-    the flow exponent A(t) and the forced response y(t), and five numbers
-    p, q, r, e, m, all built on first use, so that
+    the flow exponent A(t) and the forced response y(t), and six numbers
+    p, q, r, e, m, x, all built on first use, so that
 
-        z(t) = (q y(t) + r + p exp(A(t))) / e * m.
+        z(t) = (q y(t) + r + p exp(A(t))) / e * m * 2^x.
 
     On kernel-backed grids y is e(., zeta_k) - 1, so p, q, r = 0, 1, 1,
-    e = e(base, zeta_k) and m = z(base), where base is t_k, or tau on the
-    start interval.  On lagged grids y solves y' = a y + b, y(t_k) = 0, and
-    p = z(t_k), q = z(t_{k-lag}), r = 0, e = m = 1.
+    e = e(base, zeta_k) and (m, x) is the frexp pair of z(base), base being
+    t_k, or tau on the start interval.  On lagged grids y solves y' = a y + b,
+    y(t_k) = 0, r = 0, e = m = 1, p 2^x = z(t_k) and q 2^x = z(t_{k-lag}).
 
     Immutable after construction; dense queries are safe to issue
     concurrently.
@@ -87,8 +95,8 @@ class Trajectory:
         self.metadata: Dict[str, object] = {}
         self._by_time: Dict[float, SkeletonPoint] = {}
         self._by_k: Dict[int, SkeletonPoint] = {}
-        self._pieces: Dict[int, Tuple[IntervalSeries, float, float, float, float, float]] = {}
-        self._pairs: Dict[int, Tuple[float, int]] = {}  # lagged grids: math.frexp of z(t_k)
+        self._pieces: Dict[int, Tuple[IntervalSeries, float, float, float, float, float, int]] = {}
+        self._pairs: Dict[int, Tuple[float, int]] = {}  # math.frexp of z at each interval base
         if grid.lagged:
             self._g = problem.b
             self.metadata["start_argument"] = "lagged history"
@@ -122,38 +130,29 @@ class Trajectory:
             raise ValueError(f"interval k={k} not in solved range")
         return pt.t, pt.z_right
 
-    def _piece(self, k: int) -> Tuple[IntervalSeries, float, float, float, float, float]:
-        """(series, p, q, r, e, m) of interval k, built on first use."""
+    def _piece(self, k: int) -> Tuple[IntervalSeries, float, float, float, float, float, int]:
+        """(series, p, q, r, e, m, x) of interval k, built on first use."""
         piece = self._pieces.get(k)
         if piece is None:
             problem, grid = self.problem, self.problem.grid
-            base_t, base_z = self._interval_base(k)
             lo, hi = grid.knot(k), grid.knot(k + 1)
+            m, x = self._pairs[k]
             if grid.lagged:
-                j = k - grid.lag
-                if j < self.k_start:  # history holds z at t_{k_start-lag} .. t_{k_start-1}
-                    z_lag = problem.history[j - self.k_start]
-                else:
-                    z_lag = self._interval_base(j)[1]
+                # z(t_k) = m 2^x, z(t_{k-lag}) = n 2^y at the larger exponent of a nonzero
+                n, y = self._pairs[k - grid.lag]
+                top = max(x if m else y, y if n else x)
                 series = IntervalSeries(problem.a, self._g, lo, hi, lo, k)
-                piece = (series, base_z, z_lag, 0.0, 1.0, 1.0)
+                p, q = math.ldexp(m, x - top), math.ldexp(n, y - top)
+                piece = (series, p, q, 0.0, 1.0, 1.0, top)
             else:
                 # an argument value behind tau on the start interval is clamped to tau
                 zeta = max(grid.zeta(k), problem.tau) if k == self.k_start else grid.zeta(k)
                 series = IntervalSeries(problem.a, self._g, lo, hi, zeta, k)
-                e = series.combination(base_t, 0.0, 1.0, 1.0)
+                e = series.combination(self._interval_base(k)[0], 0.0, 1.0, 1.0)
                 _require_invertible(e, e - 1.0, k)
-                piece = (series, 0.0, 1.0, 1.0, e, base_z)
+                piece = (series, 0.0, 1.0, 1.0, e, m, x)
             self._pieces[k] = piece
         return piece
-
-    def _lagged_pair(self, k: int) -> Tuple[float, float, int]:
-        """(p, q, top) with z(t_k) = p 2^top and z(t_{k-lag}) = q 2^top, from the
-        march's frexp pairs: their combination keeps its sign and its roots where
-        |z| underflows, and scales the float one exactly while that is normal."""
-        (p, ep), (q, eq) = self._pairs[k], self._pairs[k - self.problem.grid.lag]
-        top = max(ep, eq)
-        return math.ldexp(p, ep - top), math.ldexp(q, eq - top), top
 
     # -- dense evaluation ------------------------------------------------------
 
@@ -167,13 +166,11 @@ class Trajectory:
         pt = self._by_time.get(t)
         if pt is not None:
             return pt.z_left if side == "left" else pt.z_right
-        if t == self.problem.tau:
-            return self.problem.z0
         return self._value_in_interval(t, self.problem.grid.interval_index(t))
 
     def _value_in_interval(self, t: float, k: int) -> float:
-        series, p, q, r, e, m = self._piece(k)
-        return series.combination(t, p, q, r) / e * m
+        series, p, q, r, e, m, x = self._piece(k)
+        return _ldexp(series.combination(t, p, q, r) / e * m, x)
 
     def zeros_in_interval(self, k: int) -> List[float]:
         """Roots of z in the solved part of interval k; on kernel-backed
@@ -182,8 +179,6 @@ class Trajectory:
         if hi <= lo:
             return []
         series, p, q, r = self._piece(k)[:4]
-        if self.problem.grid.lagged:
-            p, q = self._lagged_pair(k)[:2]
         return series.zeros(lo, hi, p, q, r)
 
     def _window(self, k: int) -> Tuple[float, float]:
@@ -196,8 +191,8 @@ class Trajectory:
 
         Intervals whose base value is zero carry the zero solution on the
         whole interval and are reported with the base point itself as the
-        location.  The test uses the exact propagated sign, so a base value
-        that merely underflowed to 0.0 is not taken for a zero.
+        location.  The test uses the knot's sign, so a base value that
+        merely underflowed to 0.0 is not taken for a zero.
         """
         k_end = self.problem.grid.interval_index(self.problem.horizon)
         out: List[Tuple[int, float]] = []
@@ -206,9 +201,8 @@ class Trajectory:
             pt = self._by_k.get(k)
             if (pt.sign_right if pt is not None else _sgn(base_z)) == 0:
                 out.append((k, base_t))
-                continue
-            for root in self.zeros_in_interval(k):
-                out.append((k, root))
+            else:
+                out.extend((k, root) for root in self.zeros_in_interval(k))
         return out
 
 
@@ -227,6 +221,7 @@ def solve(problem: Problem) -> Trajectory:
     grid = problem.grid
     traj = Trajectory(problem)
     k = traj.k_start
+    start: Tuple[float, ...] = (problem.z0,)
     if grid.lagged:
         if problem.tau != grid.knot(k):
             raise ValueError("lagged solve must start on a grid knot")
@@ -236,28 +231,20 @@ def solve(problem: Problem) -> Trajectory:
                 f"t_{{{k - grid.lag}}}..t_{{{k - 1}}}"
             )
         start = (*problem.history, problem.z0)  # z(t_{k-lag}) .. z(t_k)
-        traj._pairs.update(enumerate(map(math.frexp, start), k - grid.lag))
+    traj._pairs.update(enumerate(map(math.frexp, start), k + 1 - len(start)))
     z = problem.z0
-    sign = _sgn(z)
     if problem.tau == grid.knot(k):
-        traj._append(SkeletonPoint(k, problem.tau, z, z, sign, sign))
+        traj._append(SkeletonPoint(k, problem.tau, z, z, _sgn(z), _sgn(z)))
     while grid.knot(k + 1) <= problem.horizon:
         t_next = grid.knot(k + 1)
-        series, p, q, r, e, m = traj._piece(k)
-        w = series.combination(t_next, p, q, r) / e
-        fac = problem.impulses.factor(k + 1)
-        z_left = w * m
-        z_right = fac * z_left
-        if grid.lagged:  # the sign and the next pair come from the scaled values
-            p, q, top = traj._lagged_pair(k)
-            w = series.combination(t_next, p, q, r)
-            mant, ex = math.frexp(fac * w)
-            traj._pairs[k + 1] = (mant, ex + top)
-        # m is 1 or the base value, whose float sign is exact unless it
-        # underflowed to 0.0; then the propagated sign stands in for it
-        sign_left = (_sgn(m) or sign) * _sgn(w)
-        sign = sign_left * _sgn(fac)
-        traj._append(SkeletonPoint(k + 1, t_next, z_left, z_right, sign_left, sign))
+        series, p, q, r, e, m, x = traj._piece(k)
+        left, x_left = math.frexp(series.combination(t_next, p, q, r) / e * m)
+        right, x_right = math.frexp(problem.impulses.factor(k + 1) * left)
+        x_left += x  # z(t_{k+1}^-) = left 2^x_left
+        x_right += x_left  # z(t_{k+1}) = right 2^x_right
+        traj._pairs[k + 1] = (right, x_right)
+        z_left, z_right = _ldexp(left, x_left), _ldexp(right, x_right)
+        traj._append(SkeletonPoint(k + 1, t_next, z_left, z_right, _sgn(left), _sgn(right)))
         k += 1
     return traj
 

@@ -5,6 +5,7 @@ Each property is compared against the definitional adaptive quadrature of
 oracle or against the Gronwall envelope.
 """
 
+import dataclasses
 import math
 from itertools import accumulate
 
@@ -260,3 +261,32 @@ def test_dense_values_are_kernel_table_steps(p, f):
                 traj.value(t)
             continue
         assert traj.value(t) == expected, (k, t)
+
+
+# 1.0, 0.75 and 0.5 stay exact at 2^-1060, deep in the subnormal range
+_EXACT_AT_SCALE = st.sampled_from([1.0, -1.0, 0.75, -0.75, 0.5])
+
+
+@PROPERTY
+@given(
+    st.one_of(kernel_problems(), lagged_problems()),
+    _EXACT_AT_SCALE,
+    _EXACT_AT_SCALE,
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+)
+def test_scaling_by_a_power_of_two_is_exact(p, z0, h0, fractions):
+    # the march carries z as frexp pairs, so scaling z0 and the history by
+    # 2^-1060 scales every value by exactly that and keeps signs and roots
+    def start(scale):
+        history = (math.ldexp(h0, scale),) if p.grid.lagged else None
+        return dataclasses.replace(p, z0=math.ldexp(z0, scale), history=history)
+
+    first, scaled = _solved(start(0)), solve(start(-1060))
+    knots = [pt.t for pt in first.skeleton()]
+    for t in knots + [p.tau + f * (p.horizon - p.tau) for f in fractions]:
+        for side in ("left", "right"):
+            expected = math.ldexp(first.value(t, side), -1060)
+            assert scaled.value(t, side).hex() == expected.hex(), (t, side)
+    signs = [(pt.sign_left, pt.sign_right) for pt in first.skeleton()]
+    assert [(pt.sign_left, pt.sign_right) for pt in scaled.skeleton()] == signs
+    assert scaled.zero_list() == first.zero_list()

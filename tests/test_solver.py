@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -186,6 +187,17 @@ class TestZeros:
         assert all(pt.sign_right == 1 for pt in traj.skeleton())
         assert classify_discrete(traj).status == "nonoscillatory"
         assert traj.zero_list() == []
+
+
+    def test_value_recovers_after_leaving_the_float_range(self):
+        # factors ~1e-11 on k = 1..40 take |z| near 1e-440, then ~1e11 bring it back
+        plain = unit_problem(Const(-0.5), Const(0.1), alpha=0.5, horizon=80.0)
+        c = [1e-11 - 1.0] * 40 + [1e11 - 1.0] * 40
+        kicked = dataclasses.replace(plain, impulses=ImpulseRule.explicit(c, start_k=1))
+        expected = Fraction(solve(plain).value(79.5))
+        for k in range(1, 80):
+            expected *= Fraction(kicked.impulses.factor(k))
+        assert solve(kicked).value(79.5) == pytest.approx(float(expected), rel=1e-12, abs=0.0)
 
 
 class TestInteriorStart:
