@@ -157,6 +157,13 @@ def _analysis_window(cfg: dict, args, problem: Problem) -> Tuple[int, int]:
     return default_window(problem, burn, width)
 
 
+def _tolerance(name: str, value: float) -> float:
+    """value, refused unless it is finite and non-negative."""
+    if not 0.0 <= value < math.inf:
+        raise ConfigError(f"{name} must be finite and non-negative, got {value!r}")
+    return value
+
+
 def _criterion_tol(cfg: dict, args) -> float:
     with _reading("analysis"):
         tolerances = cfg.get("analysis", {}).get("tolerances", {})
@@ -166,8 +173,9 @@ def _criterion_tol(cfg: dict, args) -> float:
                 "set the quadrature tolerance with the IDEPCAG_QUAD_TOL environment variable"
             )
         if args.tol is not None:
-            return args.tol
-        return float(tolerances.get("criterion_tol", DEFAULT_CRITERION_TOL))
+            return _tolerance("--tol", args.tol)
+        tol = float(tolerances.get("criterion_tol", DEFAULT_CRITERION_TOL))
+        return _tolerance("analysis.tolerances.criterion_tol", tol)
 
 
 # -- commands -------------------------------------------------------------------
@@ -366,7 +374,9 @@ def cmd_oracle_check(cfg: dict, args) -> int:
         acfg = cfg.get("analysis", {})
         steps = int(acfg.get("oracle_steps", 10_000))
         n_samples = int(acfg.get("check_samples", 100))
-        check_tol = float(acfg.get("check_tol", 1e-6))
+        check_tol = _tolerance("analysis.check_tol", float(acfg.get("check_tol", 1e-6)))
+        if steps < 2 or n_samples < 1:
+            raise ConfigError("analysis needs oracle_steps >= 2 and check_samples >= 1")
     traj = solve(problem)
     otraj = oracle_integrate(problem, steps)
     span = problem.horizon - problem.tau

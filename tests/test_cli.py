@@ -222,6 +222,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "IDEPCAG_QUAD_TOL" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["criterion", "sweep"])
+    @pytest.mark.parametrize(
+        "tol, key",
+        [("-1", None), ("nan", None), ("inf", None), (None, -1e-9), (None, math.inf)],
+        ids=["negative-flag", "nan-flag", "inf-flag", "negative-key", "inf-key"],
+    )
+    def test_bad_criterion_tolerance_exits_before_any_work(
+        self, tmp_path, capsys, command, tol, key
+    ):
+        # with --tol -1 a nonoscillatory case read "oscillatory" at a negative margin
+        cfg = json.loads((CONFIGS / "sine_forcing.json").read_text())
+        cfg["problem"]["params"]["a0"] = 1.9
+        if key is not None:
+            cfg["analysis"]["tolerances"] = {"criterion_tol": key}
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path / "cfg.json", cfg), "--out", str(out)]
+        if tol is not None:
+            argv.append(f"--tol={tol}")
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "finite and non-negative" in err
+        assert not out.exists()
+
     def test_criterion_rejects_lagged(self, tmp_path, capsys):
         cfg = base_config()
         cfg["problem"]["grid"] = {"type": "lagged", "t0": 0, "h": 1, "lag": 1}
@@ -244,12 +267,19 @@ class TestExitCodes:
             ("oracle-check", "analysis", [8, 64]),
             ("solve", "output", {"samples_per_interval": 0}),
             ("solve", "output", {"samples_per_interval": -3}),
+            ("oracle-check", "analysis", {"check_samples": -5}),
+            ("oracle-check", "analysis", {"check_samples": 0}),
+            ("oracle-check", "analysis", {"oracle_steps": 1}),
+            ("oracle-check", "analysis", {"check_tol": -1e-6}),
+            ("oracle-check", "analysis", {"check_tol": math.nan}),
+            ("oracle-check", "analysis", {"check_tol": math.inf}),
         ],
         ids=[
             "sweep-without-lo", "target-without-threshold", "target-as-string",
             "parameter-as-list", "unknown-quantity", "criterion-analysis-as-list",
             "sweep-analysis-as-list", "oracle-check-analysis-as-list", "zero-samples",
-            "negative-samples",
+            "negative-samples", "negative-check-samples", "zero-check-samples",
+            "one-oracle-step", "negative-check-tol", "nan-check-tol", "inf-check-tol",
         ],
     )
     def test_malformed_section_exits_before_any_work(
