@@ -41,7 +41,7 @@ from .oscillation import (
 )
 from .problem import ImpulseDegenerate, ImpulseRule, Problem
 from .quadrature import QuadratureError
-from .solver import solve
+from .solver import bisect_root, solve
 
 EXIT_OK = 0
 EXIT_DEVIATION = 1
@@ -344,23 +344,12 @@ def cmd_sweep(cfg: dict, args) -> int:
         root = lo
     elif g_hi == 0.0:
         root = hi
-    elif g_lo * g_hi > 0:
+    elif (g_lo < 0.0) == (g_hi < 0.0):
         print(f"sweep: {steps} rows -> {out_dir / 'sweep.csv'}")
         print("no crossing")
         return EXIT_NO_CROSSING
     else:
-        a, b, ga = lo, hi, g_lo
-        while b - a > xtol:
-            m = 0.5 * (a + b)
-            gm = g(m)
-            if gm == 0.0:
-                a = b = m
-                break
-            if ga * gm < 0:
-                b = m
-            else:
-                a, ga = m, gm
-        root = 0.5 * (a + b)
+        root = bisect_root(g, lo, hi, g_lo, xtol)
     print(f"sweep: {steps} rows -> {out_dir / 'sweep.csv'}")
     print(f"crossing: {pname}={root:.8f} ({quantity} = {threshold:g})")
     return EXIT_OK

@@ -34,11 +34,10 @@ import numpy as np
 from .expressions import evaluate_array
 from .kernel import SingularKernel
 from .problem import SINGULARITY_FACTOR, Problem
-from .solver import SkeletonPoint, Trajectory, _sgn
+from .solver import SkeletonPoint, Trajectory, _sgn, bisect_root
 
 DEFAULT_STEPS_PER_INTERVAL = 10_000
 ZERO_LOCATION_TOL = 1e-12
-SCAN_POINTS = 65
 
 
 def _rk4_linear(problem, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -113,41 +112,20 @@ class _OracleTrajectory(Trajectory):
         return float(A[1]) * z0 + float(B[1]) * self._zeta_values[k]
 
     def zeros_in_interval(self, k: int) -> List[float]:
+        """Roots in the solved part [lo, hi) of interval k: exact zeros on the
+        stored nodes, and each sign change between neighbouring nodes bisected."""
         lo, hi = self._window(k)
-        return _scan_roots(lambda t: self._value_in_interval(t, k), lo, hi)
-
-
-def _scan_roots(f, lo: float, hi: float) -> List[float]:
-    """Sign changes of f on an even scan of [lo, hi), located by bisection."""
-    if hi <= lo:
-        return []
-    n = SCAN_POINTS
-    ts = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    vals = [f(t) for t in ts]
-    roots: List[float] = []
-    for i in range(n - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
-            roots.append(ts[i])
-            continue
-        if v0 * v1 < 0.0:
-            a, b, fa = ts[i], ts[i + 1], v0
-            while b - a > ZERO_LOCATION_TOL:
-                m = 0.5 * (a + b)
-                fm = f(m)
-                if fm == 0.0:
-                    a = b = m
-                    break
-                if fa * fm < 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            roots.append(0.5 * (a + b))
-    deduped: List[float] = []
-    for r in roots:
-        if r < hi and (not deduped or r - deduped[-1] > ZERO_LOCATION_TOL):
-            deduped.append(r)
-    return deduped
+        if hi <= lo:
+            return []
+        ts, zs = self._grids[k]
+        signs = np.sign(zs)
+        roots = ts[signs == 0.0].tolist()
+        for i in np.flatnonzero(np.abs(np.diff(signs)) == 2.0).tolist():
+            roots.append(bisect_root(
+                lambda t: self._value_in_interval(t, k),
+                float(ts[i]), float(ts[i + 1]), float(zs[i]), ZERO_LOCATION_TOL,
+            ))
+        return sorted(r for r in roots if lo <= r < hi)
 
 
 def oracle_integrate(

@@ -45,6 +45,25 @@ def _sgn(x: float) -> int:
     return (x > 0.0) - (x < 0.0)
 
 
+def bisect_root(f, a: float, b: float, fa: float, tol: float) -> float:
+    """A root of f in [a, b], given fa = f(a) and f(b) of the opposite sign.
+
+    Halves the bracket until it is at most tol wide, or returns a midpoint
+    where f is exactly 0.  Signs are compared, never multiplied, so values
+    near the ends of the float range cannot underflow the test.
+    """
+    while b - a > tol:
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if (fm < 0.0) != (fa < 0.0):
+            b = m
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)
+
+
 def _ldexp(m: float, x: int) -> float:
     """m 2^x as a float: rounded once, and +-inf beyond the float range."""
     try:

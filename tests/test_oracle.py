@@ -1,9 +1,12 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from idepcag.cli import build_problem
 from idepcag.expressions import Const, Cos, Prod, Sin, Sum, Var
 from idepcag.grid import UniformGrid
 from idepcag.kernel import KernelTable, SingularKernel
@@ -132,6 +135,20 @@ class TestAgreementWithKernelRoute:
             assert oracle_traj.value(t) == pytest.approx(
                 kernel_traj.value(t), rel=1e-8, abs=1e-12
             )
+
+
+class TestZeros:
+    def test_roots_of_a_decaying_chain_past_the_product_underflow(self):
+        # a = -1, b = -0.6, alpha = 0: z = z(k) (1.6 e^(k-t) - 0.6) has its one
+        # root of [k, k + 1) at k + ln(8/3), while |z(k)| falls about 88-fold
+        # per interval, below 1e-154 from k = 80 on
+        path = Path(__file__).resolve().parent.parent / "configs" / "decay_with_floor.json"
+        cfg = json.loads(path.read_text())
+        cfg["problem"]["horizon"] = 100.0
+        zeros = oracle_integrate(build_problem(cfg), 2000).zero_list()
+        assert [k for k, _ in zeros] == list(range(100))
+        for k, root in zeros:
+            assert abs(root - (k + math.log(8.0 / 3.0))) <= 1e-12, k
 
 
 class TestValidation:
