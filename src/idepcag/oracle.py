@@ -8,9 +8,11 @@ two auxiliary problems
 
 recovers the argument value from z(zeta) = A(zeta) z(t_k) / (1 - B(zeta)),
 and reconstructs z(t) = A(t) z(t_k) + B(t) z(zeta).  The module shares no
-code with :mod:`idepcag.kernel` or :mod:`idepcag.quadrature`, so agreement
-between the two routes validates the whole pipeline; its zero search is
-a plain scan with bisection, kept apart from the series root finder.
+code with :mod:`idepcag.kernel`, :mod:`idepcag.series` or
+:mod:`idepcag.quadrature`, so agreement between the two routes validates
+the whole pipeline.  Its zeros are the exact zeros on its own RK4 nodes and
+the sign changes between neighbouring nodes, each bisected to
+``ZERO_LOCATION_TOL``; they owe nothing to the series root finder.
 
 The equations are linear, so one RK4 step is an affine map y -> g y + f
 and an interval is one prefix scan of those maps, with no loop over steps
@@ -20,13 +22,16 @@ accuracy of a plain float64 scan, about 2e-13 relative against the
 closed form on a unit interval instead of 3e-14, still seven orders
 below the default check tolerance of 1e-6.  A non-finite A or B (an
 unstable step size, or A leaving the long double range) is refused as
-an ``OverflowError``.  The march carries z(t_k) as a float, unlike the
-solver's frexp pairs, so a solution that decays below the float range and
-recovers stays 0.0 here, and ``oracle-check`` reports that as a deviation.
+an ``OverflowError``.  The march carries z(t_k) as its ``math.frexp`` pair
+(m, x) and solves each interval for m, so |z| may leave the float range and
+come back: values are read as ldexp(., x), the knot signs are the signs of
+the mantissas, and the zero search works on the unscaled node values.  A
+value read past the largest float is refused as an ``OverflowError``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -93,23 +98,25 @@ class _OracleTrajectory(Trajectory):
     def __init__(self, problem: Problem, steps: int):
         super().__init__(problem)
         self.steps = steps
-        self._grids: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self._zeta_values: Dict[int, float] = {}
+        # interval k: its nodes, z 2^-x on them, z(zeta_k) 2^-x, and x, the
+        # exponent of z at the interval's base
+        self._grids: Dict[int, Tuple[np.ndarray, np.ndarray, float, int]] = {}
 
     def _value_in_interval(self, t: float, k: int) -> float:
-        ts, zs = self._grids[k]
+        return _float(self._unscaled_value(t, k), self._grids[k][3], k)
+
+    def _unscaled_value(self, t: float, k: int) -> float:
+        """z(t) 2^-x, with x the exponent stored with interval k."""
+        ts, zs, z_zeta, _ = self._grids[k]
         i = int(np.searchsorted(ts, t))
         if i < len(ts) and ts[i] == t:
             return float(zs[i])
         # one partial straight-line step would lose the 4th-order accuracy;
         # re-run the two-stage reconstruction from the nearest node below
         i = max(i - 1, 0)
-        t0 = float(ts[i])
-        sub = np.array([t0, t])
-        A, B = _rk4_linear(self.problem, sub)
-        z0 = float(zs[i])
-        # A, B here restart at t0, so z(t) = A z(t0) + B z(zeta_k)
-        return float(A[1]) * z0 + float(B[1]) * self._zeta_values[k]
+        # A, B here restart at ts[i], so z(t) = A z(ts[i]) + B z(zeta_k)
+        A, B = _rk4_linear(self.problem, np.array([float(ts[i]), t]))
+        return float(A[1]) * float(zs[i]) + float(B[1]) * z_zeta
 
     def zeros_in_interval(self, k: int) -> List[float]:
         """Roots in the solved part [lo, hi) of interval k: exact zeros on the
@@ -117,15 +124,23 @@ class _OracleTrajectory(Trajectory):
         lo, hi = self._window(k)
         if hi <= lo:
             return []
-        ts, zs = self._grids[k]
+        ts, zs = self._grids[k][:2]
         signs = np.sign(zs)
         roots = ts[signs == 0.0].tolist()
         for i in np.flatnonzero(np.abs(np.diff(signs)) == 2.0).tolist():
             roots.append(bisect_root(
-                lambda t: self._value_in_interval(t, k),
+                lambda t: self._unscaled_value(t, k),
                 float(ts[i]), float(ts[i + 1]), float(zs[i]), ZERO_LOCATION_TOL,
             ))
         return sorted(r for r in roots if lo <= r < hi)
+
+
+def _float(m: float, x: int, k: int) -> float:
+    """m 2^x as a float; a value past the float range is refused, naming k."""
+    try:
+        return math.ldexp(m, x)
+    except OverflowError:
+        raise OverflowError(f"oracle solution is not finite on interval k={k}") from None
 
 
 def oracle_integrate(
@@ -139,12 +154,11 @@ def oracle_integrate(
     grid = problem.grid
     traj = _OracleTrajectory(problem, steps_per_interval)
     k = traj.k_start
-    zeta0 = grid.zeta(k)
-    start_zeta = problem.tau if zeta0 < problem.tau else zeta0
+    start_zeta = max(grid.zeta(k), problem.tau)
     z = problem.z0
     if problem.tau == grid.knot(k):
-        s0 = _sgn(z)
-        traj._append(SkeletonPoint(k, problem.tau, z, z, s0, s0))
+        traj._append(SkeletonPoint(k, problem.tau, z, z, _sgn(z), _sgn(z)))
+    m, x = math.frexp(z)  # z(base) = m 2^x; each interval is solved for m
 
     t_base = problem.tau
     while True:
@@ -157,21 +171,20 @@ def oracle_integrate(
             denom = 1.0 - B[i_zeta]
             if abs(denom) < SINGULARITY_FACTOR * (1.0 + abs(B[i_zeta])):
                 raise SingularKernel(k, abs(denom))
-            z_zeta = A[i_zeta] * z / denom
-            zs = A * z + B * z_zeta
+            z_zeta = A[i_zeta] * m / denom
+            zs = A * m + B * z_zeta
         # a non-finite A or B leaves zs non-finite whatever z is (inf * 0 is nan)
         if not np.isfinite(zs).all():
             raise OverflowError(f"oracle solution is not finite on interval k={k}")
-        traj._grids[k] = (nodes, zs)
-        traj._zeta_values[k] = z_zeta
+        traj._grids[k] = (nodes, zs, float(z_zeta), x)
         if t_end > problem.horizon:
             break
-        z_left = float(zs[-1])
-        z_right = problem.impulses.factor(k + 1) * z_left
-        traj._append(
-            SkeletonPoint(k + 1, t_end, z_left, z_right, _sgn(z_left), _sgn(z_right))
-        )
-        z = z_right
+        left, x_left = math.frexp(float(zs[-1]))
+        m, x_right = math.frexp(problem.impulses.factor(k + 1) * left)
+        x_left += x
+        x = x_right + x_left
+        z_left, z_right = _float(left, x_left, k), _float(m, x, k + 1)
+        traj._append(SkeletonPoint(k + 1, t_end, z_left, z_right, _sgn(left), _sgn(m)))
         k += 1
         if grid.knot(k) >= problem.horizon:
             break

@@ -151,6 +151,25 @@ class TestZeros:
             assert abs(root - (k + math.log(8.0 / 3.0))) <= 1e-12, k
 
 
+class TestFloatRange:
+    def test_value_recovers_after_leaving_the_float_range(self):
+        # factors 1e-11 on k = 1..40 take |z| near 1e-440, then 1e11 bring it back
+        c = [1e-11 - 1.0] * 40 + [1e11 - 1.0] * 40
+        p = make(Const(-0.5), Const(0.1), alpha=0.5, horizon=80.0,
+                 impulses=ImpulseRule.explicit(c, start_k=1))
+        traj, exact = oracle_integrate(p, 2000), solve(p)
+        assert exact.value(79.5) == 1.6013218476036042e-25
+        assert traj.value(79.5) == pytest.approx(exact.value(79.5), rel=1e-12, abs=0.0)
+        signs = [(pt.sign_left, pt.sign_right) for pt in exact.skeleton()]
+        assert [(pt.sign_left, pt.sign_right) for pt in traj.skeleton()] == signs
+
+    def test_knot_value_past_the_float_range_names_the_interval(self):
+        # z grows by about e^30 per interval and passes the largest float at t = 23.7
+        p = make(Const(30.0), Const(0.1), horizon=30.0)
+        with pytest.raises(OverflowError, match="interval k=23"):
+            oracle_integrate(p, 2000)
+
+
 class TestValidation:
     def test_lagged_rejected(self):
         from idepcag.grid import LaggedUniformGrid
