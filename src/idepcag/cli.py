@@ -379,8 +379,7 @@ def cmd_oracle_check(cfg: dict, args) -> int:
     for t in ts:
         zk = traj.value(t)
         zo = otraj.value(t)
-        den = max(abs(zk), abs(zo))
-        dev = abs(zk - zo) / den if den > 1e-12 else abs(zk - zo)
+        dev = abs(zk - zo) / max(abs(zk), abs(zo), sys.float_info.min)
         if dev > max_dev:
             max_dev, worst_t = dev, t
     out_dir = Path(args.out)

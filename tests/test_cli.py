@@ -451,6 +451,20 @@ class TestOracleCheckCommand:
         assert main(["oracle-check", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_OK
         assert "max_rel_dev=0.0" in capsys.readouterr().out
 
+    def test_deviation_does_not_depend_on_the_scale_of_z0(self, tmp_path, capsys):
+        # the problem is linear, so z0 = 1e-13 scales both routes alike; an
+        # absolute floor would report the deviation scaled by 1e-13 too
+        def max_rel_dev(z0):
+            cfg = json.loads((CONFIGS / "sine_forcing.json").read_text())
+            cfg["problem"]["z0"] = z0
+            cfg_path = write_config(tmp_path / "cfg.json", cfg)
+            assert main(["oracle-check", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_OK
+            return float(capsys.readouterr().out.split()[0].split("=")[1])
+
+        unit, tiny = max_rel_dev(1.0), max_rel_dev(1e-13)
+        assert unit > 0.0
+        assert unit / 2.0 <= tiny <= 2.0 * unit
+
 
 class TestWindowFlag:
     def test_criterion_window_override(self, tmp_path, capsys):
