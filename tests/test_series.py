@@ -217,6 +217,19 @@ def test_kernel_route_matches_oracle(p, fractions):
 
 
 @PROPERTY
+@given(small_problems())
+def test_oracle_zeros_match_solver_zeros(p):
+    try:
+        zeros = solve(p).zero_list()
+    except SingularKernel:  # e vanished at a base point: nothing to compare
+        assume(False)
+    oracle_zeros = oracle_integrate(p, 2000).zero_list()
+    assert [k for k, _ in oracle_zeros] == [k for k, _ in zeros]
+    for (k, root), (_, oracle_root) in zip(zeros, oracle_zeros):
+        assert abs(oracle_root - root) <= 1e-8 * max(1.0, abs(root)), (k, root, oracle_root)
+
+
+@PROPERTY
 @given(small_problems(), _fractions)
 def test_solution_stays_inside_gronwall_envelope(p, fractions):
     try:
