@@ -173,7 +173,7 @@ def oracle_integrate(
                 raise SingularKernel(k, abs(denom))
             z_zeta = A[i_zeta] * m / denom
             zs = A * m + B * z_zeta
-        # a non-finite A or B leaves zs non-finite whatever z is (inf * 0 is nan)
+        # a non-finite A or B leaves zs non-finite whatever m is (inf * 0 is nan)
         if not np.isfinite(zs).all():
             raise OverflowError(f"oracle solution is not finite on interval k={k}")
         traj._grids[k] = (nodes, zs, float(z_zeta), x)
