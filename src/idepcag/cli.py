@@ -376,9 +376,8 @@ def cmd_oracle_check(cfg: dict, args) -> int:
         ts = [problem.tau + span * (i + 0.5) / n_samples for i in range(n_samples)]
     max_dev = 0.0
     worst_t = problem.tau
-    for t in ts:
+    for t, zo in zip(ts, otraj.values(ts)):
         zk = traj.value(t)
-        zo = otraj.value(t)
         dev = abs(zk - zo) / max(abs(zk), abs(zo), sys.float_info.min)
         if dev > max_dev:
             max_dev, worst_t = dev, t

@@ -16,13 +16,14 @@ the sign changes between neighbouring nodes, each bisected to
 
 The equations are linear, so one RK4 step is an affine map y -> g y + f
 and an interval is one prefix scan of those maps, with no loop over steps
-(see :func:`_rk4_linear`).  The scan is carried in ``np.longdouble``.
-Where that type is only float64 (MSVC, Apple arm64) the oracle keeps the
-accuracy of a plain float64 scan, about 2e-13 relative against the
-closed form on a unit interval instead of 3e-14, still seven orders
-below the default check tolerance of 1e-6.  A non-finite A or B (an
-unstable step size, or A leaving the long double range) is refused as
-an ``OverflowError``.  The march carries z(t_k) as its ``math.frexp`` pair
+(see :func:`_rk4_linear`).  A dense read off the nodes is one RK4 step
+from the stored node at or below t, and many reads are one batched call.
+The scan is carried in ``np.longdouble``; where that type is only float64
+(MSVC, Apple arm64) the oracle is about 2e-13 relative against the closed
+form on a unit interval instead of 3e-14, still seven orders below the
+default check tolerance of 1e-6.  A non-finite A or B (an unstable step
+size, or A leaving the long double range) is refused as an
+``OverflowError``.  The march carries z(t_k) as its ``math.frexp`` pair
 (m, x) and solves each interval for m, so |z| may leave the float range and
 come back: values are read as ldexp(., x), the knot signs are the signs of
 the mantissas, and the zero search works on the unscaled node values.  A
@@ -32,7 +33,7 @@ value read past the largest float is refused as an ``OverflowError``.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,19 +47,20 @@ ZERO_LOCATION_TOL = 1e-12
 
 
 def _rk4_linear(problem, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """March A and B across the given nodes; returns arrays on the nodes.
+    """March A and B along the last axis of nodes; returns arrays shaped like nodes.
 
     Step i maps y to g_i y + f_i, so A = [1, cumprod(g)] and
     B = A [0, cumsum(f / A[1:])]; g and f are float64, the scan long double.
+    A 1-D nodes is one interval's grid, an (m, 2) one m independent steps.
     """
     h = np.diff(nodes)
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    mids = 0.5 * (nodes[..., :-1] + nodes[..., 1:])
     a_nodes = evaluate_array(problem.a, nodes)
     am = evaluate_array(problem.a, mids)
     b_nodes = evaluate_array(problem.b, nodes)
     bm = evaluate_array(problem.b, mids)
-    a0, a1 = a_nodes[:-1], a_nodes[1:]
-    b0, b1 = b_nodes[:-1], b_nodes[1:]
+    a0, a1 = a_nodes[..., :-1], a_nodes[..., 1:]
+    b0, b1 = b_nodes[..., :-1], b_nodes[..., 1:]
     k2 = am * (1.0 + 0.5 * h * a0)
     k3 = am * (1.0 + 0.5 * h * k2)
     k4 = a1 * (1.0 + h * k3)
@@ -67,56 +69,66 @@ def _rk4_linear(problem, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     l3 = am * (0.5 * h * l2) + bm
     l4 = a1 * (h * l3) + b1
     f = h * (b0 + 2.0 * (l2 + l3) + l4) / 6.0
-    A = np.empty(len(nodes), dtype=np.longdouble)
+    A = np.empty(nodes.shape, dtype=np.longdouble)
     B = np.empty_like(A)
-    A[0], B[0] = 1.0, 0.0
-    np.add(d, 1.0, out=A[1:], dtype=np.longdouble)
-    np.cumprod(A[1:], out=A[1:])
-    np.divide(f, A[1:], out=B[1:])
-    np.cumsum(B[1:], out=B[1:])
+    A[..., 0], B[..., 0] = 1.0, 0.0
+    np.add(d, 1.0, out=A[..., 1:], dtype=np.longdouble)
+    np.cumprod(A[..., 1:], axis=-1, out=A[..., 1:])
+    np.divide(f, A[..., 1:], out=B[..., 1:])
+    np.cumsum(B[..., 1:], axis=-1, out=B[..., 1:])
     np.multiply(A, B, out=B)
     return A.astype(float), B.astype(float)
 
 
 def _interval_nodes(lo: float, zeta: float, hi: float, steps: int) -> Tuple[np.ndarray, int]:
     """Node grid over [lo, hi] with zeta landing exactly on a node."""
-    if zeta <= lo:
-        return np.linspace(lo, hi, steps + 1), 0
-    if zeta >= hi:
-        return np.linspace(lo, hi, steps + 1), steps
-    frac = (zeta - lo) / (hi - lo)
-    n1 = min(max(int(round(steps * frac)), 1), steps - 1)
-    n2 = steps - n1
-    leg1 = np.linspace(lo, zeta, n1 + 1)
-    leg2 = np.linspace(zeta, hi, n2 + 1)
+    if not lo < zeta < hi:
+        return np.linspace(lo, hi, steps + 1), 0 if zeta <= lo else steps
+    n1 = min(max(int(round(steps * ((zeta - lo) / (hi - lo)))), 1), steps - 1)
+    leg1, leg2 = np.linspace(lo, zeta, n1 + 1), np.linspace(zeta, hi, steps - n1 + 1)
     return np.concatenate([leg1, leg2[1:]]), n1
 
 
 class _OracleTrajectory(Trajectory):
     """Dense evaluation from the stored per-interval Runge-Kutta grids."""
 
-    def __init__(self, problem: Problem, steps: int):
+    def __init__(self, problem: Problem):
         super().__init__(problem)
-        self.steps = steps
         # interval k: its nodes, z 2^-x on them, z(zeta_k) 2^-x, and x, the
         # exponent of z at the interval's base
         self._grids: Dict[int, Tuple[np.ndarray, np.ndarray, float, int]] = {}
+
+    def values(self, ts: Sequence[float]) -> List[float]:
+        """[self.value(t) for t in ts]: knots from the skeleton, the rest read
+        by :meth:`_unscaled_values` in one batch."""
+        out = [None if pt is None else pt.z_right for pt in map(self._by_time.get, ts)]
+        rest = [i for i, z in enumerate(out) if z is None]
+        ks = [self._interval_of(ts[i]) for i in rest]
+        for i, k, z in zip(rest, ks, self._unscaled_values([ts[i] for i in rest], ks)):
+            out[i] = _float(z, self._grids[k][3], k)
+        return out
 
     def _value_in_interval(self, t: float, k: int) -> float:
         return _float(self._unscaled_value(t, k), self._grids[k][3], k)
 
     def _unscaled_value(self, t: float, k: int) -> float:
-        """z(t) 2^-x, with x the exponent stored with interval k."""
-        ts, zs, z_zeta, _ = self._grids[k]
-        i = int(np.searchsorted(ts, t))
-        if i < len(ts) and ts[i] == t:
-            return float(zs[i])
-        # one partial straight-line step would lose the 4th-order accuracy;
-        # re-run the two-stage reconstruction from the nearest node below
-        i = max(i - 1, 0)
-        # A, B here restart at ts[i], so z(t) = A z(ts[i]) + B z(zeta_k)
-        A, B = _rk4_linear(self.problem, np.array([float(ts[i]), t]))
-        return float(A[1]) * float(zs[i]) + float(B[1]) * z_zeta
+        return self._unscaled_values([t], [k])[0]
+
+    def _unscaled_values(self, ts: Sequence[float], ks: Sequence[int]) -> List[float]:
+        """z(t) 2^-x for each t in interval k of ks, x the exponent stored with k:
+        the stored value on a node, else one RK4 step from the node below t (a
+        partial straight-line step would lose the 4th-order accuracy)."""
+        rows = []  # (node at or below t, t, z 2^-x there, z(zeta_k) 2^-x)
+        for t, k in zip(ts, ks):
+            nodes, zs, z_zeta, _ = self._grids[k]
+            i = max(int(np.searchsorted(nodes, t, side="right")) - 1, 0)
+            rows.append((nodes[i], t, zs[i], z_zeta))
+        node, t, z, z_zeta = np.array(rows, dtype=float).reshape(-1, 4).T
+        off = node != t
+        if off.any():  # every step in one call; A, B restart at the node
+            A, B = _rk4_linear(self.problem, np.stack([node[off], t[off]], axis=-1))
+            z[off] = A[:, 1] * z[off] + B[:, 1] * z_zeta[off]
+        return z.tolist()
 
     def zeros_in_interval(self, k: int) -> List[float]:
         """Roots in the solved part [lo, hi) of interval k: exact zeros on the
@@ -152,19 +164,17 @@ def oracle_integrate(
     if steps_per_interval < 2:
         raise ValueError("need at least 2 steps per interval")
     grid = problem.grid
-    traj = _OracleTrajectory(problem, steps_per_interval)
+    traj = _OracleTrajectory(problem)
     k = traj.k_start
     start_zeta = max(grid.zeta(k), problem.tau)
     z = problem.z0
     if problem.tau == grid.knot(k):
         traj._append(SkeletonPoint(k, problem.tau, z, z, _sgn(z), _sgn(z)))
     m, x = math.frexp(z)  # z(base) = m 2^x; each interval is solved for m
-
-    t_base = problem.tau
     while True:
         t_end = grid.knot(k + 1)
         zeta = start_zeta if k == traj.k_start else grid.zeta(k)
-        lo = t_base if k == traj.k_start else grid.knot(k)
+        lo = problem.tau if k == traj.k_start else grid.knot(k)
         nodes, i_zeta = _interval_nodes(lo, zeta, t_end, steps_per_interval)
         with np.errstate(all="ignore"):
             A, B = _rk4_linear(problem, nodes)

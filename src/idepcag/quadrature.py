@@ -66,8 +66,15 @@ class QuadratureError(RuntimeError):
 
 
 def default_rel_tol() -> float:
-    """Quadrature tolerance, overridable through IDEPCAG_QUAD_TOL."""
-    return float(os.environ.get("IDEPCAG_QUAD_TOL", DEFAULT_REL_TOL))
+    """Quadrature tolerance, overridable through IDEPCAG_QUAD_TOL; a value that
+    is not a finite, non-negative number is refused as a ValueError."""
+    text = os.environ.get("IDEPCAG_QUAD_TOL", str(DEFAULT_REL_TOL))
+    try:
+        if 0.0 <= float(text) < math.inf:
+            return float(text)
+    except ValueError:
+        pass
+    raise ValueError(f"IDEPCAG_QUAD_TOL must be a finite, non-negative number, got {text!r}")
 
 
 def _gk15(f: Callable[[float], float], a: float, b: float) -> Tuple[float, float]:

@@ -178,14 +178,18 @@ class Trajectory:
     def value(self, t: float, side: str = "right") -> float:
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
+        pt = self._by_time.get(t)
+        if pt is not None:
+            return pt.z_left if side == "left" else pt.z_right
+        return self._value_in_interval(t, self._interval_of(t))
+
+    def _interval_of(self, t: float) -> int:
+        """The interval holding t, refused outside [tau, horizon]."""
         if not (self.problem.tau <= t <= self.problem.horizon):
             raise ValueError(
                 f"t={t} outside solved range [{self.problem.tau}, {self.problem.horizon}]"
             )
-        pt = self._by_time.get(t)
-        if pt is not None:
-            return pt.z_left if side == "left" else pt.z_right
-        return self._value_in_interval(t, self.problem.grid.interval_index(t))
+        return self.problem.grid.interval_index(t)
 
     def _value_in_interval(self, t: float, k: int) -> float:
         series, p, q, r, e, m, x = self._piece(k)

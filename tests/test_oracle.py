@@ -5,10 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from idepcag.cli import build_problem
 from idepcag.expressions import Const, Cos, Prod, Sin, Sum, Var
-from idepcag.grid import UniformGrid
+from idepcag.grid import ExplicitGrid, UniformGrid
 from idepcag.kernel import KernelTable, SingularKernel
 from idepcag.oracle import _rk4_linear, oracle_integrate
 from idepcag.problem import ImpulseRule, Problem
@@ -231,3 +233,95 @@ class TestScanAccuracy:
         assert np.max(np.abs(B[1:] - exact_b) / np.abs(exact_b)) <= 5e-14
         assert (A[0], B[0]) == (1.0, 0.0)
 
+
+
+_coef = st.floats(min_value=-0.8, max_value=0.8)
+
+
+@st.composite
+def _oracle_problems(draw):
+    """Variable a and b on a uniform or explicit grid, tau on a knot or inside an interval."""
+    if draw(st.booleans()):
+        h = draw(st.floats(min_value=0.5, max_value=1.5))
+        grid = UniformGrid(0.0, h, draw(st.floats(min_value=0.0, max_value=1.0)))
+    else:
+        widths = draw(st.lists(st.floats(min_value=0.3, max_value=1.5), min_size=4, max_size=6))
+        knots = [0.0]
+        for w in widths:
+            knots.append(knots[-1] + w)
+        fracs = draw(st.lists(st.floats(0.0, 1.0), min_size=len(widths), max_size=len(widths)))
+        zetas = [min(lo + f * (hi - lo), hi) for lo, hi, f in zip(knots, knots[1:], fracs)]
+        grid = ExplicitGrid(tuple(knots), tuple(zetas))
+    tau = draw(st.sampled_from([0.0, grid.knot(1)]) | st.floats(min_value=0.1, max_value=1.0))
+    horizon = min(tau + draw(st.floats(min_value=0.3, max_value=3.0)), grid.knot(4) - 0.01)
+    return Problem(
+        a=Sum((Const(draw(_coef)), Prod((Const(draw(_coef)), Sin(Var("t")))))),
+        b=Sum((Const(draw(_coef)), Prod((Const(draw(_coef)), Cos(Var("t")))))),
+        grid=grid,
+        impulses=ImpulseRule.multiplier(draw(st.sampled_from([-1.2, -0.8, 0.9, 1.1]))),
+        tau=tau,
+        z0=draw(st.sampled_from([-1.0, 1.0, 1e-300])),
+        horizon=horizon,
+    )
+
+
+class TestBatchRead:
+    """``values(ts)`` reads knots from the skeleton, stored RK4 nodes as stored
+    and every other t by one RK4 step; it must equal ``value`` on each t."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_oracle_problems(), st.integers(min_value=2, max_value=60), st.data())
+    def test_equals_one_value_per_point_bitwise(self, p, steps, data):
+        try:
+            traj = oracle_integrate(p, steps)
+        except SingularKernel:
+            assume(False)
+        knots = [pt.t for pt in traj.skeleton()]
+        nodes = [t for g in traj._grids.values() for t in g[0].tolist() if t <= p.horizon]
+        special = st.sampled_from(knots + [p.tau, p.horizon]) | st.sampled_from(nodes)
+        ts = data.draw(st.lists(st.floats(p.tau, p.horizon) | special, max_size=40))
+        assert [z.hex() for z in traj.values(ts)] == [traj.value(t).hex() for t in ts]
+
+    @pytest.mark.parametrize("t", [-0.5, 5.5, math.nan])
+    def test_out_of_range_raises_what_value_raises(self, t):
+        traj = oracle_integrate(make(Const(-0.5), Sin(Var("t")), alpha=0.3, horizon=5.0), 50)
+        with pytest.raises(ValueError) as one:
+            traj.value(t)
+        with pytest.raises(ValueError) as batch:
+            traj.values([2.5, 1.0, t, 4.0])
+        assert str(batch.value) == str(one.value)
+
+    @pytest.mark.parametrize("name", ["multiplier_chain", "decay_with_floor"])
+    def test_midpoint_samples_on_stored_nodes(self, name):
+        # oracle-check's midpoint samples of these configs land on RK4 nodes,
+        # which the batch read takes as stored, not as a step from the node below
+        path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+        p = build_problem(json.loads(path.read_text()))
+        traj = oracle_integrate(p, 2000)
+        span = p.horizon - p.tau
+        ts = [p.tau + span * (i + 0.5) / 100 for i in range(100)]
+        stored = {}
+        for k, (nodes, zs, _, x) in traj._grids.items():
+            stored.update((t, math.ldexp(z, x)) for t, z in zip(nodes.tolist(), zs.tolist()))
+        hits = [t for t in ts if t in stored]
+        assert hits
+        zs = traj.values(ts)
+        assert zs == [traj.value(t) for t in ts]
+        assert [z for t, z in zip(ts, zs) if t in stored] == [stored[t] for t in hits]
+        assert traj.values([]) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.lists(st.floats(min_value=0.01, max_value=0.5), min_size=1, max_size=6),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+def test_rk4_rows_march_like_one_dimensional_grids(m, widths, t0):
+    # each row of a 2-D nodes array is marched on its own, as a 1-D grid would be
+    p = make(Sum((Const(-0.4), Sin(Var("t")))), Cos(Var("t")))
+    rows = np.array([t0 + r + np.concatenate([[0.0], np.cumsum(widths)]) for r in range(m)])
+    A, B = _rk4_linear(p, rows)
+    for row, a_row, b_row in zip(rows, A, B):
+        a_one, b_one = _rk4_linear(p, row)
+        assert a_row.tobytes() == a_one.tobytes() and b_row.tobytes() == b_one.tobytes()

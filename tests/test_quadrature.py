@@ -99,3 +99,31 @@ class TestOneToleranceSetting:
         problem = build_problem(json.loads(SINE_FORCING.read_text()))
         with pytest.raises(QuadratureError):
             GronwallBound(problem)
+
+
+class TestToleranceVariableIsChecked:
+    """IDEPCAG_QUAD_TOL follows the rule of the config tolerances: a finite,
+    non-negative number, else exit 2 naming the variable."""
+
+    BAD = ["nan", "-1", "abc", "inf", ""]
+
+    @pytest.mark.parametrize("text", BAD)
+    def test_default_rel_tol_refuses(self, monkeypatch, text):
+        monkeypatch.setenv("IDEPCAG_QUAD_TOL", text)
+        with pytest.raises(ValueError, match="IDEPCAG_QUAD_TOL"):
+            default_rel_tol()
+
+    @pytest.mark.parametrize("text", BAD)
+    def test_criterion_command_exits_2(self, tmp_path, capsys, monkeypatch, text):
+        # with nan no integral was ever refined and the verdict read "oscillatory";
+        # -1 ran to the panel cap; abc did not name the variable
+        monkeypatch.setenv("IDEPCAG_QUAD_TOL", text)
+        code = main(["criterion", "--config", str(SINE_FORCING), "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert "IDEPCAG_QUAD_TOL" in captured.err and "verdict" not in captured.out
+
+    @pytest.mark.parametrize("text, tol", [("0", 0.0), ("1e-8", 1e-8), (" 1e-6 ", 1e-6)])
+    def test_finite_non_negative_values_are_read(self, monkeypatch, text, tol):
+        monkeypatch.setenv("IDEPCAG_QUAD_TOL", text)
+        assert default_rel_tol() == tol
