@@ -6,16 +6,19 @@ operators ``+ - * /`` and integer powers ``^``, and the functions ``sin``,
 ``cos``, ``exp``.  Division is accepted only by a constant divisor so every
 parsed expression maps onto the node set below.
 
-Each tree has one compiled form per evaluator: :func:`_code` turns the tree
-into a single Python expression in its one argument (``Sum`` and ``Prod``
-as left folds, ``Neg`` as unary minus, ``Pow`` as ``**`` with an integer
-literal), which is compiled on first use against ``math`` for
-:attr:`ScalarExpr.ev` and against ``numpy`` for :attr:`ScalarExpr.ev_array`
-and kept on the node.  The code is built as an ``ast`` from node fields
-only, never from user text, so its nesting is not bounded by the
-tokenizer.  Trees are immutable and safe to share between threads: the
-compiled functions are pure, so two threads that race on a first use
-compile the same code and either stored result is correct.
+Each tree has one compiled form.  :func:`_code` turns the tree into a
+single Python expression (``Sum`` and ``Prod`` as left folds, ``Neg`` and
+a negative constant as unary minus, ``Pow`` as ``**`` with an integer
+literal).  :func:`_compile` makes that expression, with every ``Var`` as
+the argument ``x``, the body of a lambda and compiles it once per node;
+:attr:`ScalarExpr.ev` binds the code to ``math`` and
+:attr:`ScalarExpr.ev_array` to ``numpy``.  :func:`serialize_expression`
+prints the same expression, each ``Var`` under its own name, with
+``ast.unparse``.  The code is built as an ``ast`` from node fields only,
+never from user text, so its nesting is not bounded by the tokenizer.
+Trees are immutable and safe to share between threads: the compiled
+functions are pure, so two threads that race on a first use compile the
+same code and either stored result is correct.
 """
 
 from __future__ import annotations
@@ -45,14 +48,19 @@ class ScalarExpr:
     """Base class for expression nodes."""
 
     @cached_property
+    def _compiled(self):
+        """The code object both evaluators bind, compiled on first use."""
+        return _compile(self)
+
+    @cached_property
     def ev(self) -> Callable[[float], float]:
         """The tree as a function of a float, evaluated with ``math``."""
-        return _compile(self, _SCALAR_NAMES)
+        return eval(self._compiled, _SCALAR_NAMES)
 
     @cached_property
     def ev_array(self) -> Callable[[np.ndarray], np.ndarray]:
         """The tree as a function of a float array, evaluated with ``numpy``."""
-        fn = _compile(self, _ARRAY_NAMES)
+        fn = eval(self._compiled, _ARRAY_NAMES)
         if _contains_var(self):
             return fn
         return lambda xs: np.full_like(xs, fn(xs), dtype=float)
@@ -123,36 +131,42 @@ _ARRAY_NAMES = {"__builtins__": {}, "sin": np.sin, "cos": np.cos, "exp": np.exp}
 _AT = {"lineno": 1, "col_offset": 0}
 
 
-def _code(node: ScalarExpr) -> ast.expr:
-    """``node`` as one Python expression in ``x``, in the tree's evaluation order."""
+def _code(node: ScalarExpr, var: str | None = None) -> ast.expr:
+    """``node`` as one Python expression, in the tree's evaluation order, with
+    every ``Var`` named ``var``, or its own name when ``var`` is None."""
     if isinstance(node, Const):
+        if math.copysign(1.0, node.value) < 0:  # -0.0 too
+            # unary minus of the magnitude: unparse prints (-2.0) ** 2, not -2.0 ** 2
+            return ast.UnaryOp(ast.USub(), ast.Constant(-node.value, **_AT), **_AT)
         return ast.Constant(node.value, **_AT)
     if isinstance(node, Var):
-        return ast.Name("x", ast.Load(), **_AT)
+        return ast.Name(var or node.name, ast.Load(), **_AT)
     if isinstance(node, Neg):
-        return ast.UnaryOp(ast.USub(), _code(node.child), **_AT)
+        return ast.UnaryOp(ast.USub(), _code(node.child, var), **_AT)
     if isinstance(node, (Sum, Prod)):
         op = ast.Add() if isinstance(node, Sum) else ast.Mult()
         return reduce(
-            lambda acc, c: ast.BinOp(acc, op, _code(c), **_AT),
+            lambda acc, c: ast.BinOp(acc, op, _code(c, var), **_AT),
             node.children[1:],
-            _code(node.children[0]),
+            _code(node.children[0], var),
         )
     if isinstance(node, Pow):
-        return ast.BinOp(_code(node.base), ast.Pow(), ast.Constant(node.exponent, **_AT), **_AT)
+        return ast.BinOp(_code(node.base, var), ast.Pow(), ast.Constant(node.exponent, **_AT),
+                         **_AT)
     if type(node) in _FUNCTION_NAMES:
         name = ast.Name(_FUNCTION_NAMES[type(node)], ast.Load(), **_AT)
-        return ast.Call(name, [_code(node.child)], [], **_AT)
+        return ast.Call(name, [_code(node.child, var)], [], **_AT)
     raise ExpressionError(f"unknown node {node!r}")  # pragma: no cover
 
 
-def _compile(node: ScalarExpr, names: dict) -> Callable:
-    """``lambda x: <_code(node)>`` with ``sin``, ``cos``, ``exp`` from ``names``."""
+def _compile(node: ScalarExpr):
+    """Code of ``lambda x: <_code(node, "x")>``, to ``eval`` with the names
+    ``sin``, ``cos``, ``exp`` bound."""
     args = ast.arguments(posonlyargs=[], args=[ast.arg("x", **_AT)], kwonlyargs=[],
                          kw_defaults=[], defaults=[])
     try:
-        tree = ast.Expression(ast.Lambda(args, _code(node), **_AT))
-        return eval(compile(tree, "<expression>", "eval"), names)
+        tree = ast.Expression(ast.Lambda(args, _code(node, "x"), **_AT))
+        return compile(tree, "<expression>", "eval")
     except RecursionError:
         raise ExpressionError("expression nested too deeply to compile") from None
 
@@ -277,21 +291,16 @@ class _Parser:
                 rhs = self.parse_term()
                 if val == "-":
                     rhs = Neg(rhs)
-                node = self._flat_add(node, rhs)
+                node = self._flat(Sum, node, rhs)
             else:
                 return node
 
     @staticmethod
-    def _flat_add(lhs, rhs):
-        if isinstance(lhs, Sum):
-            return Sum(lhs.children + (rhs,))
-        return Sum((lhs, rhs))
-
-    @staticmethod
-    def _flat_mul(lhs, rhs):
-        if isinstance(lhs, Prod):
-            return Prod(lhs.children + (rhs,))
-        return Prod((lhs, rhs))
+    def _flat(kind, lhs, rhs):
+        """``kind((lhs, rhs))``, or ``lhs`` extended by ``rhs`` when it is a ``kind``."""
+        if isinstance(lhs, kind):
+            return kind(lhs.children + (rhs,))
+        return kind((lhs, rhs))
 
     def parse_term(self):
         node = self.parse_factor()
@@ -299,7 +308,7 @@ class _Parser:
             kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 self.advance()
-                node = self._flat_mul(node, self.parse_factor())
+                node = self._flat(Prod, node, self.parse_factor())
             elif kind == "op" and val == "/":
                 self.advance()
                 rhs = fold_constants(self.parse_factor())
@@ -311,7 +320,7 @@ class _Parser:
                 if isinstance(lhs, Const):
                     node = Const(lhs.value / rhs.value)
                 else:
-                    node = self._flat_mul(node, Const(1.0 / rhs.value))
+                    node = self._flat(Prod, node, Const(1.0 / rhs.value))
             else:
                 return node
 
@@ -394,42 +403,10 @@ def parse_expression(
 
 # --- serialization ----------------------------------------------------------
 
-def _ser(node: ScalarExpr, parent_prec: int) -> str:
-    if isinstance(node, Const):
-        if math.copysign(1.0, node.value) < 0:  # -0.0 too
-            text = "-" + repr(-node.value)
-            return f"({text})" if parent_prec > 2 else text
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        text = "-" + _ser(node.child, 2)
-        return f"({text})" if parent_prec > 2 else text
-    if isinstance(node, Sum):
-        # non-leading children are parenthesized one level tighter so the
-        # re-parsed tree keeps the same association (bitwise evaluation)
-        parts = [_ser(node.children[0], 1)]
-        for c in node.children[1:]:
-            if isinstance(c, Neg):
-                parts.append("-" + _ser(c.child, 2))
-            elif isinstance(c, Const) and math.copysign(1.0, c.value) < 0:
-                parts.append("-" + repr(-c.value))
-            else:
-                parts.append("+" + _ser(c, 2))
-        text = "".join(parts)
-        return f"({text})" if parent_prec > 1 else text
-    if isinstance(node, Prod):
-        parts = [_ser(node.children[0], 2)]
-        parts.extend(_ser(c, 3) for c in node.children[1:])
-        text = "*".join(parts)
-        return f"({text})" if parent_prec > 2 else text
-    if isinstance(node, Pow):
-        return f"{_ser(node.base, 4)}^{node.exponent}"
-    if type(node) in _FUNCTION_NAMES:
-        return f"{_FUNCTION_NAMES[type(node)]}({_ser(node.child, 0)})"
-    raise ExpressionError(f"unknown node {node!r}")  # pragma: no cover
-
-
 def serialize_expression(expr: ScalarExpr) -> str:
-    """Text form that re-parses to an evaluation-equivalent tree."""
-    return _ser(expr, 0)
+    """Text form that re-parses to an evaluation-equivalent tree: the
+    compiled expression as ``ast.unparse`` prints it, ``**`` as ``^``."""
+    try:
+        return ast.unparse(_code(expr)).replace("**", "^")
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply to print") from None

@@ -33,7 +33,7 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from .expressions import Const, ScalarExpr, Sum
+from .expressions import Const, ScalarExpr
 from .problem import SINGULARITY_FACTOR, Problem
 from .quadrature import default_rel_tol, integrate
 from .series import EXP_OVERFLOW, IntervalSeries
@@ -172,7 +172,6 @@ class KernelTable:
             raise ValueError("kernel table requires a non-lagged grid")
         self.problem = problem
         self.rel_tol = default_rel_tol()
-        self._g = Sum((problem.a, problem.b))
         self._series: Dict[int, IntervalSeries] = {}
 
     # -- e route -------------------------------------------------------------
@@ -181,9 +180,10 @@ class KernelTable:
         """Series of e(., zeta_k) - 1 on interval k, built once per k."""
         found = self._series.get(k)
         if found is None:
-            grid = self.problem.grid
+            problem = self.problem
+            grid = problem.grid
             found = IntervalSeries(
-                self.problem.a, self._g, grid.knot(k), grid.knot(k + 1), grid.zeta(k), k
+                problem.a, problem.forcing, grid.knot(k), grid.knot(k + 1), grid.zeta(k), k
             )
             self._series[k] = found
         return found

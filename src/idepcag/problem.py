@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Tuple
 
-from .expressions import ScalarExpr, evaluate
+from .expressions import ScalarExpr, Sum, evaluate
 from .grid import ArgumentGrid, GridRangeError
 
 # A divisor d with |d| < SINGULARITY_FACTOR * (1 + |r|), r the quantity it was
@@ -132,3 +133,9 @@ class Problem:
             object.__setattr__(
                 self, "history", tuple(float(v) for v in self.history)
             )
+
+    @cached_property
+    def forcing(self) -> ScalarExpr:
+        """a + b, built once so every kernel table and trajectory of the
+        problem shares its one compiled form."""
+        return Sum((self.a, self.b))

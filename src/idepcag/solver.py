@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .expressions import Sum
-
 # flow_weighted_integral is unused here but stays bound in this module:
 # bench/tracing.py rebinds solver.flow_weighted_integral by name.
 from .kernel import KernelTable, _require_invertible, flow_weighted_integral  # noqa: F401
@@ -46,14 +44,17 @@ def _sgn(x: float) -> int:
 
 
 def bisect_root(f, a: float, b: float, fa: float, tol: float) -> float:
-    """A root of f in [a, b], given fa = f(a) and f(b) of the opposite sign.
+    """A root of f between a and b, given fa = f(a) and f(b) of the opposite sign.
 
-    Halves the bracket until it is at most tol wide, or returns a midpoint
-    where f is exactly 0.  Signs are compared, never multiplied, so values
-    near the ends of the float range cannot underflow the test.
+    Halves the bracket, in either order, until it is at most tol wide or
+    its midpoint rounds to an end, or returns a midpoint where f is exactly
+    0.  Signs are compared, never multiplied, so values near the ends of
+    the float range cannot underflow the test.
     """
-    while b - a > tol:
+    while abs(b - a) > tol:
         m = 0.5 * (a + b)
+        if m == a or m == b:  # neighbouring floats: no point lies between
+            break
         fm = f(m)
         if fm == 0.0:
             return m
@@ -120,7 +121,7 @@ class Trajectory:
             self._g = problem.b
             self.metadata["start_argument"] = "lagged history"
         else:
-            self._g = Sum((problem.a, problem.b))
+            self._g = problem.forcing
             clamped = grid.zeta(self.k_start) < problem.tau
             self.metadata["start_argument"] = "clamped to tau" if clamped else "grid value"
 

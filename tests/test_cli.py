@@ -417,6 +417,13 @@ class TestSweepCommand:
         cfg_path = write_config(tmp_path / "cfg.json", cfg)
         assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    def test_reversed_bounds_find_the_same_crossing(self, tmp_path, capsys):
+        cfg = json.loads((CONFIGS / "sine_forcing.json").read_text())
+        cfg["sweep"]["lo"], cfg["sweep"]["hi"] = cfg["sweep"]["hi"], cfg["sweep"]["lo"]
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_OK
+        assert "crossing: a0=2.07553339 " in capsys.readouterr().out
+
 
 class TestOracleCheckCommand:
     def test_agreement_within_tolerance(self, tmp_path, capsys):

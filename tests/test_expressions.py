@@ -126,6 +126,39 @@ class TestSerialize:
             assert evaluate(back, t) == evaluate(expr, t)
 
 
+# trees whose printed text needs the parentheses or signs a naive unparse drops
+_SIGN_AND_POWER_CASES = [
+    Pow(Const(-2.0), 2),  # "-2.0 ** 2" would re-parse as -(2.0^2)
+    Pow(Const(-1.5), 3),
+    Const(-0.0),
+    Neg(Const(-0.0)),
+    Neg(Const(-2.0)),
+    Sum((Var("t"), Const(-2.0))),
+    Sum((Const(-1.5), Var("t"), Const(-0.0))),
+    Sum((Var("t"), Neg(Const(-0.25)))),
+    Prod((Var("t"), Const(-2.0))),
+    Prod((Const(-0.5), Var("t"), Const(-3.0))),
+    Prod((Sum((Var("t"), Const(-1.0))), Const(-2.0))),
+    Pow(Pow(Var("t"), 2), 3),
+    Pow(Pow(Const(-1.5), 3), 2),
+    Pow(Neg(Pow(Var("t"), 2)), 3),
+    Pow(Sum((Var("t"), Const(-1.0))), 2),
+    Pow(Prod((Const(-2.0), Var("t"))), 2),
+    Sin(Pow(Const(-0.0), 1)),
+]
+
+
+class TestSerializeSignsAndPowers:
+    @pytest.mark.parametrize("expr", _SIGN_AND_POWER_CASES)
+    def test_printed_text_evaluates_bitwise_the_same(self, expr):
+        back = parse_expression(serialize_expression(expr))
+        for x in _POINTS:
+            x = float(x)
+            assert _scalar_outcome(back.ev, x) == _scalar_outcome(expr.ev, x)
+        want = expr.ev_array(_POINTS)
+        assert np.array_equal(back.ev_array(_POINTS).view(np.int64), want.view(np.int64))
+
+
 # random tree generation for the round-trip property
 
 _leaves = st.one_of(
@@ -244,6 +277,20 @@ class TestCompiledForms:
         expr = parse_expression("t^2 + 1")
         assert expr.ev is expr.ev and expr.ev_array is expr.ev_array
 
+    @pytest.mark.parametrize("expr", [parse_expression("t^2 + sin(t)"), Exp(Const(2.0))])
+    def test_both_evaluators_share_one_compile(self, monkeypatch, expr):
+        compiled = []
+        original = expressions_module._compile
+
+        def spy(*args):
+            compiled.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(expressions_module, "_compile", spy)
+        expr.ev(0.5)
+        expr.ev_array(np.array([0.5, 1.5]))
+        assert compiled == [expr]
+
 
 # variable-free trees, with constants over the whole float range
 _constant_trees = st.recursive(
@@ -318,6 +365,13 @@ class TestDeepNesting:
     def test_too_deep_to_parse_is_an_expression_error(self):
         with pytest.raises(ExpressionError, match="nested too deeply"):
             parse_expression("sin(" * 1000 + "t" + ")" * 1000)
+
+    def test_too_deep_to_print_is_an_expression_error(self):
+        expr = Var("t")
+        for _ in range(5000):
+            expr = Neg(expr)
+        with pytest.raises(ExpressionError, match="nested too deeply"):
+            serialize_expression(expr)
 
     def test_too_deep_to_compile_is_an_expression_error(self):
         expr = Var("t")

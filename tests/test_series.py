@@ -253,6 +253,12 @@ def test_oracle_zeros_match_solver_zeros_where_z_crosses(p):
 
 
 @PROPERTY
+@given(crossing_problems())
+def test_kernel_roots_are_sign_changes_where_z_crosses(p):
+    _assert_roots_change_sign(_solved(p))
+
+
+@PROPERTY
 @given(small_problems(), _fractions)
 def test_solution_stays_inside_gronwall_envelope(p, fractions):
     try:

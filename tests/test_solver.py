@@ -10,7 +10,7 @@ from idepcag.grid import LaggedUniformGrid, UniformGrid
 from idepcag.kernel import SingularKernel, j_value
 from idepcag.oscillation import classify_discrete
 from idepcag.problem import ImpulseDegenerate, ImpulseRule, Problem
-from idepcag.solver import eval_dense, solve, solve_lagged, step, zeros_in_interval
+from idepcag.solver import bisect_root, eval_dense, solve, solve_lagged, step, zeros_in_interval
 
 
 def unit_problem(a, b, impulses=None, alpha=0.0, tau=0.0, z0=1.0, horizon=10.0):
@@ -303,6 +303,27 @@ class TestLagged:
         assert changes  # oscillates, so in-interval zeros must exist somewhere
         k = changes[0]
         assert traj.zeros_in_interval(k)
+
+
+class TestBisectRoot:
+    def test_reversed_bracket_is_bisected(self):
+        f = lambda x: x - 0.3
+        forward = bisect_root(f, 0.0, 1.0, f(0.0), 1e-12)
+        assert abs(forward - 0.3) <= 1e-12
+        assert bisect_root(f, 1.0, 0.0, f(1.0), 1e-12) == forward
+
+    def test_neighbouring_floats_end_the_search(self):
+        a = 1.0
+        b = math.nextafter(a, 2.0)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            if len(calls) > 200:
+                raise RuntimeError("bisection does not stop on a bracket of neighbouring floats")
+            return -1.0 if x == a else 1.0
+
+        assert bisect_root(f, a, b, f(a), 0.0) in (a, b)
 
 
 class TestDeterminism:
