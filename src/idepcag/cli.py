@@ -31,6 +31,7 @@ from .oscillation import (
     DEFAULT_BURN_IN,
     DEFAULT_CRITERION_TOL,
     DEFAULT_WIDTH,
+    EXTREMA,
     CriterionReport,
     _window_extrema,
     aw_criterion,
@@ -49,8 +50,6 @@ EXIT_CONFIG = 2
 EXIT_SINGULAR = 3
 EXIT_NO_CROSSING = 4
 EXIT_RANGE = 5
-
-_SWEEP_QUANTITIES = ("sup_i_plus", "inf_i_plus", "sup_i_minus", "inf_i_minus")
 
 
 class ConfigError(ValueError):
@@ -155,6 +154,13 @@ def _analysis_window(cfg: dict, args, problem: Problem) -> Tuple[int, int]:
     if args.window:
         burn, width = args.window
     return default_window(problem, burn, width)
+
+
+def _finite(name: str, value: float) -> float:
+    """value, refused unless it is finite."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def _tolerance(name: str, value: float) -> float:
@@ -298,17 +304,17 @@ def cmd_sweep(cfg: dict, args) -> int:
         params = cfg.get("problem", {}).get("params", {})
         if pname not in params:
             raise ConfigError(f"sweep parameter {pname!r} not in problem params")
-        lo, hi = float(sweep["lo"]), float(sweep["hi"])
+        lo, hi = (_finite(f"sweep.{key}", float(sweep[key])) for key in ("lo", "hi"))
         steps = int(sweep.get("steps", 11))
         if steps < 2:
             raise ConfigError("sweep needs steps >= 2")
         target = sweep.get("target")
         if target:
             quantity = target.get("quantity")
-            if quantity not in _SWEEP_QUANTITIES:
-                raise ConfigError(f"target.quantity must be one of {_SWEEP_QUANTITIES}")
-            threshold = float(target["threshold"])
-            xtol = float(target.get("xtol", 1e-6))
+            if quantity not in EXTREMA:
+                raise ConfigError(f"target.quantity must be one of {EXTREMA}")
+            threshold = _finite("sweep.target.threshold", float(target["threshold"]))
+            xtol = _tolerance("sweep.target.xtol", float(target.get("xtol", 1e-6)))
     tol = _criterion_tol(cfg, args)
 
     def make(value: float) -> Problem:
@@ -336,8 +342,11 @@ def cmd_sweep(cfg: dict, args) -> int:
         return EXIT_OK
 
     def g(v: float) -> float:
-        extrema = ends.get(v.hex()) or _window_extrema(make(v), window)
-        return extrema[_SWEEP_QUANTITIES.index(quantity)] - threshold
+        extrema = ends.get(v.hex())
+        if extrema:
+            return extrema[EXTREMA.index(quantity)] - threshold
+        # a bisection step integrates only the side that ``quantity`` reads
+        return _window_extrema(make(v), window, quantity) - threshold
 
     g_lo, g_hi = g(lo), g(hi)
     if g_lo == 0.0:

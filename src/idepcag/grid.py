@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 
 class GridRangeError(ValueError):
     """Point outside the range covered by an explicit grid."""
@@ -32,6 +34,11 @@ class ArgumentGrid:
         raise NotImplementedError
 
     def interval_index(self, t: float) -> int:
+        raise NotImplementedError
+
+    def window(self, k_lo: int, k_hi: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(knots t_k_lo..t_k_hi, zetas zeta_k_lo..zeta_{k_hi-1}) as float
+        arrays, bitwise equal to :meth:`knot` and :meth:`zeta`."""
         raise NotImplementedError
 
     def gamma(self, t: float) -> float:
@@ -59,6 +66,11 @@ class _EvenKnots(ArgumentGrid):
 
     def knot(self, k):
         return self.t0 + k * self.h
+
+    def window(self, k_lo, k_hi):
+        # knot and zeta are the same float operations on an index array
+        ks = np.arange(k_lo, k_hi + 1)
+        return self.knot(ks), self.zeta(ks[:-1])
 
     def interval_index(self, t):
         if not math.isfinite(t):
@@ -119,6 +131,12 @@ class ExplicitGrid(ArgumentGrid):
         if not 0 <= k < len(self.zetas):
             raise GridRangeError(f"interval index {k} out of range")
         return self.zetas[k]
+
+    def window(self, k_lo, k_hi):
+        # the first index outside the grid that the scalar lookups would meet
+        self.knot(k_lo)
+        self.knot(min(k_hi, len(self.knots)))
+        return np.array(self.knots[k_lo : k_hi + 1]), np.array(self.zetas[k_lo:k_hi])
 
     def interval_index(self, t):
         if not (self.knots[0] <= t < self.knots[-1]):

@@ -220,15 +220,17 @@ class KernelTable:
 
     # -- definitional integrals ----------------------------------------------
 
-    def criterion(self, k: int, k_end: int | None = None):
+    def criterion(self, k: int, k_end: int | None = None, side: str | None = None):
         """(i_plus, i_minus, err): the advanced and delayed kernel integrals of
-        interval k, or with ``k_end`` arrays of them over [k, k_end), in one pass."""
-        grid = self.problem.grid
-        ks = range(k, k + 1 if k_end is None else k_end)
-        knots = np.array([grid.knot(j) for j in range(ks.start, ks.stop + 1)])
-        zetas = np.array([grid.zeta(j) for j in ks])
-        lo, hi = np.concatenate([knots[:-1], zetas]), np.concatenate([zetas, knots[1:]])
-        n = len(zetas)
+        interval k, or with ``k_end`` arrays of them over [k, k_end), in one pass.
+
+        With ``side`` "plus" or "minus", only that side's rows are integrated
+        and the result is (i_plus, err) or (i_minus, err); each row comes out
+        bitwise as in the pass over both sides.
+        """
+        knots, zetas = self.problem.grid.window(k, k + 1 if k_end is None else k_end)
+        rows = {"plus": (knots[:-1], zetas), "minus": (zetas, knots[1:])}
+        lo, hi = rows[side] if side else map(np.concatenate, zip(rows["plus"], rows["minus"]))
 
         def gamma(s: np.ndarray) -> np.ndarray:  # zeta_j on [t_j, t_{j+1})
             return zetas[np.searchsorted(knots[1:-1], s, side="right")]
@@ -236,10 +238,14 @@ class KernelTable:
         values, errs = flow_weighted_integral(
             self.problem.a, self.problem.b.ev_array, lo, hi, gamma, self.rel_tol
         )
-        i_plus, i_minus, err = values[:n], values[n:], errs[:n] + errs[n:]
+        if side:
+            out = values, errs
+        else:
+            n = len(zetas)
+            out = values[:n], values[n:], errs[:n] + errs[n:]
         if k_end is None:
-            return float(i_plus[0]), float(i_minus[0]), float(err[0])
-        return i_plus, i_minus, err
+            return tuple(float(x[0]) for x in out)
+        return out
 
     def h3(self, k: int) -> Tuple[float, float, float, float]:
         """(rho_plus, rho_minus, nu_plus, nu_minus) for interval k."""

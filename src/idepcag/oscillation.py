@@ -32,6 +32,7 @@ MIN_WINDOW_KNOTS = 8
 DEFAULT_BURN_IN = 8
 DEFAULT_WIDTH = 64
 DEFAULT_CRITERION_TOL = 1e-9
+EXTREMA = ("sup_i_plus", "inf_i_plus", "sup_i_minus", "inf_i_minus")
 
 
 @dataclass(frozen=True)
@@ -185,12 +186,21 @@ def wn_sequence(problem: Problem, k_range: Sequence[int]) -> List[float]:
     return out
 
 
-def _window_extrema(problem: Problem, window: Tuple[int, int]):
+def _window_extrema(problem: Problem, window: Tuple[int, int], quantity: Optional[str] = None):
+    """The four extrema of ``EXTREMA`` over the window, or with ``quantity``,
+    one of those names, that extremum alone from a pass over its side only."""
     k_lo, k_hi = window
     if k_hi <= k_lo:
         raise ValueError("empty criterion window")
-    i_plus, i_minus, _ = KernelTable(problem).criterion(k_lo, k_hi)
-    return float(i_plus.max()), float(i_plus.min()), float(i_minus.max()), float(i_minus.min())
+    table = KernelTable(problem)
+    if quantity is None:
+        i_plus, i_minus, _ = table.criterion(k_lo, k_hi)
+        return float(i_plus.max()), float(i_plus.min()), float(i_minus.max()), float(i_minus.min())
+    if quantity not in EXTREMA:
+        raise ValueError(f"quantity must be one of {EXTREMA}")
+    extremum, side = quantity.split("_i_")
+    values, _ = table.criterion(k_lo, k_hi, side)
+    return float(values.max() if extremum == "sup" else values.min())
 
 
 def _impulse_branch(problem: Problem, window: Tuple[int, int]) -> str:

@@ -14,6 +14,7 @@ from idepcag.cli import (
     build_problem,
     main,
 )
+import idepcag.kernel as kernel_module
 from idepcag.kernel import KernelTable
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -527,3 +528,60 @@ class TestWindowPasses:
         assert main(["sweep", "--config", str(CONFIGS / name), "--out", str(tmp_path)]) == EXIT_OK
         assert f"crossing: {crossing}" in capsys.readouterr().out
         assert len(window_passes) == passes
+
+    def test_a_bisection_step_integrates_only_the_targeted_side(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        rows = []
+        original = kernel_module.flow_weighted_integral
+
+        def counted(a, g, lo, hi, *args):
+            rows.append(len(lo))
+            return original(a, g, lo, hi, *args)
+
+        monkeypatch.setattr(kernel_module, "flow_weighted_integral", counted)
+        path = str(CONFIGS / "sine_forcing.json")
+        assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+        assert "crossing: a0=2.07553339 " in capsys.readouterr().out
+        # window [8, 48): 5 table rows over both sides, 20 steps over i_minus
+        assert rows == [80] * 5 + [40] * 20
+
+
+def _sweep_config(tmp_path, section, key, value):
+    cfg = json.loads((CONFIGS / "sine_forcing.json").read_text())
+    sweep = cfg["sweep"]
+    (sweep["target"] if section == "target" else sweep)[key] = value
+    return write_config(tmp_path / "cfg.json", cfg)
+
+
+class TestSweepTargetNumbers:
+    @pytest.mark.parametrize(
+        "section, key, value, name",
+        [
+            ("target", "xtol", math.nan, "sweep.target.xtol"),
+            ("target", "xtol", math.inf, "sweep.target.xtol"),
+            ("target", "xtol", -1e-6, "sweep.target.xtol"),
+            ("target", "threshold", math.nan, "sweep.target.threshold"),
+            ("target", "threshold", math.inf, "sweep.target.threshold"),
+            ("target", "threshold", -math.inf, "sweep.target.threshold"),
+            ("sweep", "lo", math.nan, "sweep.lo"),
+            ("sweep", "lo", -math.inf, "sweep.lo"),
+            ("sweep", "hi", math.nan, "sweep.hi"),
+            ("sweep", "hi", math.inf, "sweep.hi"),
+        ],
+    )
+    def test_non_finite_numbers_are_refused_before_any_window_pass(
+        self, tmp_path, capsys, window_passes, section, key, value, name
+    ):
+        cfg_path = _sweep_config(tmp_path, section, key, value)
+        assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: {name} must be finite" in captured.err
+        assert window_passes == []
+
+    def test_zero_xtol_bisects_to_neighbouring_floats(self, tmp_path, capsys):
+        # within the default xtol = 1e-6 of the 2.07553339 found with it
+        cfg_path = _sweep_config(tmp_path, "target", "xtol", 0.0)
+        assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_OK
+        assert "crossing: a0=2.07553385 " in capsys.readouterr().out

@@ -192,7 +192,11 @@ class TestRoundTripProperty:
         try:
             text = serialize_expression(expr)
             back = parse_expression(text)
-        except ExpressionError:
+        except ExpressionError as exc:
+            # a drawn tree may fold to a constant beyond the float range;
+            # every other refusal is a round-trip failure
+            if "constant subexpression overflows" not in str(exc):
+                raise
             assume(False)
         rng = random.Random(1234)
         for _ in range(100):

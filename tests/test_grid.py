@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idepcag.grid import ExplicitGrid, GridRangeError, LaggedUniformGrid, UniformGrid
 
@@ -95,3 +97,54 @@ class TestInvariants:
             assert a0 == g.knot(k)
             assert a1 == d0 == g.zeta(k)
             assert d1 == g.knot(k + 1)
+
+
+def _scalar_window(grid, k_lo, k_hi):
+    return [grid.knot(j) for j in range(k_lo, k_hi + 1)], [grid.zeta(j) for j in range(k_lo, k_hi)]
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+class TestWindow:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(-1e6, 1e6),
+        st.floats(1e-6, 1e3),
+        st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        st.integers(-1000, 10**6),
+        st.integers(0, 40),
+        st.integers(0, 3),
+    )
+    def test_even_grid_window_is_the_scalar_lookups_bitwise(self, t0, h, alpha, k_lo, width, lag):
+        grid = LaggedUniformGrid(t0, h, lag) if lag else UniformGrid(t0, h, alpha)
+        k_hi = min(k_lo + width, 10**6)
+        knots, zetas = grid.window(k_lo, k_hi)
+        want_knots, want_zetas = _scalar_window(grid, k_lo, k_hi)
+        assert _bits(knots) == _bits(want_knots)
+        assert _bits(zetas) == _bits(want_zetas)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=20), st.data())
+    def test_explicit_grid_window_is_the_scalar_lookups_bitwise(self, steps, data):
+        knots = [data.draw(st.floats(-100.0, 100.0))]
+        for h in steps:
+            knots.append(knots[-1] + h)
+        zetas = [min(hi, lo + data.draw(st.floats(0.0, 1.0)) * (hi - lo))
+                 for lo, hi in zip(knots, knots[1:])]
+        grid = ExplicitGrid(tuple(knots), tuple(zetas))
+        k_lo = data.draw(st.integers(0, len(steps)))
+        k_hi = data.draw(st.integers(k_lo, len(steps)))
+        got_knots, got_zetas = grid.window(k_lo, k_hi)
+        want_knots, want_zetas = _scalar_window(grid, k_lo, k_hi)
+        assert _bits(got_knots) == _bits(want_knots)
+        assert _bits(got_zetas) == _bits(want_zetas)
+
+    @pytest.mark.parametrize("k_lo, k_hi", [(2, 5), (3, 9), (-1, 2), (4, 6), (7, 8)])
+    def test_explicit_window_past_the_grid_names_the_same_index(self, k_lo, k_hi):
+        grid = ExplicitGrid((0.0, 1.0, 2.0, 3.0), (0.5, 1.5, 2.5))
+        with pytest.raises(GridRangeError) as scalar:
+            _scalar_window(grid, k_lo, k_hi)
+        with pytest.raises(GridRangeError, match=f"^{scalar.value}$"):
+            grid.window(k_lo, k_hi)

@@ -19,7 +19,7 @@ from idepcag.kernel import (
     phi,
     w_intra,
 )
-from idepcag.oscillation import _window_extrema
+from idepcag.oscillation import EXTREMA, _window_extrema
 from idepcag.problem import ImpulseRule, Problem
 from idepcag.quadrature import default_rel_tol, integrate
 
@@ -318,6 +318,27 @@ class TestCriterionWindowPass:
         i_plus, i_minus, err = KernelTable(p).criterion(2, k_end)
         for n, k in enumerate(range(2, k_end)):
             assert KernelTable(p).criterion(k) == (i_plus[n], i_minus[n], err[n])
+
+    @settings(max_examples=30, deadline=None)
+    @given(_window_problems(), st.integers(0, 4))
+    @example(  # every delayed row refines
+        make_problem(Const(-2.2), parse_expression("sin(2*pi*t)")), 0
+    )
+    @example(make_problem(parse_expression("-2.2 + 0.5*sin(t)"), parse_expression("cos(3*t)"),
+                          alpha=0.3), 1)
+    def test_one_side_gives_the_extremum_of_both_bitwise(self, problem, k_lo):
+        both = _window_extrema(problem, (k_lo, 5))
+        for i, quantity in enumerate(EXTREMA):
+            assert _window_extrema(problem, (k_lo, 5), quantity).hex() == both[i].hex()
+        table = KernelTable(problem)
+        i_plus, i_minus, _ = table.criterion(k_lo)
+        assert table.criterion(k_lo, None, "plus")[0].hex() == i_plus.hex()
+        assert table.criterion(k_lo, None, "minus")[0].hex() == i_minus.hex()
+
+    def test_unknown_quantity_is_refused(self):
+        p = make_problem(Const(-1.0), Const(0.5))
+        with pytest.raises(ValueError, match="quantity must be one of"):
+            _window_extrema(p, (0, 4), "sup_i")
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_zero_length_rows_are_exactly_zero(self, alpha):
