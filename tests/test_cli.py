@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import idepcag.kernel as kernel_module
 from idepcag.cli import (
     EXIT_CONFIG,
     EXIT_NO_CROSSING,
@@ -14,7 +15,6 @@ from idepcag.cli import (
     build_problem,
     main,
 )
-import idepcag.kernel as kernel_module
 from idepcag.kernel import KernelTable
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
