@@ -192,6 +192,15 @@ def _require_finite(k: int, *values: float) -> None:
         raise OverflowError(f"solution value is not finite on interval k={k}")
 
 
+def _write(args, name: str, text: str) -> Path:
+    """Write one output file into ``--out``, made if missing; its path."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / name
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 def cmd_solve(cfg: dict, args) -> int:
     problem = build_problem(cfg)
     with _reading("output"):
@@ -201,38 +210,29 @@ def cmd_solve(cfg: dict, args) -> int:
     traj = solve(problem)
 
     k_end = problem.grid.interval_index(problem.horizon)
+
+    def sample_times():  # the horizon comes last, so the rows end on z(horizon)
+        for k in range(traj.k_start, k_end + 1):
+            lo, hi = traj._window(k)
+            if lo < hi:
+                yield from ((lo + (hi - lo) * i / n_samples, k) for i in range(n_samples))
+        yield problem.horizon, k_end
+
     rows: List[str] = ["t,z,interval_k,is_knot,z_left,z_right"]
-    for k in range(traj.k_start, k_end + 1):
-        lo, hi = traj._window(k)
-        if hi <= lo:
-            continue
-        for i in range(n_samples):
-            t = lo + (hi - lo) * i / n_samples
-            pt = traj._by_time.get(t)
-            if pt is not None:
-                z_left, z_right, is_knot = pt.z_left, pt.z_right, 1
-            else:
-                z_left = z_right = traj.value(t)
-                is_knot = 0
-            _require_finite(k, z_left, z_right)
-            rows.append(
-                f"{_fmt(t)},{_fmt(z_right)},{k},{is_knot},{_fmt(z_left)},{_fmt(z_right)}"
-            )
-    t = problem.horizon
-    final, final_left = traj.value(t), traj.value(t, "left")
-    _require_finite(k_end, final, final_left)
-    rows.append(
-        f"{_fmt(t)},{_fmt(final)},{k_end},"
-        f"{1 if t in traj._by_time else 0},{_fmt(final_left)},{_fmt(final)}"
-    )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "trajectory.csv"
-    out_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    for t, k in sample_times():
+        pt = traj._by_time.get(t)
+        if pt is not None:
+            z_left, z_right, is_knot = pt.z_left, pt.z_right, 1
+        else:
+            z_left = z_right = traj.value(t)
+            is_knot = 0
+        _require_finite(k, z_left, z_right)
+        rows.append(f"{_fmt(t)},{_fmt(z_right)},{k},{is_knot},{_fmt(z_left)},{_fmt(z_right)}")
+    out_path = _write(args, "trajectory.csv", "\n".join(rows) + "\n")
 
     zeros = traj.zero_list()
     print(
-        f"knots={len(traj.points)} zeros={len(zeros)} final={_fmt(final)} "
+        f"knots={len(traj.points)} zeros={len(zeros)} final={_fmt(z_right)} "
         f"start_argument=\"{traj.metadata.get('start_argument', '')}\" out={out_path}"
     )
     return EXIT_OK
@@ -257,9 +257,7 @@ def cmd_classify(cfg: dict, args) -> int:
         lines.append(f"continuous: {refined.status}")
         lines.append(f"continuous_evidence: {refined.evidence}")
         final = refined
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "classify_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write(args, "classify_report.txt", "\n".join(lines) + "\n")
     print(f"verdict: {final.status}")
     for line in lines[1:]:
         print(line)
@@ -283,10 +281,7 @@ def cmd_criterion(cfg: dict, args) -> int:
         )
     window = _analysis_window(cfg, args, problem)
     final, reports = _criterion_verdict(problem, window, _criterion_tol(cfg, args))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    text = "\n".join(r.to_text() for r in reports)
-    (out_dir / "criterion_report.txt").write_text(text, encoding="utf-8")
+    _write(args, "criterion_report.txt", "\n".join(r.to_text() for r in reports))
     print(f"verdict: {final}")
     for r in reports:
         print(
@@ -320,46 +315,38 @@ def cmd_sweep(cfg: dict, args) -> int:
     def make(value: float) -> Problem:
         return build_problem(cfg, {pname: value})
 
-    window = _analysis_window(cfg, args, make(lo))
-    rows = ["parameter,sup_i_plus,inf_i_plus,sup_i_minus,inf_i_minus,verdict"]
-    ends = {}  # extrema of the first and last rows, by the exact bits of their value
-    for i in range(steps):
-        v = lo + (hi - lo) * i / (steps - 1)
-        verdict, reports = _criterion_verdict(make(v), window, tol)
-        osc = reports[0]
-        if i in (0, steps - 1):
-            ends[v.hex()] = osc.extrema
-        rows.append(
-            f"{_fmt(v)},{_fmt(osc.sup_i_plus)},{_fmt(osc.inf_i_plus)},"
-            f"{_fmt(osc.sup_i_minus)},{_fmt(osc.inf_i_minus)},{verdict}"
-        )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "sweep.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-
+    # one rule for every row; the last is hi itself, so the end rows bracket the crossing
+    values = [lo + (hi - lo) * i / (steps - 1) for i in range(steps - 1)] + [hi]
+    window = None
+    rows = [",".join(("parameter",) + EXTREMA + ("verdict",))]
+    row_extrema = []
+    for v in values:
+        problem = make(v)
+        if window is None:
+            window = _analysis_window(cfg, args, problem)
+        verdict, reports = _criterion_verdict(problem, window, tol)
+        row_extrema.append(reports[0].extrema)
+        rows.append(",".join([_fmt(v), *map(_fmt, row_extrema[-1]), verdict]))
+    path = _write(args, "sweep.csv", "\n".join(rows) + "\n")
+    print(f"sweep: {steps} rows -> {path}")
     if not target:
-        print(f"sweep: {steps} rows -> {out_dir / 'sweep.csv'}")
         return EXIT_OK
 
     def g(v: float) -> float:
-        extrema = ends.get(v.hex())
-        if extrema:
-            return extrema[EXTREMA.index(quantity)] - threshold
         # a bisection step integrates only the side that ``quantity`` reads
         return _window_extrema(make(v), window, quantity) - threshold
 
-    g_lo, g_hi = g(lo), g(hi)
+    index = EXTREMA.index(quantity)
+    g_lo, g_hi = (row_extrema[i][index] - threshold for i in (0, -1))
     if g_lo == 0.0:
         root = lo
     elif g_hi == 0.0:
         root = hi
     elif (g_lo < 0.0) == (g_hi < 0.0):
-        print(f"sweep: {steps} rows -> {out_dir / 'sweep.csv'}")
         print("no crossing")
         return EXIT_NO_CROSSING
     else:
         root = bisect_root(g, lo, hi, g_lo, xtol)
-    print(f"sweep: {steps} rows -> {out_dir / 'sweep.csv'}")
     print(f"crossing: {pname}={root:.8f} ({quantity} = {threshold:g})")
     return EXIT_OK
 
@@ -390,13 +377,12 @@ def cmd_oracle_check(cfg: dict, args) -> int:
         dev = abs(zk - zo) / max(abs(zk), abs(zo), sys.float_info.min)
         if dev > max_dev:
             max_dev, worst_t = dev, t
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report = (
+    _write(
+        args,
+        "oracle_check.txt",
         f"samples: {n_samples}\noracle_steps: {steps}\n"
-        f"max_rel_dev: {max_dev:.6e}\nworst_t: {_fmt(worst_t)}\ntol: {check_tol:g}\n"
+        f"max_rel_dev: {max_dev:.6e}\nworst_t: {_fmt(worst_t)}\ntol: {check_tol:g}\n",
     )
-    (out_dir / "oracle_check.txt").write_text(report, encoding="utf-8")
     print(f"max_rel_dev={max_dev:.6e} tol={check_tol:g}")
     return EXIT_OK if max_dev <= check_tol else EXIT_DEVIATION
 

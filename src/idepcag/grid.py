@@ -45,14 +45,6 @@ class ArgumentGrid:
         """Argument value at time t (constant on each interval)."""
         return self.zeta(self.interval_index(t))
 
-    def split(self, k: int) -> Tuple[Tuple[float, float], Tuple[float, float]]:
-        """Advanced part [t_k, zeta_k] and delayed part [zeta_k, t_{k+1}]."""
-        if self.lagged:
-            raise ValueError("lagged grid has no in-interval split")
-        tk, tk1 = self.knot(k), self.knot(k + 1)
-        zk = self.zeta(k)
-        return (tk, zk), (zk, tk1)
-
 
 class _EvenKnots(ArgumentGrid):
     """Knots t_k = t0 + k*h, shared by the uniform and lagged grids; the

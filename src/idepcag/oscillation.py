@@ -66,8 +66,8 @@ class CriterionReport:
 
     @property
     def extrema(self) -> Tuple[float, float, float, float]:
-        """(sup_i_plus, inf_i_plus, sup_i_minus, inf_i_minus) over the window."""
-        return self.sup_i_plus, self.inf_i_plus, self.sup_i_minus, self.inf_i_minus
+        """The fields named in ``EXTREMA``, in that order."""
+        return tuple(getattr(self, name) for name in EXTREMA)
 
     def to_text(self) -> str:
         lines = [
@@ -75,11 +75,8 @@ class CriterionReport:
             f"branch: {self.branch}",
             f"verdict: {self.verdict}",
             f"window: [{self.window[0]}, {self.window[1]})",
-            f"sup_i_plus: {self.sup_i_plus:.17g}",
-            f"inf_i_plus: {self.inf_i_plus:.17g}",
-            f"sup_i_minus: {self.sup_i_minus:.17g}",
-            f"inf_i_minus: {self.inf_i_minus:.17g}",
-            f"thresholds: +1 / -1",
+            *(f"{name}: {getattr(self, name):.17g}" for name in EXTREMA),
+            "thresholds: +1 / -1",
             f"margin: {self.margin:.17g}",
             f"tol: {self.tol:.17g}",
         ]
@@ -240,17 +237,13 @@ def _criterion(
         window = default_window(problem)
     branch = _impulse_branch(problem, window)
     extrema = extrema or _window_extrema(problem, window)
-    sup_ip, inf_ip, sup_im, inf_im = extrema
     report = functools.partial(
         CriterionReport,
         criterion=criterion,
         branch=branch,
         window=window,
-        sup_i_plus=sup_ip,
-        inf_i_plus=inf_ip,
-        sup_i_minus=sup_im,
-        inf_i_minus=inf_im,
         tol=tol,
+        **dict(zip(EXTREMA, extrema)),
     )
     if branch == "mixed":
         return report(

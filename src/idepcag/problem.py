@@ -90,9 +90,9 @@ class ImpulseRule:
         return evaluate(self.expr, float(k))
 
     def factor(self, k: int) -> float:
-        """1 + c_k, raising if the jump degenerates."""
+        """1 + c_k (C itself for a multiplier), raising if the jump degenerates."""
         c = self.c(k)
-        f = 1.0 + c
+        f = self.c0 if self.kind == "multiplier" else 1.0 + c
         if abs(f) < SINGULARITY_FACTOR * (1.0 + abs(c)):
             raise ImpulseDegenerate(k)
         return f

@@ -1,8 +1,8 @@
 """Adaptive Gauss-Kronrod quadrature for signed one-dimensional integrals.
 
-:func:`integrate` takes one integral of a function of a float;
-:func:`integrate_rows` takes many at once, one row each, of a function of
-a float array, with the same rule, acceptance test and errors per row.
+:func:`integrate` takes one integral of a function of a float, or, given
+arrays of limits, many at once, one row each, of a function of a float
+array, with the same rule, acceptance test and errors per row.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import idepcag.cli as cli_module
 import idepcag.kernel as kernel_module
 from idepcag.cli import (
     EXIT_CONFIG,
@@ -16,6 +17,7 @@ from idepcag.cli import (
     main,
 )
 from idepcag.kernel import KernelTable
+from idepcag.quadrature import QuadratureError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -425,6 +427,18 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_OK
         assert "crossing: a0=2.07553339 " in capsys.readouterr().out
 
+    def test_table_is_reported_before_a_failing_bisection(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise QuadratureError("no convergence")
+
+        monkeypatch.setattr(cli_module, "_window_extrema", fail)
+        path = str(CONFIGS / "sine_forcing.json")
+        assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == f"sweep: 5 rows -> {tmp_path / 'sweep.csv'}\n"
+        assert "quadrature failure: no convergence" in captured.err
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 6
+
 
 class TestOracleCheckCommand:
     def test_agreement_within_tolerance(self, tmp_path, capsys):
@@ -514,20 +528,23 @@ class TestWindowPasses:
     @pytest.mark.parametrize(
         "name, passes, crossing",
         [
-            # 5 rows; 1.5 + 1.0*4/4 is 2.5, so both end rows stand in for
-            # g(lo) and g(hi); then 20 bisection steps down to xtol = 1e-6
+            # one pass per row, the end rows give g(lo) and g(hi), then
+            # 20 bisection steps down to xtol = 1e-6
             ("sine_forcing.json", 5 + 20, "a0=2.07553339 "),
-            # 7 rows; 0.3 + 0.6*6/6 is 0.8999999999999999, not 0.9, so only
-            # the first row stands in and g(hi) takes its own pass
-            ("decay_with_floor.json", 7 + 1 + 20, "q0=0.58197699 "),
+            # 0.3 + (0.9 - 0.3)*6/6 is 0.9000000000000001; the last row is hi
+            ("decay_with_floor.json", 7 + 20, "q0=0.58197699 "),
         ],
     )
-    def test_sweep_reuses_end_rows_only_on_equal_bits(
+    def test_sweep_reads_the_bracket_from_its_end_rows(
         self, tmp_path, capsys, window_passes, name, passes, crossing
     ):
         assert main(["sweep", "--config", str(CONFIGS / name), "--out", str(tmp_path)]) == EXIT_OK
         assert f"crossing: {crossing}" in capsys.readouterr().out
         assert len(window_passes) == passes
+        sweep = json.loads((CONFIGS / name).read_text())["sweep"]
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        values = [float(row.split(",")[0]) for row in rows]
+        assert (len(values), values[0], values[-1]) == (sweep["steps"], sweep["lo"], sweep["hi"])
 
     def test_a_bisection_step_integrates_only_the_targeted_side(
         self, tmp_path, capsys, monkeypatch

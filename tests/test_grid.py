@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idepcag.expressions import Const
 from idepcag.grid import ExplicitGrid, GridRangeError, LaggedUniformGrid, UniformGrid
+from idepcag.kernel import KernelTable
+from idepcag.problem import Problem
 
 
 class TestIntervalIndex:
@@ -36,19 +39,28 @@ class TestGamma:
         assert LaggedUniformGrid(0.0, 1.0, 1).gamma(3.7) == 2.0
 
 
+def _split(grid, k):
+    """Advanced part [t_k, zeta_k] and delayed part [zeta_k, t_{k+1}] of
+    interval k, as the criterion rows take them from ``window``."""
+    knots, zetas = grid.window(k, k + 1)
+    return (knots[0], zetas[0]), (zetas[0], knots[1])
+
+
 class TestSplit:
     def test_alpha_zero_degenerates_advanced(self):
-        assert UniformGrid(0.0, 1.0, 0.0).split(2) == ((2.0, 2.0), (2.0, 3.0))
+        assert _split(UniformGrid(0.0, 1.0, 0.0), 2) == ((2.0, 2.0), (2.0, 3.0))
 
     def test_alpha_one_degenerates_delayed(self):
-        assert UniformGrid(0.0, 1.0, 1.0).split(2) == ((2.0, 3.0), (3.0, 3.0))
+        assert _split(UniformGrid(0.0, 1.0, 1.0), 2) == ((2.0, 3.0), (3.0, 3.0))
 
     def test_midpoint_split(self):
-        assert UniformGrid(0.0, 2.0, 0.5).split(1) == ((2.0, 3.0), (3.0, 4.0))
+        assert _split(UniformGrid(0.0, 2.0, 0.5), 1) == ((2.0, 3.0), (3.0, 4.0))
 
     def test_lagged_has_no_split(self):
+        # the argument lies outside the interval, so there is no kernel table
+        p = Problem(Const(0.0), Const(1.0), LaggedUniformGrid(0.0, 1.0, 1), history=(1.0,))
         with pytest.raises(ValueError, match="lagged"):
-            LaggedUniformGrid(0.0, 1.0, 1).split(2)
+            KernelTable(p)
 
 
 class TestExplicitGrid:
@@ -93,7 +105,7 @@ class TestInvariants:
         for _ in range(50):
             g = UniformGrid(rng.uniform(-2, 2), rng.uniform(0.1, 3), rng.random())
             k = rng.randint(-5, 5)
-            (a0, a1), (d0, d1) = g.split(k)
+            (a0, a1), (d0, d1) = _split(g, k)
             assert a0 == g.knot(k)
             assert a1 == d0 == g.zeta(k)
             assert d1 == g.knot(k + 1)

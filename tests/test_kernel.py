@@ -147,6 +147,7 @@ class TestH3Check:
             for k in range(0, 8):
                 ik = table.interval_kernel(k)
                 assert abs(1.0 / ik.j_at_tk) <= rep.inverse_bound_plus * (1 + 1e-9)
+                assert abs(1.0 / ik.j_at_tk1) <= rep.inverse_bound_minus * (1 + 1e-9)
                 assert abs(ik.j_at_tk1) <= (1.0 + rep.sup_nu_minus) * (1 + 1e-9)
 
 

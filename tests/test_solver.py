@@ -200,6 +200,21 @@ class TestZeros:
         assert solve(kicked).value(79.5) == pytest.approx(float(expected), rel=1e-12, abs=0.0)
 
 
+class TestMultiplierFactor:
+    @pytest.mark.parametrize("C", [1e-11, 0.1, -0.9])
+    def test_factor_is_C_itself(self, C):
+        # 1.0 + (C - 1.0) is 1.0000000827e-11 for C = 1e-11
+        rule = ImpulseRule.multiplier(C)
+        assert rule.factor(3).hex() == C.hex()
+        assert rule.c(3) == C - 1.0
+
+    def test_chain_of_small_multipliers_is_exact(self):
+        C = 1e-11
+        p = unit_problem(Const(0.0), Const(0.0), ImpulseRule.multiplier(C), z0=-3.0, horizon=20.5)
+        expected = Fraction(-3.0) * Fraction(C) ** 20
+        assert solve(p).value(20.5) == pytest.approx(float(expected), rel=1e-12, abs=0.0)
+
+
 class TestInteriorStart:
     def test_clamped_argument_when_behind_tau(self):
         # alpha = 0 puts the argument value behind an interior tau

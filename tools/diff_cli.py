@@ -11,7 +11,9 @@ given, once per tree, each run in a fresh interpreter with
 ``PYTHONDONTWRITEBYTECODE=1`` and its own temporary ``--out`` directory.
 The output directory is masked in stdout and stderr, then the exit code,
 stdout, stderr and the bytes of every output file are compared.  One line
-per (command, config) pair; the exit status is 1 when any pair differs.
+per (command, config) pair; the exit status is 1 when any pair differs
+and 2, before any pair runs, on a usage error or a tree without the
+package.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ def _source_path(tree: str) -> str:
     if (path / "src" / "idepcag").is_dir():
         path = path / "src"
     if not (path / "idepcag").is_dir():
-        sys.exit(f"no idepcag package under {tree}")
+        print(f"no idepcag package under {tree}", file=sys.stderr)
+        sys.exit(2)
     return str(path)
 
 
