@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .expressions import ExpressionError, parse_expression
+from .expressions import ExpressionError, parameters, parse_expression
 from .grid import ArgumentGrid, ExplicitGrid, GridRangeError, LaggedUniformGrid, UniformGrid
 from .kernel import SingularKernel
 from .oracle import oracle_integrate
@@ -84,18 +84,19 @@ def _build_grid(cfg: dict) -> ArgumentGrid:
     raise ConfigError(f"grid.type must be uniform|explicit|lagged, got {kind!r}")
 
 
+# the key of the one value of an impulse kind: a number, or an expression in the params
+_IMPULSE_VALUE_KEYS = {"constant": "c", "multiplier": "C", "alternating": "c"}
+
+
 def _build_impulse(cfg: Optional[dict], params: Dict[str, float]) -> ImpulseRule:
     if cfg is None:
         return ImpulseRule.none()
     kind = cfg.get("type", "none")
     if kind == "none":
         return ImpulseRule.none()
-    if kind == "constant":
-        return ImpulseRule.constant(_bound_value(cfg["c"], params))
-    if kind == "multiplier":
-        return ImpulseRule.multiplier(_bound_value(cfg["C"], params))
-    if kind == "alternating":
-        return ImpulseRule.alternating(_bound_value(cfg["c"], params))
+    if kind in _IMPULSE_VALUE_KEYS:
+        make = getattr(ImpulseRule, kind)
+        return make(_bound_value(cfg[_IMPULSE_VALUE_KEYS[kind]], params))
     if kind == "explicit":
         return ImpulseRule.explicit(cfg["values"], int(cfg.get("start_k", 0)))
     if kind == "expr":
@@ -111,6 +112,20 @@ def _bound_value(v, params: Dict[str, float]) -> float:
         return float(v)
     expr = parse_expression(str(v), (), params)
     return expr.ev(0.0)
+
+
+def _expression_texts(pcfg: dict) -> List[Tuple[str, Tuple[str, ...]]]:
+    """(text, variables) of every expression ``build_problem`` parses."""
+    texts = [(pcfg["a"], ("t",)), (pcfg["b"], ("t",))]
+    icfg = pcfg.get("impulse") or {}
+    kind = icfg.get("type", "none")
+    if kind == "expr":
+        texts.append((icfg["expr"], ("k",)))
+    elif kind in _IMPULSE_VALUE_KEYS:
+        value = icfg[_IMPULSE_VALUE_KEYS[kind]]
+        if not isinstance(value, (int, float)):
+            texts.append((str(value), ()))
+    return texts
 
 
 def build_problem(cfg: dict, param_overrides: Optional[Dict[str, float]] = None) -> Problem:
@@ -310,6 +325,10 @@ def cmd_sweep(cfg: dict, args) -> int:
                 raise ConfigError(f"target.quantity must be one of {EXTREMA}")
             threshold = _finite("sweep.target.threshold", float(target["threshold"]))
             xtol = _tolerance("sweep.target.xtol", float(target.get("xtol", 1e-6)))
+    with _reading("problem"):
+        texts = _expression_texts(cfg["problem"])
+        if not any(pname in parameters(text, variables, params) for text, variables in texts):
+            raise ConfigError(f"sweep parameter {pname!r} is read by no expression")
     tol = _criterion_tol(cfg, args)
 
     def make(value: float) -> Problem:

@@ -6,30 +6,40 @@ operators ``+ - * /`` and integer powers ``^``, and the functions ``sin``,
 ``cos``, ``exp``.  Division is accepted only by a constant divisor so every
 parsed expression maps onto the node set below.
 
-Each tree has one compiled form.  :func:`_code` turns the tree into a
-single Python expression (``Sum`` and ``Prod`` as left folds, ``Neg`` and
-a negative constant as unary minus, ``Pow`` as ``**`` with an integer
-literal).  :func:`_compile` makes that expression, with every ``Var`` as
-the argument ``x``, the body of a lambda and compiles it once per node;
-:attr:`ScalarExpr.ev` binds the code to ``math`` and
-:attr:`ScalarExpr.ev_array` to ``numpy``.  :func:`serialize_expression`
-prints the same expression, each ``Var`` under its own name, with
+Each text is read once.  :func:`parse_expression` caches, bounded, the
+pre-parse of each (text, variables, binding names), in which a binding is
+a parameter leaf and a division or parenthesised exponent waits for the
+values; each call binds the values, resolves those operations with the
+parser's own arithmetic and folds constants.
+
+Each tree shape is compiled once.  :func:`_shape` splits a tree into its
+shape (node types, exponents, variable names) and its constants, and
+:func:`_code` turns a shape into one Python expression (``Sum`` and
+``Prod`` as left folds, ``Neg`` as unary minus, ``Pow`` as ``**`` with an
+integer literal).  :func:`_compile` keeps, in a bounded cache by shape,
+the code of ``lambda c0, c1, ...: lambda x: <expression>``, every ``Var``
+as ``x`` and the constants as closure cells; :attr:`ScalarExpr.ev` binds
+it to ``math`` and :attr:`ScalarExpr.ev_array` to ``numpy``, each with the
+node's own constants.  :func:`serialize_expression` prints the expression,
+constants as literals and each ``Var`` under its own name, with
 ``ast.unparse``.  The code is built as an ``ast`` from node fields only,
 never from user text, so its nesting is not bounded by the tokenizer.
 Trees are immutable and safe to share between threads: the compiled
-functions are pure, so two threads that race on a first use compile the
-same code and either stored result is correct.
+functions are pure and each cache maps a key to one value, so two threads
+that race on a first use store equal results.
 """
 
 from __future__ import annotations
 
 import ast
+import itertools
 import math
 import operator
 import re
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from typing import Callable, Mapping, Tuple
+from functools import cached_property, lru_cache, partial, reduce
+from typing import Callable, Iterable, Mapping, Tuple
 
 import numpy as np
 
@@ -49,19 +59,22 @@ class ScalarExpr:
 
     @cached_property
     def _compiled(self):
-        """The code object both evaluators bind, compiled on first use."""
+        """The code of the tree's shape, its constants and whether it reads
+        a variable, which both evaluators bind, found on first use."""
         return _compile(self)
 
     @cached_property
     def ev(self) -> Callable[[float], float]:
         """The tree as a function of a float, evaluated with ``math``."""
-        return eval(self._compiled, _SCALAR_NAMES)
+        code, constants, _ = self._compiled
+        return eval(code, _SCALAR_NAMES)(*constants)
 
     @cached_property
     def ev_array(self) -> Callable[[np.ndarray], np.ndarray]:
         """The tree as a function of a float array, evaluated with ``numpy``."""
-        fn = eval(self._compiled, _ARRAY_NAMES)
-        if _contains_var(self):
+        code, constants, varying = self._compiled
+        fn = eval(code, _ARRAY_NAMES)(*constants)
+        if varying:
             return fn
         return lambda xs: np.full_like(xs, fn(xs), dtype=float)
 
@@ -131,44 +144,77 @@ _ARRAY_NAMES = {"__builtins__": {}, "sin": np.sin, "cos": np.cos, "exp": np.exp}
 _AT = {"lineno": 1, "col_offset": 0}
 
 
-def _code(node: ScalarExpr, var: str | None = None) -> ast.expr:
-    """``node`` as one Python expression, in the tree's evaluation order, with
-    every ``Var`` named ``var``, or its own name when ``var`` is None."""
+def _shape(node: ScalarExpr, constants: list):
+    """``node`` with each ``Const`` as None, its value appended to
+    ``constants``, each ``Var`` as its name and every other node as
+    ``(type, *children)``, a ``Pow``'s exponent last."""
     if isinstance(node, Const):
-        if math.copysign(1.0, node.value) < 0:  # -0.0 too
-            # unary minus of the magnitude: unparse prints (-2.0) ** 2, not -2.0 ** 2
-            return ast.UnaryOp(ast.USub(), ast.Constant(-node.value, **_AT), **_AT)
-        return ast.Constant(node.value, **_AT)
+        constants.append(node.value)
+        return None
     if isinstance(node, Var):
-        return ast.Name(var or node.name, ast.Load(), **_AT)
-    if isinstance(node, Neg):
-        return ast.UnaryOp(ast.USub(), _code(node.child, var), **_AT)
+        return node.name
     if isinstance(node, (Sum, Prod)):
-        op = ast.Add() if isinstance(node, Sum) else ast.Mult()
-        return reduce(
-            lambda acc, c: ast.BinOp(acc, op, _code(c, var), **_AT),
-            node.children[1:],
-            _code(node.children[0], var),
-        )
+        return (type(node), *[_shape(c, constants) for c in node.children])
     if isinstance(node, Pow):
-        return ast.BinOp(_code(node.base, var), ast.Pow(), ast.Constant(node.exponent, **_AT),
+        return (Pow, _shape(node.base, constants), node.exponent)
+    return (type(node), _shape(node.child, constants))  # Neg, Sin, Cos, Exp
+
+
+def _literal(value: float) -> ast.expr:
+    if math.copysign(1.0, value) < 0:  # -0.0 too
+        # unary minus of the magnitude: unparse prints (-2.0) ** 2, not -2.0 ** 2
+        return ast.UnaryOp(ast.USub(), ast.Constant(-value, **_AT), **_AT)
+    return ast.Constant(value, **_AT)
+
+
+def _code(shape, var: str | None, leaves) -> ast.expr:
+    """``shape`` as one Python expression, in the tree's evaluation order,
+    with every ``Var`` named ``var``, or its own name when ``var`` is None,
+    and each constant the next item of ``leaves``."""
+    if shape is None:
+        return next(leaves)
+    if isinstance(shape, str):
+        return ast.Name(var or shape, ast.Load(), **_AT)
+    kind, first, *rest = shape
+    if kind is Neg:
+        return ast.UnaryOp(ast.USub(), _code(first, var, leaves), **_AT)
+    if kind is Pow:
+        return ast.BinOp(_code(first, var, leaves), ast.Pow(), ast.Constant(rest[0], **_AT),
                          **_AT)
-    if type(node) in _FUNCTION_NAMES:
-        name = ast.Name(_FUNCTION_NAMES[type(node)], ast.Load(), **_AT)
-        return ast.Call(name, [_code(node.child, var)], [], **_AT)
-    raise ExpressionError(f"unknown node {node!r}")  # pragma: no cover
+    if kind in (Sum, Prod):
+        op = ast.Add() if kind is Sum else ast.Mult()
+        return reduce(
+            lambda acc, c: ast.BinOp(acc, op, _code(c, var, leaves), **_AT),
+            rest,
+            _code(first, var, leaves),
+        )
+    name = ast.Name(_FUNCTION_NAMES[kind], ast.Load(), **_AT)
+    return ast.Call(name, [_code(first, var, leaves)], [], **_AT)
+
+
+@lru_cache(maxsize=256)
+def _shape_code(shape, n_constants: int):
+    """Code of ``lambda c0, c1, ...: lambda x: <_code(shape)>`` and whether
+    its body reads ``x``."""
+    names = (ast.Name(f"c{i}", ast.Load(), **_AT) for i in itertools.count())
+    body = _code(shape, "x", names)
+    params = ", ".join(f"c{i}" for i in range(n_constants))
+    tree = ast.parse(f"lambda {params}: lambda x: x", mode="eval")
+    tree.body.body.body = body
+    varying = any(isinstance(n, ast.Name) and n.id == "x" for n in ast.walk(body))
+    return compile(tree, "<expression>", "eval"), varying
 
 
 def _compile(node: ScalarExpr):
-    """Code of ``lambda x: <_code(node, "x")>``, to ``eval`` with the names
-    ``sin``, ``cos``, ``exp`` bound."""
-    args = ast.arguments(posonlyargs=[], args=[ast.arg("x", **_AT)], kwonlyargs=[],
-                         kw_defaults=[], defaults=[])
+    """``(code, constants, varying)``: the code shared by ``node``'s shape,
+    to ``eval`` with ``sin``, ``cos``, ``exp`` bound, ``node``'s constants
+    for its ``c0, c1, ...``, and whether its body reads ``x``."""
+    constants = []
     try:
-        tree = ast.Expression(ast.Lambda(args, _code(node, "x"), **_AT))
-        return compile(tree, "<expression>", "eval")
+        code, varying = _shape_code(_shape(node, constants), len(constants))
     except RecursionError:
         raise ExpressionError("expression nested too deeply to compile") from None
+    return code, tuple(constants), varying
 
 
 def evaluate(expr: ScalarExpr, point: float) -> float:
@@ -190,6 +236,8 @@ def _contains_var(node: ScalarExpr) -> bool:
         return any(_contains_var(c) for c in node.children)
     if isinstance(node, Pow):
         return _contains_var(node.base)
+    if isinstance(node, _Deferred):
+        return _contains_var(node.left)
     return False
 
 
@@ -253,13 +301,37 @@ def _tokenize(text: str):
     return tokens
 
 
+# a bound name, and a division or parenthesised power whose right operand,
+# free of variables, waits for the values; _bind resolves both
+_Param = namedtuple("_Param", "name")
+_Deferred = namedtuple("_Deferred", "op left right pos")
+
+
+def _flat(kind, lhs, rhs):
+    """``kind((lhs, rhs))``, or ``lhs`` extended by ``rhs`` when it is a ``kind``."""
+    if isinstance(lhs, kind):
+        return kind(lhs.children + (rhs,))
+    return kind((lhs, rhs))
+
+
+def _exponent(value: float, pos: int) -> int:
+    if value < 0 or not value.is_integer():
+        raise ExpressionError("power exponent must be a nonnegative integer", pos)
+    return int(value)
+
+
 class _Parser:
-    def __init__(self, text, variables, bindings):
-        self.text = text
+    """Pre-parse of a text: a tree of the node classes with each name in
+    ``names`` a ``_Param`` and each division and parenthesised exponent a
+    ``_Deferred``.  It makes the checks the text alone decides; :func:`_bind`
+    makes the ones that depend on values."""
+
+    def __init__(self, text, variables, names):
         self.tokens = _tokenize(text)
         self.i = 0
-        self.variables = set(variables)
-        self.bindings = dict(bindings or {})
+        self.variables = variables
+        self.names = names
+        self.read = set()
 
     def peek(self):
         return self.tokens[self.i]
@@ -275,12 +347,12 @@ class _Parser:
             raise ExpressionError(f"expected {op!r}", pos)
         return self.advance()
 
-    def parse(self) -> ScalarExpr:
+    def parse(self):
         node = self.parse_sum()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ExpressionError(f"trailing input {val!r}", pos)
-        return fold_constants(node)
+        return node
 
     def parse_sum(self):
         node = self.parse_term()
@@ -291,16 +363,9 @@ class _Parser:
                 rhs = self.parse_term()
                 if val == "-":
                     rhs = Neg(rhs)
-                node = self._flat(Sum, node, rhs)
+                node = _flat(Sum, node, rhs)
             else:
                 return node
-
-    @staticmethod
-    def _flat(kind, lhs, rhs):
-        """``kind((lhs, rhs))``, or ``lhs`` extended by ``rhs`` when it is a ``kind``."""
-        if isinstance(lhs, kind):
-            return kind(lhs.children + (rhs,))
-        return kind((lhs, rhs))
 
     def parse_term(self):
         node = self.parse_factor()
@@ -308,19 +373,13 @@ class _Parser:
             kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 self.advance()
-                node = self._flat(Prod, node, self.parse_factor())
+                node = _flat(Prod, node, self.parse_factor())
             elif kind == "op" and val == "/":
                 self.advance()
-                rhs = fold_constants(self.parse_factor())
-                if not isinstance(rhs, Const):
+                rhs = self.parse_factor()
+                if _contains_var(rhs):
                     raise ExpressionError("divisor must be constant", pos)
-                if rhs.value == 0.0:
-                    raise ExpressionError("division by zero", pos)
-                lhs = fold_constants(node)
-                if isinstance(lhs, Const):
-                    node = Const(lhs.value / rhs.value)
-                else:
-                    node = self._flat(Prod, node, Const(1.0 / rhs.value))
+                node = _Deferred("/", node, rhs, pos)
             else:
                 return node
 
@@ -337,26 +396,22 @@ class _Parser:
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.advance()
-            return Pow(base, self.parse_exponent())
+            return self.parse_power(base)
         return base
 
-    def parse_exponent(self) -> int:
+    def parse_power(self, base):
         kind, val, pos = self.peek()
         if kind == "op" and val == "(":
             self.advance()
-            node = fold_constants(self.parse_sum())
+            node = self.parse_sum()
             self.expect_op(")")
-            if not isinstance(node, Const):
+            if _contains_var(node):
                 raise ExpressionError("exponent must be a constant integer", pos)
-            value = node.value
-        elif kind == "num":
-            self.advance()
-            value = val
-        else:
+            return _Deferred("^", base, node, pos)
+        if kind != "num":
             raise ExpressionError("expected integer exponent", pos)
-        if value != int(value) or value < 0:
-            raise ExpressionError("power exponent must be a nonnegative integer", pos)
-        return int(value)
+        self.advance()
+        return Pow(base, _exponent(val, pos))
 
     def parse_primary(self):
         kind, val, pos = self.advance()
@@ -379,10 +434,46 @@ class _Parser:
                 return Var(val)
             if val == "pi":
                 return Const(math.pi)
-            if val in self.bindings:
-                return Const(float(self.bindings[val]))
+            if val in self.names:
+                self.read.add(val)
+                return _Param(val)
             raise ExpressionError(f"unknown identifier {val!r}", pos)
         raise ExpressionError(f"unexpected token {val!r}", pos)
+
+
+@lru_cache(maxsize=256)
+def _preparse(text: str, variables: Tuple[str, ...], names: frozenset):
+    """The pre-parse of ``text`` and the names of ``names`` it reads."""
+    parser = _Parser(text, variables, names)
+    return parser.parse(), frozenset(parser.read)
+
+
+def _bind(node, bindings: Mapping[str, float]) -> ScalarExpr:
+    """The pre-parsed ``node`` with the values of ``bindings``, each deferred
+    operation resolved in text order with the arithmetic of a parse of the
+    values as literals."""
+    if isinstance(node, _Param):
+        return Const(float(bindings[node.name]))
+    if isinstance(node, _Deferred):
+        left = _bind(node.left, bindings)
+        right = fold_constants(_bind(node.right, bindings)).value
+        if node.op == "^":
+            return Pow(left, _exponent(right, node.pos))
+        if right == 0.0:
+            raise ExpressionError("division by zero", node.pos)
+        folded = fold_constants(left)
+        if isinstance(folded, Const):
+            return Const(folded.value / right)
+        return _flat(Prod, left, Const(1.0 / right))
+    if isinstance(node, (Sum, Prod)):
+        first, *rest = (_bind(c, bindings) for c in node.children)
+        # a division in front binds to a Prod, which the parse of literals extends
+        return reduce(partial(_flat, type(node)), rest, first)
+    if isinstance(node, Pow):
+        return Pow(_bind(node.base, bindings), node.exponent)
+    if isinstance(node, (Neg, Sin, Cos, Exp)):
+        return type(node)(_bind(node.child, bindings))
+    return node  # Const, Var
 
 
 def parse_expression(
@@ -392,11 +483,25 @@ def parse_expression(
 ) -> ScalarExpr:
     """Parse an expression over the given free variables.
 
-    Named parameters in ``bindings`` substitute as constants at parse time,
-    so the returned tree contains only the listed variables.
+    Named parameters in ``bindings`` substitute as constants, so the tree
+    contains only the listed variables and equals, bitwise, the parse of
+    the text with each value written as a literal.
     """
+    bindings = bindings or {}
     try:
-        return _Parser(text, variables, bindings).parse()
+        tree, _ = _preparse(text, tuple(variables), frozenset(bindings))
+        return fold_constants(_bind(tree, bindings))
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply") from None
+
+
+def parameters(
+    text: str, variables: Tuple[str, ...] = ("t",), names: Iterable[str] = ()
+) -> frozenset:
+    """The names among ``names`` that ``text`` reads as bound parameters;
+    a name that is one of ``variables`` or ``pi`` is not read."""
+    try:
+        return _preparse(text, tuple(variables), frozenset(names))[1]
     except RecursionError:
         raise ExpressionError("expression nested too deeply") from None
 
@@ -406,7 +511,9 @@ def parse_expression(
 def serialize_expression(expr: ScalarExpr) -> str:
     """Text form that re-parses to an evaluation-equivalent tree: the
     compiled expression as ``ast.unparse`` prints it, ``**`` as ``^``."""
+    constants = []
     try:
-        return ast.unparse(_code(expr)).replace("**", "^")
+        shape = _shape(expr, constants)
+        return ast.unparse(_code(shape, None, map(_literal, constants))).replace("**", "^")
     except RecursionError:
         raise ExpressionError("expression nested too deeply to print") from None

@@ -17,6 +17,11 @@ from .grid import ArgumentGrid, GridRangeError
 SINGULARITY_FACTOR = 1e-12
 
 
+def _require_finite(key: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+
+
 class ImpulseDegenerate(ValueError):
     """An impulse factor 1 + c_k vanished, so the jump is not invertible."""
 
@@ -48,6 +53,10 @@ class ImpulseRule:
             raise ValueError(f"unknown impulse kind {self.kind!r}")
         if self.kind == "expr" and self.expr is None:
             raise ValueError("expr impulse needs an expression in k")
+        key = "C" if self.kind == "multiplier" else "c"
+        _require_finite(f"impulse.{key}", self.c0)
+        for i, v in enumerate(self.values):
+            _require_finite(f"impulse.values[{i}]", v)
 
     @classmethod
     def none(cls) -> "ImpulseRule":
@@ -133,6 +142,8 @@ class Problem:
             object.__setattr__(
                 self, "history", tuple(float(v) for v in self.history)
             )
+            for i, v in enumerate(self.history):
+                _require_finite(f"history[{i}]", v)
 
     @cached_property
     def forcing(self) -> ScalarExpr:

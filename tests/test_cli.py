@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import idepcag.cli as cli_module
+import idepcag.expressions as expressions_module
 import idepcag.kernel as kernel_module
 from idepcag.cli import (
     EXIT_CONFIG,
@@ -16,6 +17,7 @@ from idepcag.cli import (
     build_problem,
     main,
 )
+from idepcag.expressions import Const, Pow, Prod, Sum, Var
 from idepcag.kernel import KernelTable
 from idepcag.quadrature import QuadratureError
 
@@ -602,3 +604,129 @@ class TestSweepTargetNumbers:
         cfg_path = _sweep_config(tmp_path, "target", "xtol", 0.0)
         assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_OK
         assert "crossing: a0=2.07553385 " in capsys.readouterr().out
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("command", ["classify", "solve"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_history_is_refused(self, tmp_path, capsys, command, value):
+        cfg = json.loads((CONFIGS / "lagged_unit_delay.json").read_text())
+        cfg["problem"]["history"] = [value]
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "history[0] must be finite" in captured.err
+
+    @pytest.mark.parametrize("command", ["criterion", "solve"])
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_non_finite_impulse_value_is_refused(self, tmp_path, capsys, command, value):
+        cfg = json.loads((CONFIGS / "sine_forcing.json").read_text())
+        cfg["problem"]["impulse"]["C"] = value
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "impulse.C must be finite" in captured.err
+
+    def test_non_finite_explicit_impulse_is_refused(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["problem"]["impulse"] = {"type": "explicit", "values": [0.1, math.nan]}
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        assert main(["criterion", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "impulse.values[1] must be finite" in capsys.readouterr().err
+
+
+class TestSweepParameterIsRead:
+    @pytest.mark.parametrize("name", ["zz", "pi", "t"])
+    def test_sweep_over_an_unread_parameter_is_refused(
+        self, tmp_path, capsys, window_passes, name
+    ):
+        cfg = json.loads((CONFIGS / "sine_forcing.json").read_text())
+        cfg["problem"]["params"][name] = 1.0
+        cfg["sweep"]["parameter"] = name
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"sweep parameter {name!r} is read by no expression" in captured.err
+        assert window_passes == []
+
+    def test_the_index_of_an_impulse_expression_is_not_a_parameter(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["problem"]["params"]["k"] = 0.1
+        cfg["problem"]["impulse"] = {"type": "expr", "expr": "0.1*k"}
+        cfg["sweep"] = {"parameter": "k", "lo": 0.0, "hi": 1.0, "steps": 2}
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "sweep parameter 'k' is read by no expression" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "impulse",
+        [{"type": "expr", "expr": "c1*k"}, {"type": "constant", "c": "c1/2"}],
+    )
+    def test_a_parameter_read_by_the_impulse_rule_is_swept(self, tmp_path, capsys, impulse):
+        cfg = base_config()
+        cfg["problem"]["params"]["c1"] = 0.1
+        cfg["problem"]["impulse"] = impulse
+        cfg["sweep"] = {"parameter": "c1", "lo": 0.0, "hi": 0.2, "steps": 2}
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_OK
+        assert "sweep: 2 rows" in capsys.readouterr().out
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty the pre-parse and shape caches, so a test sees every first use."""
+    expressions_module._preparse.cache_clear()
+    expressions_module._shape_code.cache_clear()
+
+
+def _tree_shape(node):
+    """Node types, exponents and variable names of a tree, no constant values."""
+    if isinstance(node, Const):
+        return Const
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, (Sum, Prod)):
+        return (type(node), *map(_tree_shape, node.children))
+    if isinstance(node, Pow):
+        return (Pow, _tree_shape(node.base), node.exponent)
+    return (type(node), _tree_shape(node.child))
+
+
+class TestTextReuse:
+    def test_a_sweep_tokenizes_each_text_once(self, tmp_path, capsys, monkeypatch, cold_caches):
+        texts = []
+        original = expressions_module._tokenize
+
+        def spy(text):
+            texts.append(text)
+            return original(text)
+
+        monkeypatch.setattr(expressions_module, "_tokenize", spy)
+        path = str(CONFIGS / "sine_forcing.json")
+        assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+        # a, b and the impulse's C, over 5 rows and 20 bisection steps
+        assert sorted(texts) == ["-a0", "C", "sin(2*pi*t)"]
+
+    def test_a_sweep_compiles_each_tree_shape_once(
+        self, tmp_path, capsys, monkeypatch, cold_caches
+    ):
+        nodes, codes = [], []
+        original = expressions_module._compile
+
+        def spy_node(node):
+            nodes.append(node)
+            return original(node)
+
+        def spy_compile(*args):
+            codes.append(args[0])
+            return compile(*args)
+
+        monkeypatch.setattr(expressions_module, "_compile", spy_node)
+        monkeypatch.setattr(expressions_module, "compile", spy_compile, raising=False)
+        path = str(CONFIGS / "sine_forcing.json")
+        assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+        shapes = {_tree_shape(node) for node in nodes}
+        assert len(nodes) > 25 and len(codes) == len(shapes)

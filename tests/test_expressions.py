@@ -385,3 +385,61 @@ class TestDeepNesting:
             expr.ev(1.0)
         with pytest.raises(ExpressionError, match="nested too deeply"):
             expr.ev_array(np.ones(2))
+
+
+# a parameter in a dividend, a divisor, a ^( ... ) exponent, a function
+# argument and next to t
+_BOUND_TEXTS = [
+    "q/3 + t",
+    "(q*t - 1)/7",
+    "t/q",
+    "(t + 1)/(2*q)",
+    "1/(q - q)",
+    "t^(q)",
+    "(t - q)^(q + 1)",
+    "sin(q) + cos(q*t)",
+    "exp(q)",
+    "exp(q*t)*q",
+    "q*t + t*q - q",
+    "-q^2*t/(1 + q)",
+]
+
+
+def _parse_outcome(text, bindings, shift):
+    """Tree, or error type, message and position; a position is moved on
+    by ``shift`` for each ``q`` before it."""
+    try:
+        return repr(parse_expression(text, ("t",), bindings))  # repr is bitwise for floats
+    except ExpressionError as exc:
+        message = str(exc).split(" (at position")[0]
+        if exc.position is None:
+            return ExpressionError, message, None
+        return ExpressionError, message, exc.position + shift * text[: exc.position].count("q")
+
+
+class TestBindingIsALiteral:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(_BOUND_TEXTS),
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.integers(-3, 5).map(float),
+        ),
+    )
+    @example("1/(q-q)", 1.0)
+    @example("t^(q)", 0.5)
+    @example("exp(q)", 1000.0)
+    def test_a_bound_value_parses_as_its_literal(self, text, value):
+        literal = f"({value!r})"
+        written = text.replace("q", literal)
+        assert _parse_outcome(text, {"q": value}, len(literal) - 1) == _parse_outcome(
+            written, {}, 0
+        )
+
+    def test_a_text_error_comes_before_a_value_error(self):
+        with pytest.raises(ExpressionError, match="unexpected token"):
+            parse_expression("1/0 + )")
+
+    def test_an_exponent_beyond_the_float_range_is_refused(self):
+        with pytest.raises(ExpressionError, match="nonnegative integer"):
+            parse_expression("t^1e999")
