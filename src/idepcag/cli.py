@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import random
@@ -23,9 +24,11 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .expressions import ExpressionError, parameters, parse_expression
+import numpy as np
+
+from .expressions import ExpressionError, affine_split, parameters, parse_expression
 from .grid import ArgumentGrid, ExplicitGrid, GridRangeError, LaggedUniformGrid, UniformGrid
-from .kernel import SingularKernel
+from .kernel import KernelTable, SingularKernel
 from .oracle import oracle_integrate
 from .oscillation import (
     DEFAULT_BURN_IN,
@@ -33,6 +36,8 @@ from .oscillation import (
     DEFAULT_WIDTH,
     EXTREMA,
     CriterionReport,
+    _extrema,
+    _extremum,
     _window_extrema,
     aw_criterion,
     classify_continuous,
@@ -279,9 +284,12 @@ def cmd_classify(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _criterion_verdict(problem: Problem, window, tol) -> Tuple[str, List[CriterionReport]]:
-    """Oscillation test, then the nonoscillation test unless the first fired."""
-    osc = aw_criterion(problem, window, tol)
+def _criterion_verdict(
+    problem: Problem, window, tol, extrema=None
+) -> Tuple[str, List[CriterionReport]]:
+    """Oscillation test, then the nonoscillation test unless the first fired;
+    ``extrema`` of the window, when given, replace its pass."""
+    osc = aw_criterion(problem, window, tol, extrema)
     if osc.verdict == "oscillatory":
         return "oscillatory", [osc]
     non = nonosc_criterion(problem, window, tol, osc.extrema)
@@ -305,7 +313,52 @@ def cmd_criterion(cfg: dict, args) -> int:
     return EXIT_OK
 
 
+# a combined row is used while |u| + |v - lo| |w| <= _SPLIT_GUARD |u + (v - lo) w|,
+# so that its error, within tol (|u| + |v - lo| |w|), stays within 10 tol of its value
+_SPLIT_GUARD = 10.0
+
+
+def _affine_rows(cfg: dict, pname: str, lo: float, hi: float, problem: Problem, window):
+    """``rows_at(v, side)``, the window's rows of ``side`` at v as
+    u + (v - lo) w, u and w from passes on ``problem``'s b, that is b(lo),
+    and on b's coefficient of v; it gives None where the rows fail the
+    guard.  None when b is not affine in v, b(hi) does not bind or a pass
+    raises, and the sweep makes every pass itself."""
+    pcfg = cfg["problem"]
+    try:
+        split = affine_split(pcfg["b"], ("t",), pcfg.get("params", {}), pname)
+        if split is None:
+            return None
+        # the constants b folds are affine in v, so every row binds when both ends do
+        build_problem(cfg, {pname: hi})
+        u = KernelTable(problem).criterion(*window)
+        w = KernelTable(dataclasses.replace(problem, b=split[1])).criterion(*window)
+    except (ArithmeticError, RuntimeError, ValueError):
+        return None
+    passes = {"plus": (u[0], w[0]), "minus": (u[1], w[1])}
+
+    def rows_at(v: float, side: str):
+        (u, w), dv = passes[side], v - lo
+        if dv == 0.0:
+            return u
+        rows = u + dv * w
+        bound = np.abs(u) + abs(dv) * np.abs(w)
+        if np.isfinite(rows).all() and (bound <= _SPLIT_GUARD * np.abs(rows)).all():
+            return rows
+        return None
+
+    return rows_at
+
+
 def cmd_sweep(cfg: dict, args) -> int:
+    """Rows of the four extrema over ``steps`` values of one parameter, then
+    with a target the bisection of one extremum to its threshold.
+
+    When the parameter is read by b alone and affinely, every row and every
+    bisection step after the first row combines two window passes (see
+    :func:`_affine_rows`); a value whose combined rows fail the guard makes
+    its own pass, as every value of any other sweep does.
+    """
     with _reading("sweep"):
         sweep = cfg.get("sweep")
         if not sweep:
@@ -327,7 +380,9 @@ def cmd_sweep(cfg: dict, args) -> int:
             xtol = _tolerance("sweep.target.xtol", float(target.get("xtol", 1e-6)))
     with _reading("problem"):
         texts = _expression_texts(cfg["problem"])
-        if not any(pname in parameters(text, variables, params) for text, variables in texts):
+        readers = [i for i, (text, variables) in enumerate(texts)
+                   if pname in parameters(text, variables, params)]
+        if not readers:
             raise ConfigError(f"sweep parameter {pname!r} is read by no expression")
     tol = _criterion_tol(cfg, args)
 
@@ -336,14 +391,18 @@ def cmd_sweep(cfg: dict, args) -> int:
 
     # one rule for every row; the last is hi itself, so the end rows bracket the crossing
     values = [lo + (hi - lo) * i / (steps - 1) for i in range(steps - 1)] + [hi]
-    window = None
+    problem = make(lo)
+    window = _analysis_window(cfg, args, problem)
+    # texts[1] is b; a parameter that b alone reads may have its rows combined
+    rows_at = _affine_rows(cfg, pname, lo, hi, problem, window) if readers == [1] else None
     rows = [",".join(("parameter",) + EXTREMA + ("verdict",))]
     row_extrema = []
     for v in values:
-        problem = make(v)
-        if window is None:
-            window = _analysis_window(cfg, args, problem)
-        verdict, reports = _criterion_verdict(problem, window, tol)
+        sides = [rows_at(v, side) for side in ("plus", "minus")] if rows_at else [None]
+        if any(side is None for side in sides):
+            verdict, reports = _criterion_verdict(problem if v == lo else make(v), window, tol)
+        else:
+            verdict, reports = _criterion_verdict(problem, window, tol, _extrema(*sides))
         row_extrema.append(reports[0].extrema)
         rows.append(",".join([_fmt(v), *map(_fmt, row_extrema[-1]), verdict]))
     path = _write(args, "sweep.csv", "\n".join(rows) + "\n")
@@ -352,8 +411,11 @@ def cmd_sweep(cfg: dict, args) -> int:
         return EXIT_OK
 
     def g(v: float) -> float:
-        # a bisection step integrates only the side that ``quantity`` reads
-        return _window_extrema(make(v), window, quantity) - threshold
+        # a bisection step reads only the side that ``quantity`` reads
+        side_rows = rows_at and rows_at(v, quantity.split("_i_")[1])
+        if side_rows is None:
+            return _window_extrema(make(v), window, quantity) - threshold
+        return _extremum(side_rows, quantity) - threshold
 
     index = EXTREMA.index(quantity)
     g_lo, g_hi = (row_extrema[i][index] - threshold for i in (0, -1))

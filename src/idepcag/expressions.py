@@ -506,6 +506,62 @@ def parameters(
         raise ExpressionError("expression nested too deeply") from None
 
 
+class _NotAffine(Exception):
+    pass
+
+
+def _coefficient(node, name: str):
+    """The pre-parsed coefficient of the parameter ``name`` in ``node``, None
+    when ``node`` does not read it; raises ``_NotAffine`` unless each read is
+    a factor of power 1 of a sum term, outside every function, power and
+    divisor, and no product has two factors that read it."""
+    if isinstance(node, _Param):
+        return Const(1.0) if node.name == name else None
+    if isinstance(node, (Sum, Prod)):  # a one-child Sum or Prod binds to its child
+        parts = [_coefficient(c, name) for c in node.children]
+        readers = [p for p in parts if p is not None]
+        if not readers:
+            return None
+        if isinstance(node, Sum):
+            return Sum(tuple(readers))
+        if len(readers) > 1:
+            raise _NotAffine
+        return Prod(tuple(c if p is None else p for c, p in zip(node.children, parts)))
+    if isinstance(node, Neg):
+        inner = _coefficient(node.child, name)
+        return None if inner is None else Neg(inner)
+    if isinstance(node, _Deferred):
+        left = _coefficient(node.left, name)
+        if _coefficient(node.right, name) is not None or (node.op == "^" and left is not None):
+            raise _NotAffine
+        return None if left is None else node._replace(left=left)
+    if isinstance(node, (Pow, Sin, Cos, Exp)):
+        if _coefficient(node.base if isinstance(node, Pow) else node.child, name) is not None:
+            raise _NotAffine
+    return None  # Const, Var
+
+
+def affine_split(
+    text: str, variables: Tuple[str, ...], bindings: Mapping[str, float], name: str
+) -> Tuple[ScalarExpr, ScalarExpr] | None:
+    """``(b0, b1)``, bound to ``bindings`` and folded, with the text equal to
+    ``b0 + v * b1`` for every value v of the parameter ``name``, read from
+    the text's pre-parse; None when the text does not read ``name`` or
+    reads it other than affinely (under ``sin``, ``cos``, ``exp``, a power,
+    in a divisor or exponent, or in two factors of one product)."""
+    try:
+        tree, _ = _preparse(text, tuple(variables), frozenset(bindings))
+        coefficient = _coefficient(tree, name)
+        if coefficient is None:
+            return None
+        base = fold_constants(_bind(tree, {**bindings, name: 0.0}))
+        return base, fold_constants(_bind(coefficient, bindings))
+    except _NotAffine:
+        return None
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply") from None
+
+
 # --- serialization ----------------------------------------------------------
 
 def serialize_expression(expr: ScalarExpr) -> str:

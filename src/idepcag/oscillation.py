@@ -183,6 +183,16 @@ def wn_sequence(problem: Problem, k_range: Sequence[int]) -> List[float]:
     return out
 
 
+def _extremum(values, quantity: str) -> float:
+    """The extremum that ``quantity``, one of ``EXTREMA``, names, of its side's rows."""
+    return float(values.max() if quantity.startswith("sup") else values.min())
+
+
+def _extrema(i_plus, i_minus) -> Tuple[float, float, float, float]:
+    """The four extrema of ``EXTREMA`` from a window's rows."""
+    return tuple(map(_extremum, (i_plus, i_plus, i_minus, i_minus), EXTREMA))
+
+
 def _window_extrema(problem: Problem, window: Tuple[int, int], quantity: Optional[str] = None):
     """The four extrema of ``EXTREMA`` over the window, or with ``quantity``,
     one of those names, that extremum alone from a pass over its side only."""
@@ -191,13 +201,11 @@ def _window_extrema(problem: Problem, window: Tuple[int, int], quantity: Optiona
         raise ValueError("empty criterion window")
     table = KernelTable(problem)
     if quantity is None:
-        i_plus, i_minus, _ = table.criterion(k_lo, k_hi)
-        return float(i_plus.max()), float(i_plus.min()), float(i_minus.max()), float(i_minus.min())
+        return _extrema(*table.criterion(k_lo, k_hi)[:2])
     if quantity not in EXTREMA:
         raise ValueError(f"quantity must be one of {EXTREMA}")
-    extremum, side = quantity.split("_i_")
-    values, _ = table.criterion(k_lo, k_hi, side)
-    return float(values.max() if extremum == "sup" else values.min())
+    values, _ = table.criterion(k_lo, k_hi, quantity.split("_i_")[1])
+    return _extremum(values, quantity)
 
 
 def _impulse_branch(problem: Problem, window: Tuple[int, int]) -> str:
@@ -257,6 +265,7 @@ def aw_criterion(
     problem: Problem,
     window: Optional[Tuple[int, int]] = None,
     strictness_tol: float = DEFAULT_CRITERION_TOL,
+    extrema: Optional[Tuple[float, float, float, float]] = None,
 ) -> CriterionReport:
     """Sufficient oscillation test from windowed kernel-integral extrema.
 
@@ -264,6 +273,8 @@ def aw_criterion(
     oscillation.  Negative-impulse branch (taken verbatim, note the
     asymmetry): inf i_plus < 1 or sup i_minus > -1.  All four extrema are
     reported so alternative readings can be applied by the caller.
+    ``extrema`` of the same window, in the order of ``EXTREMA``, save its
+    pass; ``sweep`` gives the combined rows' extrema of a value here.
     """
     def decide(branch, sup_ip, inf_ip, sup_im, inf_im):
         if branch == "positive-impulse":
@@ -276,7 +287,7 @@ def aw_criterion(
             return "inconclusive", margin, "boundary (within tolerance of threshold)"
         return "inconclusive", margin, "no threshold cleared"
 
-    return _criterion("oscillation", problem, window, strictness_tol, decide)
+    return _criterion("oscillation", problem, window, strictness_tol, decide, extrema)
 
 
 def nonosc_criterion(

@@ -96,7 +96,13 @@ class ImpulseRule:
             if not 0 <= i < len(self.values):
                 raise ValueError(f"no explicit impulse value for k={k}")
             return self.values[i]
-        return evaluate(self.expr, float(k))
+        try:
+            c = evaluate(self.expr, float(k))
+        except OverflowError:  # exp past the float range
+            c = math.inf
+        if not math.isfinite(c):
+            raise OverflowError(f"impulse value c_k is not finite at k={k}")
+        return c
 
     def factor(self, k: int) -> float:
         """1 + c_k (C itself for a multiplier), raising if the jump degenerates."""

@@ -1,9 +1,13 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import idepcag.cli as cli_module
 import idepcag.expressions as expressions_module
@@ -14,11 +18,13 @@ from idepcag.cli import (
     EXIT_OK,
     EXIT_RANGE,
     EXIT_SINGULAR,
+    _affine_rows,
     build_problem,
     main,
 )
-from idepcag.expressions import Const, Pow, Prod, Sum, Var
+from idepcag.expressions import Const, Pow, Prod, Sum, Var, affine_split
 from idepcag.kernel import KernelTable
+from idepcag.oscillation import _extrema
 from idepcag.quadrature import QuadratureError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -530,11 +536,13 @@ class TestWindowPasses:
     @pytest.mark.parametrize(
         "name, passes, crossing",
         [
-            # one pass per row, the end rows give g(lo) and g(hi), then
-            # 20 bisection steps down to xtol = 1e-6
+            # a0 is read by a: one pass per row, the end rows give g(lo) and
+            # g(hi), then 20 bisection steps down to xtol = 1e-6
             ("sine_forcing.json", 5 + 20, "a0=2.07553339 "),
-            # 0.3 + (0.9 - 0.3)*6/6 is 0.9000000000000001; the last row is hi
-            ("decay_with_floor.json", 7 + 20, "q0=0.58197699 "),
+            # b = -q0 is affine in q0 and no other text reads it: the first
+            # row's pass on b(lo) and one on b's coefficient serve every row
+            # and step; 0.3 + (0.9 - 0.3)*6/6 is 0.9000000000000001, the last row is hi
+            ("decay_with_floor.json", 2, "q0=0.58197699 "),
         ],
     )
     def test_sweep_reads_the_bracket_from_its_end_rows(
@@ -564,6 +572,94 @@ class TestWindowPasses:
         assert "crossing: a0=2.07553339 " in capsys.readouterr().out
         # window [8, 48): 5 table rows over both sides, 20 steps over i_minus
         assert rows == [80] * 5 + [40] * 20
+
+
+class TestAffineSweep:
+    @pytest.mark.parametrize(
+        "a, b, impulse, crossing",
+        [
+            # q0 read by a only; -0.6 (e^q - 1)/q = -1 at q = 0.9474049
+            ("-q0", "-0.6", None, "q0=0.94740486 "),
+            # b affine in q0, but the impulse's C reads it too; q (e - 1) = 1 at q = 0.5819767
+            ("-p", "-q0", {"type": "multiplier", "C": "1 + q0/100"}, "q0=0.58197670 "),
+            # the same text in a and in b, two readers; -(e^q - 1) = -1 at q = ln 2
+            ("-q0", "-q0", None, "q0=0.69314690 "),
+            # b reads q0 inside sin
+            ("-p", "-q0 - 0.01*sin(q0*t)", None, "q0=0.57211113 "),
+        ],
+    )
+    def test_a_sweep_that_is_not_affine_in_b_alone_passes_every_row_and_step(
+        self, tmp_path, capsys, window_passes, a, b, impulse, crossing
+    ):
+        cfg = json.loads((CONFIGS / "decay_with_floor.json").read_text())
+        cfg["problem"].update({"a": a, "b": b})
+        if impulse:
+            cfg["problem"]["impulse"] = impulse
+        cfg["sweep"].update({"lo": 0.4, "hi": 1.2})
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_OK
+        assert f"crossing: {crossing}" in capsys.readouterr().out
+        # 7 rows over both sides, then 20 one-sided bisection steps down to xtol = 1e-6
+        assert [len(args) for args in window_passes] == [2] * 7 + [3] * 20
+
+    def test_combined_rows_match_per_row_passes(self, tmp_path, capsys, window_passes):
+        cfg = json.loads((CONFIGS / "decay_with_floor.json").read_text())
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_OK
+        assert len(window_passes) == 2
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        for i, row in enumerate(rows):
+            v, *extrema, verdict = row.split(",")
+            problem = build_problem(cfg, {"q0": float(v)})
+            direct = _extrema(*KernelTable(problem).criterion(8, 72)[:2])
+            assert [float(x) for x in extrema] == pytest.approx(direct, rel=1e-14, abs=0)
+            if i == 0:  # the first row is the pass on b(lo) itself
+                assert tuple(map(float, extrema)) == direct
+
+
+# affine texts in q0, each a sum of terms with at most one factor reading q0
+_affine_terms = st.sampled_from(
+    ["q0", "-q0", "q0*sin(2*pi*t)", "q0*t/3", "(q0 + 1)*cos(t)", "0.5*q0*exp(-t/4)",
+     "sin(t)", "-0.7", "b1*cos(3*t)"]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    terms=st.lists(_affine_terms, min_size=1, max_size=4).filter(
+        lambda ts: any("q0" in t for t in ts)
+    ),
+    a=st.sampled_from(["-p", "-p + 0.3*sin(t)"]),
+    h=st.floats(0.4, 1.5),
+    alpha=st.floats(0.0, 1.0),
+    burn_in=st.integers(0, 4),
+    width=st.integers(1, 8),
+    lo=st.floats(-2.0, 2.0),
+    dv=st.floats(-3.0, 3.0),
+)
+def test_combined_rows_agree_with_a_direct_pass_within_the_error_estimates(
+    terms, a, h, alpha, burn_in, width, lo, dv
+):
+    cfg = {"problem": {
+        "a": a, "b": " + ".join(terms), "params": {"p": 0.8, "q0": lo, "b1": 0.3},
+        "grid": {"type": "uniform", "t0": 0, "h": h, "alpha": alpha}, "horizon": 20 * h,
+    }}
+    window = (burn_in, burn_in + width)
+    problem = build_problem(cfg)
+    rows_at = _affine_rows(cfg, "q0", lo, lo + dv, problem, window)
+    assert rows_at is not None
+    v = lo + dv
+    _, b1 = affine_split(cfg["problem"]["b"], ("t",), cfg["problem"]["params"], "q0")
+    u_plus, u_minus, err_u = KernelTable(problem).criterion(*window)
+    w_plus, w_minus, err_w = KernelTable(replace(problem, b=b1)).criterion(*window)
+    d_plus, d_minus, err_d = KernelTable(build_problem(cfg, {"q0": v})).criterion(*window)
+    for side, u, w, direct in (("plus", u_plus, w_plus, d_plus), ("minus", u_minus, w_minus, d_minus)):
+        rows = rows_at(v, side)
+        if rows is None:  # the guard sends this value to a direct pass
+            continue
+        scale = np.abs(u) + abs(v - lo) * np.abs(w) + np.abs(direct)
+        bound = err_u + abs(v - lo) * err_w + err_d + 8 * np.finfo(float).eps * scale
+        assert np.all(np.abs(rows - direct) <= bound)
 
 
 def _sweep_config(tmp_path, section, key, value):
@@ -628,6 +724,17 @@ class TestNonFiniteInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "impulse.C must be finite" in captured.err
+
+    @pytest.mark.parametrize("command", ["criterion", "sweep", "solve", "oracle-check"])
+    def test_non_finite_expression_impulse_is_refused(self, tmp_path, capsys, command):
+        # c_k = 1e308 k^2 leaves the float range from k = 2 on
+        cfg = json.loads((CONFIGS / "sine_forcing.json").read_text())
+        cfg["problem"].update({"impulse": {"type": "expr", "expr": "1e308*k*k"}, "horizon": 6.0})
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_RANGE
+        captured = capsys.readouterr()
+        assert "crossing" not in captured.out and "verdict" not in captured.out
+        assert "impulse value c_k is not finite at k=" in captured.err
 
     def test_non_finite_explicit_impulse_is_refused(self, tmp_path, capsys):
         cfg = base_config()

@@ -19,6 +19,7 @@ from idepcag.expressions import (
     Sin,
     Sum,
     Var,
+    affine_split,
     evaluate,
     fold_constants,
     parse_expression,
@@ -443,3 +444,33 @@ class TestBindingIsALiteral:
     def test_an_exponent_beyond_the_float_range_is_refused(self):
         with pytest.raises(ExpressionError, match="nonnegative integer"):
             parse_expression("t^1e999")
+
+
+_SPLIT_BINDINGS = {"q0": 0.6, "b1": 0.3}
+
+
+class TestAffineSplit:
+    @pytest.mark.parametrize(
+        "text", ["-q0", "(q0 + 1)*t/3", "b1*q0*sin(t)", "q0/2", "-q0 + b1*sin(2*pi*t)"]
+    )
+    @pytest.mark.parametrize("v", [0.3, -1.7, 12.5, 0.0])
+    def test_the_parts_give_the_bound_text(self, text, v):
+        b0, b1 = affine_split(text, ("t",), _SPLIT_BINDINGS, "q0")
+        ts = np.linspace(-3.0, 3.0, 13)
+        bound = parse_expression(text, ("t",), {**_SPLIT_BINDINGS, "q0": v}).ev_array(ts)
+        base, slope = b0.ev_array(ts), b1.ev_array(ts)
+        ulp = np.finfo(float).eps * (np.abs(base) + abs(v) * np.abs(slope))
+        assert np.all(np.abs(base + v * slope - bound) <= 4 * ulp)
+
+    @pytest.mark.parametrize(
+        "text", ["q0*q0", "q0^2", "sin(q0*t)", "1/q0", "2^(q0)", "exp(q0)*t", "t^(q0)"]
+    )
+    def test_a_text_that_is_not_affine_gives_none(self, text):
+        assert affine_split(text, ("t",), _SPLIT_BINDINGS, "q0") is None
+
+    def test_a_text_that_does_not_read_the_name_gives_none(self):
+        assert affine_split("b1*sin(t)", ("t",), _SPLIT_BINDINGS, "q0") is None
+
+    def test_the_coefficient_is_bound_to_the_other_parameters(self):
+        b0, b1 = affine_split("b1*q0*t + 2", ("t",), _SPLIT_BINDINGS, "q0")
+        assert (b0.ev(2.0), b1.ev(2.0)) == (2.0, 0.3 * 1.0 * 2.0)
