@@ -544,11 +544,12 @@ def _coefficient(node, name: str):
 def affine_split(
     text: str, variables: Tuple[str, ...], bindings: Mapping[str, float], name: str
 ) -> Tuple[ScalarExpr, ScalarExpr] | None:
-    """``(b0, b1)``, bound to ``bindings`` and folded, with the text equal to
-    ``b0 + v * b1`` for every value v of the parameter ``name``, read from
-    the text's pre-parse; None when the text does not read ``name`` or
-    reads it other than affinely (under ``sin``, ``cos``, ``exp``, a power,
-    in a divisor or exponent, or in two factors of one product)."""
+    """``(b0, b1)``, bound to ``bindings`` and folded, with the text equal,
+    up to rounding, to ``b0 + v * b1`` for every value v of the parameter
+    ``name``, read from the text's pre-parse; None when the text does not
+    read ``name`` or reads it other than affinely (under ``sin``, ``cos``,
+    ``exp``, a power, in a divisor or exponent, or in two factors of one
+    product)."""
     try:
         tree, _ = _preparse(text, tuple(variables), frozenset(bindings))
         coefficient = _coefficient(tree, name)

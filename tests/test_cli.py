@@ -609,7 +609,7 @@ class TestAffineSweep:
         assert len(window_passes) == 2
         rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
         for i, row in enumerate(rows):
-            v, *extrema, verdict = row.split(",")
+            v, *extrema, _ = row.split(",")
             problem = build_problem(cfg, {"q0": float(v)})
             direct = _extrema(*KernelTable(problem).criterion(8, 72)[:2])
             assert [float(x) for x in extrema] == pytest.approx(direct, rel=1e-14, abs=0)
@@ -653,7 +653,8 @@ def test_combined_rows_agree_with_a_direct_pass_within_the_error_estimates(
     u_plus, u_minus, err_u = KernelTable(problem).criterion(*window)
     w_plus, w_minus, err_w = KernelTable(replace(problem, b=b1)).criterion(*window)
     d_plus, d_minus, err_d = KernelTable(build_problem(cfg, {"q0": v})).criterion(*window)
-    for side, u, w, direct in (("plus", u_plus, w_plus, d_plus), ("minus", u_minus, w_minus, d_minus)):
+    sides = (("plus", u_plus, w_plus, d_plus), ("minus", u_minus, w_minus, d_minus))
+    for side, u, w, direct in sides:
         rows = rows_at(v, side)
         if rows is None:  # the guard sends this value to a direct pass
             continue
