@@ -51,6 +51,9 @@ _KRONROD = np.array(_WGK + (_WGK_CENTER,) + _WGK[::-1])
 _GAUSS = np.zeros(15)
 _GAUSS[1::2] = _WG + (_WG_CENTER,) + _WG[::-1]
 _ROWS_PER_GROUP = 64  # rows that the row pass refines together
+# An error estimate at most this many eps of the summed |panel values| is
+# rounding, which more panels cannot lower: a target below it is unreachable.
+_ROUNDING_FLOOR = 50 * float(np.finfo(float).eps)
 
 
 class QuadratureError(RuntimeError):
@@ -106,8 +109,9 @@ def integrate(
     Limits may come in either order; the result is antisymmetric under a
     swap.  Returns ``(value, err)`` where ``err`` is the internal estimate.
     The target is ``err <= max(rel_tol * |value|, rel_tol)``; failure to get
-    there within ``max_panels`` raises :class:`QuadratureError` carrying the
-    best estimate.
+    there within ``max_panels``, or an estimate that has reached its
+    rounding floor, 50 eps times the sum of |panel values|, above the
+    target, raises :class:`QuadratureError` carrying the best estimate.
 
     With ``lo`` and ``hi`` arrays, row ``i`` is the integral from ``lo[i]``
     to ``hi[i]`` and ``f`` takes a 2-D array, one line of nodes per panel,
@@ -129,10 +133,9 @@ def integrate(
     if not math.isfinite(value):
         raise QuadratureError(f"non-finite integrand on [{lo}, {hi}]", value, err)
     panels = [(-err, lo, hi, value, err)]
-    total_v = value
-    total_e = err
+    total_v, total_e, total_abs = value, err, abs(value)
     while total_e > max(tol * abs(total_v), tol):
-        if len(panels) >= max_panels:
+        if len(panels) >= max_panels or total_e <= _ROUNDING_FLOOR * total_abs:
             raise QuadratureError(
                 f"quadrature did not converge on [{lo}, {hi}] "
                 f"(panels={len(panels)}, err={total_e:.3e})",
@@ -153,6 +156,7 @@ def integrate(
             )
         total_v += v1 + v2 - pv
         total_e += e1 + e2 - pe
+        total_abs += abs(v1) + abs(v2) - abs(pv)
         heapq.heappush(panels, (-e1, a, m, v1, e1))
         heapq.heappush(panels, (-e2, m, b, v2, e2))
     return total_v, total_e
@@ -185,13 +189,16 @@ def _integrate_rows(f, lo: np.ndarray, hi: np.ndarray, tol: float, max_panels: i
 
 
 def _refine(f, rows, a, b, value, err, tol: float, max_panels: int) -> None:
-    """Bisect the worst panel of every row in ``rows`` until each meets its target."""
+    """Bisect the worst panel of every row in ``rows`` until each meets its
+    target; a row whose estimate reaches its rounding floor fails at once."""
     # (lo, hi, value, err) of every panel of the rows still refining; each has n
     panels = np.stack([a, b, value, err])[:, rows, None]
+    mag = np.abs(value[rows])  # sum of |panel values| of each row still refining
     n = 1
     while rows.size:
-        if n >= max_panels:
-            i = rows[0]
+        floored = err[rows] <= _ROUNDING_FLOOR * mag
+        if n >= max_panels or floored.any():
+            i = rows[np.argmax(floored)]
             msg = f"quadrature did not converge on [{float(a[i])}, {float(b[i])}] (panels={n}, "
             raise QuadratureError(msg + f"err={err[i]:.3e})", float(value[i]), float(err[i]))
         if n == panels.shape[2]:
@@ -207,9 +214,10 @@ def _refine(f, rows, a, b, value, err, tol: float, max_panels: int) -> None:
         (v1, v2), (e1, e2) = v.reshape(2, -1), e.reshape(2, -1)
         value[rows] += v1 + v2 - pv
         err[rows] += e1 + e2 - pe
+        mag += np.abs(v1) + np.abs(v2) - np.abs(pv)
         panels[:, m, j] = pa, mid, v1, e1
         panels[:, :, n] = mid, pb, v2, e2
         n += 1
         fail = err[rows] > np.maximum(tol * np.abs(value[rows]), tol)
         if not fail.all():
-            rows, panels = rows[fail], panels[:, fail]
+            rows, panels, mag = rows[fail], panels[:, fail], mag[fail]

@@ -99,10 +99,10 @@ def _chop(coefs: np.ndarray, tol: float = _EPS) -> int:
 
 def _fit(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: float, hi: float, where: str
-) -> Optional[np.ndarray]:
-    """Chopped Chebyshev coefficients of ``f`` on [lo, hi], or None when
-    the largest sample size does not resolve it.  ``f`` gets the sample
-    times and the values of T_k there."""
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Chebyshev coefficients of ``f`` on [lo, hi], those chopping keeps and
+    those it drops, or None when the largest sample size does not resolve
+    it.  ``f`` gets the sample times and the values of T_k there."""
     mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
     for n in _SIZES:
         x, m, v = _cheb_basis(n)
@@ -113,7 +113,7 @@ def _fit(
         coefs = m @ values / n
         keep = _chop(coefs)
         if keep < n:
-            return coefs[:keep]
+            return coefs[:keep], coefs[keep:]
     return None
 
 
@@ -150,6 +150,13 @@ def _clenshaw(c: List[float], x: float) -> float:
     for i in range(len(c) - 1, 0, -1):
         b1, b2 = c[i] + x2 * b1 - b2, b1
     return c[0] + x * b1 - b2
+
+
+def _keeps_sign(c: np.ndarray, err: float) -> bool:
+    """|c_0| > sum_{k>=1} |c_k| + err: as |T_k| <= 1 on [-1, 1], a function
+    within err of the series sum c_k T_k there has the sign of c_0 throughout
+    and no root."""
+    return abs(c[0]) > float(np.abs(c[1:]).sum()) + err
 
 
 class _Panel:
@@ -231,10 +238,10 @@ class IntervalSeries:
             x_start = -1.0 if start < stop else 1.0
             A = C = None
             if const_a is None:
-                a_coef = _fit(lambda t, v: a_arr(t), lo, hi, self._where)
-                if a_coef is not None:
-                    A = _antiderivative(a_coef, x_start, hw)
-                    bound = float(np.abs(a_coef).sum()) * (hi - lo)
+                a_fit = _fit(lambda t, v: a_arr(t), lo, hi, self._where)
+                if a_fit is not None:
+                    A = _antiderivative(a_fit[0], x_start, hw)
+                    bound = float(np.abs(a_fit[0]).sum()) * (hi - lo)
             else:  # a (t - start) = a hw (x - x_start), exact in panel coordinates
                 A = [-const_a * hw * x_start, const_a * hw]
                 bound = abs(const_a) * (hi - lo)
@@ -244,12 +251,12 @@ class IntervalSeries:
                     continue
                 C = [0.0]
             elif A is not None:
-                f_coef = _fit(
+                f_fit = _fit(
                     lambda t, v: np.exp(-(v[:, : len(A)] @ A)) * g_arr(t), lo, hi, self._where
                 )
-                if f_coef is not None:
-                    C = _antiderivative(f_coef, x_start, hw)
-                    self.err += _EPS * hw * float(np.abs(f_coef).sum())
+                if f_fit is not None:
+                    C = _antiderivative(f_fit[0], x_start, hw)
+                    self.err += _EPS * hw * float(np.abs(f_fit[0]).sum())
             if C is None:  # a or the integrand is not resolved: bisect
                 if depth >= MAX_BISECTIONS:
                     raise QuadratureError(
@@ -316,24 +323,36 @@ class IntervalSeries:
     def zeros(
         self, lo: float, hi: float, flow_coef: float, forced_coef: float, const: float
     ) -> List[float]:
-        """Sorted roots in [lo, hi) of u = flow_coef exp(A) + forced_coef y + const."""
+        """Sorted roots in [lo, hi) of u = flow_coef exp(A) + forced_coef y + const.
+
+        A panel whose fit keeps one sign holds none.  A polished colleague
+        root is kept where u changes sign across t +- 1e-8 hw, or touches
+        0: |u(t)| within the rounding of the terms that sum to it."""
         if hi <= lo:
             return []
         a_ev, g_ev = self.a.ev, self.g.ev
 
-        def u(p: _Panel, t: float) -> Tuple[float, float]:
-            """u(t) and u'(t) = a (u - const) + forced_coef g."""
+        def u(p: _Panel, t: float) -> Tuple[float, float, float]:
+            """u(t), u'(t) = a (u - const) + forced_coef g, and the sum of the
+            magnitudes of the terms of u."""
             A, y = self._evaluate(p, t)
-            v = forced_coef * y + (flow_coef * self._flow(A) if flow_coef else 0.0)
-            return v + const, a_ev(t) * v + forced_coef * g_ev(t)
+            y, flow = forced_coef * y, (flow_coef * self._flow(A) if flow_coef else 0.0)
+            v = y + flow
+            return v + const, a_ev(t) * v + forced_coef * g_ev(t), abs(y) + abs(flow) + abs(const)
 
         def u_nodes(p: _Panel, t: np.ndarray, v: np.ndarray) -> np.ndarray:
+            nonlocal scale  # the largest sum of the magnitudes of the terms of a sample
             local = v[:, : len(p.A)] @ p.A
             out = np.full_like(t, const)
+            scale = abs(const)
             if forced_coef:
-                out += forced_coef * np.exp(local) * (p.y0 + v[:, : len(p.C)] @ p.C)
+                grow = np.exp(local)
+                out += forced_coef * grow * (p.y0 + v[:, : len(p.C)] @ p.C)
+                scale += abs(forced_coef) * (abs(p.y0) + np.abs(p.C).sum()) * grow.max()
             if flow_coef:
-                out += flow_coef * np.exp(p.A0 + local)
+                flow = np.exp(p.A0 + local)
+                out += flow_coef * flow
+                scale += abs(flow_coef) * flow.max()
             return out
 
         panels: List[_Panel] = []
@@ -345,12 +364,23 @@ class IntervalSeries:
         for p in panels:
             if p.hi <= lo or p.lo >= hi:
                 continue
-            coefs = _fit(lambda t, v: u_nodes(p, t, v), p.lo, p.hi, self._where)
-            if coefs is None:
+            scale = 0.0
+            fit = _fit(lambda t, v: u_nodes(p, t, v), p.lo, p.hi, self._where)
+            if fit is None:
                 raise QuadratureError(
                     f"zero search on {self._where}: {_SIZES[-1]} Chebyshev points "
                     f"do not resolve [{p.lo!r}, {p.hi!r}]"
                 )
+            coefs, dropped = fit
+            # |u - sum c_k T_k| <= the dropped tail, standing for the aliased one
+            # too, plus per kept coefficient twice the rounding of a value of u (eps
+            # of its terms' magnitudes per term of the products with A and C, as
+            # much again for exp, sums and products) and 2 n eps scale, n <= 129,
+            # from the coefficient product
+            rounding = 2 * (len(p.A) + len(p.C)) * _EPS
+            err = 2 * len(coefs) * (rounding + _SIZES[-1] * _EPS) * scale
+            if _keeps_sign(coefs, float(np.abs(dropped).sum()) + err):
+                continue
             coefs = np.trim_zeros(coefs, "b")  # the colleague matrix divides by the last
             if len(coefs) < 2:
                 continue
@@ -359,14 +389,16 @@ class IntervalSeries:
                     continue
                 t = min(max(p.mid + p.hw * float(r.real), p.lo), p.hi)
                 for _ in range(_NEWTON_STEPS):
-                    value, slope = u(p, t)
+                    value, slope, _ = u(p, t)
                     if value == 0.0 or slope == 0.0:
                         break
                     t_next = t - value / slope
                     if t_next == t or not p.lo <= t_next <= p.hi:
                         break
                     t = t_next
-                if lo <= t < hi:
+                d, (value, _, size) = _ROOT_IMAG_TOL * p.hw, u(p, t)
+                crosses = np.sign(u(p, t - d)[0]) != np.sign(u(p, t + d)[0])
+                if lo <= t < hi and (crosses or abs(value) <= rounding * size):
                     roots.append(t)
         roots.sort()
         merged: List[float] = []

@@ -1,7 +1,9 @@
 import json
 import math
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from idepcag.cli import EXIT_CONFIG, build_problem, main
@@ -99,6 +101,33 @@ class TestOneToleranceSetting:
         problem = build_problem(json.loads(SINE_FORCING.read_text()))
         with pytest.raises(QuadratureError):
             GronwallBound(problem)
+
+
+class TestUnreachableToleranceFailsEarly:
+    """A target below the rounding floor of an estimate fails as soon as the
+    estimate reaches that floor, far below the panel cap."""
+
+    @staticmethod
+    def _panels(message):
+        return int(re.search(r"panels=(\d+)", message).group(1))
+
+    def test_criterion_command(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("IDEPCAG_QUAD_TOL", "1e-30")
+        code = main(["criterion", "--config", str(SINE_FORCING), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert self._panels(capsys.readouterr().err) <= 16
+
+    def test_scalar_integral(self):
+        with pytest.raises(QuadratureError) as info:
+            integrate(math.exp, 0.0, 1.0, rel_tol=1e-30)
+        assert self._panels(str(info.value)) <= 16
+        assert info.value.value == pytest.approx(math.e - 1.0, rel=1e-14)
+
+    def test_row_pass(self):
+        lo, hi = np.zeros(3), np.array([1.0, 2.0, 3.0])
+        with pytest.raises(QuadratureError) as info:
+            integrate(np.exp, lo, hi, rel_tol=1e-30)
+        assert self._panels(str(info.value)) <= 16
 
 
 class TestToleranceVariableIsChecked:

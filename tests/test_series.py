@@ -6,19 +6,25 @@ oracle or against the Gronwall envelope.
 """
 
 import dataclasses
+import json
 import math
 from itertools import accumulate
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from idepcag import series as series_module
+from idepcag.cli import build_problem
 from idepcag.expressions import Const, Cos, Neg, Prod, Sin, Sum, Var
 from idepcag.grid import ExplicitGrid, LaggedUniformGrid, UniformGrid
 from idepcag.kernel import KernelTable, SingularKernel, w_intra
 from idepcag.oracle import oracle_integrate
 from idepcag.oscillation import GronwallBound
 from idepcag.problem import ImpulseRule, Problem
+from idepcag.series import IntervalSeries
 from idepcag.solver import solve
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -332,3 +338,90 @@ def test_scaling_by_a_power_of_two_is_exact(p, z0, h0, fractions):
     signs = [(pt.sign_left, pt.sign_right) for pt in first.skeleton()]
     assert [(pt.sign_left, pt.sign_right) for pt in scaled.skeleton()] == signs
     assert scaled.zero_list() == first.zero_list()
+
+
+# -- the zero search: panels that keep one sign, and root acceptance ------------
+
+SINE_FORCING = Path(__file__).resolve().parent.parent / "configs" / "sine_forcing.json"
+
+
+def _zero_search_spies(mp):
+    """Record, for every panel the zero search visits, the combination
+    searched, the panel's ends, its fit and whether the bound skipped it;
+    count the colleague-matrix solves."""
+    visits, colleague_calls, current, fits = [], [], [], []
+    real_zeros, real_fit = IntervalSeries.zeros, series_module._fit
+    real_keeps, real_colleague = series_module._keeps_sign, series_module._colleague_roots
+
+    def zeros(self, lo, hi, *coefs):
+        current[:] = [self, coefs]
+        return real_zeros(self, lo, hi, *coefs)
+
+    def fit(f, lo, hi, where):
+        fits.append((lo, hi))
+        return real_fit(f, lo, hi, where)
+
+    def keeps_sign(c, err):
+        kept = real_keeps(c, err)
+        visits.append((*current, fits[-1], c, kept))
+        return kept
+
+    def colleague_roots(c):
+        colleague_calls.append(len(c))
+        return real_colleague(c)
+
+    mp.setattr(IntervalSeries, "zeros", zeros)
+    mp.setattr(series_module, "_fit", fit)
+    mp.setattr(series_module, "_keeps_sign", keeps_sign)
+    mp.setattr(series_module, "_colleague_roots", colleague_roots)
+    return visits, colleague_calls
+
+
+@PROPERTY
+@given(st.one_of(kernel_problems(), lagged_problems()))
+def test_a_skipped_panel_holds_no_root(p):
+    # where |c_0| > sum_{k>=1} |c_k| + err skips a panel, its colleague matrix
+    # has no eigenvalue that the search would take for a real root in [-1, 1],
+    # and u has the sign of c_0 at 257 points of the panel
+    with pytest.MonkeyPatch.context() as mp:
+        visits, _ = _zero_search_spies(mp)
+        _solved(p).zero_list()
+    tol = series_module._ROOT_IMAG_TOL
+    for series, coefs, (lo, hi), c, kept in visits:
+        if not kept:
+            continue
+        trimmed = np.trim_zeros(c, "b")
+        if len(trimmed) >= 2:
+            for r in series_module._colleague_roots(trimmed):
+                assert abs(r.imag) > tol or abs(r.real) > 1.0 + tol, (lo, hi, r)
+        for t in np.linspace(lo, hi, 257):
+            assert np.sign(series.combination(float(t), *coefs)) == np.sign(c[0]), (lo, hi, t)
+
+
+def _sine_forcing_zeros():
+    return solve(build_problem(json.loads(SINE_FORCING.read_text()))).zero_list()
+
+
+def test_skipped_panels_save_colleague_solves_and_keep_the_roots():
+    with pytest.MonkeyPatch.context() as mp:
+        visits, colleague_calls = _zero_search_spies(mp)
+        roots = _sine_forcing_zeros()
+    # z has one root in each of the 60 intervals, on the last of its 3 panels;
+    # only those 60 of the 180 panels searched reach the colleague matrix
+    assert (len(visits), len(colleague_calls), len(roots)) == (180, 60, 60)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_module, "_keeps_sign", lambda c, err: False)
+        assert _sine_forcing_zeros() == roots
+
+
+@pytest.mark.parametrize("a", [-40.0, -200.0, 40.0])
+def test_no_false_zeros_of_a_pure_flow(a):
+    # b = 0 on a lagged grid: z = z(t_k) exp(a (t - t_k)) keeps its sign, but the
+    # colleague matrix of one unsplit panel of its fit has real eigenvalues
+    # where the flow has decayed below the fit's rounding; u changes no sign
+    # across them and is far above its own rounding there, so none is kept
+    p = Problem(
+        a=Const(a), b=Const(0.0), grid=LaggedUniformGrid(0.0, 1.0, 1),
+        tau=0.0, z0=1.0, horizon=3.0, history=(1.0,),
+    )
+    assert solve(p).zero_list() == []
