@@ -22,14 +22,14 @@ import math
 import random
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .expressions import ExpressionError, affine_split, parameters, parse_expression
+from .expressions import ExpressionError, ScalarExpr, affine_split, parameters, parse_expression
 from .grid import ArgumentGrid, ExplicitGrid, GridRangeError, LaggedUniformGrid, UniformGrid
 from .kernel import KernelTable, SingularKernel
-from .oracle import oracle_integrate
+from .oracle import DEFAULT_STEPS_PER_INTERVAL, oracle_integrate
 from .oscillation import (
     DEFAULT_BURN_IN,
     DEFAULT_CRITERION_TOL,
@@ -93,7 +93,9 @@ def _build_grid(cfg: dict) -> ArgumentGrid:
 _IMPULSE_VALUE_KEYS = {"constant": "c", "multiplier": "C", "alternating": "c"}
 
 
-def _build_impulse(cfg: Optional[dict], params: Dict[str, float]) -> ImpulseRule:
+def _build_impulse(cfg: Optional[dict], expr: Optional[ScalarExpr]) -> ImpulseRule:
+    """The impulse rule of ``cfg``; ``expr`` is its parsed expression, when
+    :func:`_expression_texts` lists one."""
     if cfg is None:
         return ImpulseRule.none()
     kind = cfg.get("type", "none")
@@ -101,36 +103,29 @@ def _build_impulse(cfg: Optional[dict], params: Dict[str, float]) -> ImpulseRule
         return ImpulseRule.none()
     if kind in _IMPULSE_VALUE_KEYS:
         make = getattr(ImpulseRule, kind)
-        return make(_bound_value(cfg[_IMPULSE_VALUE_KEYS[kind]], params))
+        return make(float(cfg[_IMPULSE_VALUE_KEYS[kind]]) if expr is None else expr.ev(0.0))
     if kind == "explicit":
         return ImpulseRule.explicit(cfg["values"], int(cfg.get("start_k", 0)))
     if kind == "expr":
-        return ImpulseRule.from_expression(
-            parse_expression(cfg["expr"], ("k",), params)
-        )
+        return ImpulseRule.from_expression(expr)
     raise ConfigError(f"unknown impulse type {kind!r}")
 
 
-def _bound_value(v, params: Dict[str, float]) -> float:
-    """Numeric literal, or a parameter reference / expression in params."""
-    if isinstance(v, (int, float)):
-        return float(v)
-    expr = parse_expression(str(v), (), params)
-    return expr.ev(0.0)
-
-
-def _expression_texts(pcfg: dict) -> List[Tuple[str, Tuple[str, ...]]]:
-    """(text, variables) of every expression ``build_problem`` parses."""
-    texts = [(pcfg["a"], ("t",)), (pcfg["b"], ("t",))]
+def _expression_texts(pcfg: dict) -> Iterator[Tuple[str, Tuple[str, ...]]]:
+    """(text, variables) of every config value that is an expression: a, b,
+    then the impulse's expression or its value when that is not a number.
+    Each is read when it is reached, so a config error surfaces in the order
+    :func:`build_problem` reads the config."""
+    yield pcfg["a"], ("t",)
+    yield pcfg["b"], ("t",)
     icfg = pcfg.get("impulse") or {}
     kind = icfg.get("type", "none")
     if kind == "expr":
-        texts.append((icfg["expr"], ("k",)))
+        yield icfg["expr"], ("k",)
     elif kind in _IMPULSE_VALUE_KEYS:
         value = icfg[_IMPULSE_VALUE_KEYS[kind]]
         if not isinstance(value, (int, float)):
-            texts.append((str(value), ()))
-    return texts
+            yield str(value), ()
 
 
 def build_problem(cfg: dict, param_overrides: Optional[Dict[str, float]] = None) -> Problem:
@@ -139,10 +134,11 @@ def build_problem(cfg: dict, param_overrides: Optional[Dict[str, float]] = None)
         params = dict(pcfg.get("params", {}))
         if param_overrides:
             params.update(param_overrides)
-        a = parse_expression(pcfg["a"], ("t",), params)
-        b = parse_expression(pcfg["b"], ("t",), params)
+        exprs = (parse_expression(text, variables, params)
+                 for text, variables in _expression_texts(pcfg))
+        a, b = next(exprs), next(exprs)
         grid = _build_grid(pcfg["grid"])
-        impulses = _build_impulse(pcfg.get("impulse"), params)
+        impulses = _build_impulse(pcfg.get("impulse"), next(exprs, None))
         history = pcfg.get("history")
         return Problem(
             a=a,
@@ -379,7 +375,7 @@ def cmd_sweep(cfg: dict, args) -> int:
             threshold = _finite("sweep.target.threshold", float(target["threshold"]))
             xtol = _tolerance("sweep.target.xtol", float(target.get("xtol", 1e-6)))
     with _reading("problem"):
-        texts = _expression_texts(cfg["problem"])
+        texts = list(_expression_texts(cfg["problem"]))
         readers = [i for i, (text, variables) in enumerate(texts)
                    if pname in parameters(text, variables, params)]
         if not readers:
@@ -438,7 +434,7 @@ def cmd_oracle_check(cfg: dict, args) -> int:
         raise ConfigError("oracle check supports non-lagged grids only")
     with _reading("analysis"):
         acfg = cfg.get("analysis", {})
-        steps = int(acfg.get("oracle_steps", 10_000))
+        steps = int(acfg.get("oracle_steps", DEFAULT_STEPS_PER_INTERVAL))
         n_samples = int(acfg.get("check_samples", 100))
         check_tol = _tolerance("analysis.check_tol", float(acfg.get("check_tol", 1e-6)))
         if steps < 2 or n_samples < 1:

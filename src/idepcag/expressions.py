@@ -9,8 +9,9 @@ parsed expression maps onto the node set below.
 Each text is read once.  :func:`parse_expression` caches, bounded, the
 pre-parse of each (text, variables, binding names), in which a binding is
 a parameter leaf and a division or parenthesised exponent waits for the
-values; each call binds the values, resolves those operations with the
-parser's own arithmetic and folds constants.
+values.  Each call makes one walk from the leaves, :func:`_fold`: it binds
+the values, resolves those operations with the parser's own arithmetic
+and folds each variable-free subtree to a constant as it builds it.
 
 Each tree shape is compiled once.  :func:`_shape` splits a tree into its
 shape (node types, exponents, variable names) and its constants, and
@@ -227,51 +228,6 @@ def evaluate_array(expr: ScalarExpr, points: np.ndarray) -> np.ndarray:
     return expr.ev_array(np.asarray(points, dtype=float))
 
 
-def _contains_var(node: ScalarExpr) -> bool:
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, (Neg, Sin, Cos, Exp)):
-        return _contains_var(node.child)
-    if isinstance(node, (Sum, Prod)):
-        return any(_contains_var(c) for c in node.children)
-    if isinstance(node, Pow):
-        return _contains_var(node.base)
-    if isinstance(node, _Deferred):
-        return _contains_var(node.left)
-    return False
-
-
-def fold_constants(node: ScalarExpr) -> ScalarExpr:
-    """Collapse variable-free subtrees to Const nodes, bottom up.
-
-    Each value is the one the compiled form gives.  A sum or product of
-    constants is its left fold and a negation is exact, so neither is
-    compiled; a function or power of a constant is.
-    """
-    if isinstance(node, (Const, Var)):
-        return node
-    if isinstance(node, (Sum, Prod)):
-        children = tuple(fold_constants(c) for c in node.children)
-        if not all(isinstance(c, Const) for c in children):
-            return type(node)(children)
-        op = operator.add if isinstance(node, Sum) else operator.mul
-        return Const(reduce(op, (c.value for c in children)))
-    if isinstance(node, Pow):
-        folded = Pow(fold_constants(node.base), node.exponent)
-        child = folded.base
-    else:  # Neg, Sin, Cos, Exp
-        child = fold_constants(node.child)
-        folded = type(node)(child)
-    if not isinstance(child, Const):
-        return folded
-    if isinstance(node, Neg):
-        return Const(-child.value)
-    try:
-        return Const(folded.ev(0.0))
-    except OverflowError:
-        raise ExpressionError("constant subexpression overflows") from None
-
-
 # --- parsing ----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -302,7 +258,7 @@ def _tokenize(text: str):
 
 
 # a bound name, and a division or parenthesised power whose right operand,
-# free of variables, waits for the values; _bind resolves both
+# free of variables, waits for the values; _fold resolves both
 _Param = namedtuple("_Param", "name")
 _Deferred = namedtuple("_Deferred", "op left right pos")
 
@@ -323,8 +279,9 @@ def _exponent(value: float, pos: int) -> int:
 class _Parser:
     """Pre-parse of a text: a tree of the node classes with each name in
     ``names`` a ``_Param`` and each division and parenthesised exponent a
-    ``_Deferred``.  It makes the checks the text alone decides; :func:`_bind`
-    makes the ones that depend on values."""
+    ``_Deferred``.  It makes the checks the text alone decides, a divisor or
+    exponent that builds a ``Var`` among them; :func:`_fold` makes the ones
+    that depend on values."""
 
     def __init__(self, text, variables, names):
         self.tokens = _tokenize(text)
@@ -332,6 +289,7 @@ class _Parser:
         self.variables = variables
         self.names = names
         self.read = set()
+        self.vars = 0  # Vars built so far
 
     def peek(self):
         return self.tokens[self.i]
@@ -376,8 +334,9 @@ class _Parser:
                 node = _flat(Prod, node, self.parse_factor())
             elif kind == "op" and val == "/":
                 self.advance()
+                seen = self.vars
                 rhs = self.parse_factor()
-                if _contains_var(rhs):
+                if self.vars > seen:
                     raise ExpressionError("divisor must be constant", pos)
                 node = _Deferred("/", node, rhs, pos)
             else:
@@ -403,9 +362,10 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "op" and val == "(":
             self.advance()
+            seen = self.vars
             node = self.parse_sum()
             self.expect_op(")")
-            if _contains_var(node):
+            if self.vars > seen:
                 raise ExpressionError("exponent must be a constant integer", pos)
             return _Deferred("^", base, node, pos)
         if kind != "num":
@@ -431,6 +391,7 @@ class _Parser:
                 self.expect_op(")")
                 return _FUNCTIONS[val](arg)
             if val in self.variables:
+                self.vars += 1
                 return Var(val)
             if val == "pi":
                 return Const(math.pi)
@@ -448,32 +409,59 @@ def _preparse(text: str, variables: Tuple[str, ...], names: frozenset):
     return parser.parse(), frozenset(parser.read)
 
 
-def _bind(node, bindings: Mapping[str, float]) -> ScalarExpr:
-    """The pre-parsed ``node`` with the values of ``bindings``, each deferred
-    operation resolved in text order with the arithmetic of a parse of the
-    values as literals."""
+# each one-child node's operation, as its compiled form applies it to a constant
+_CONSTANT_FUNCTIONS = {Neg: operator.neg, Sin: math.sin, Cos: math.cos, Exp: math.exp}
+
+
+def _fold(node, bindings: Mapping[str, float]) -> ScalarExpr:
+    """The pre-parsed ``node`` with the values of ``bindings``, in one walk
+    from the leaves: each deferred operation is resolved with the arithmetic
+    of a parse of the values as literals, and each variable-free subtree is
+    folded to a ``Const`` as it is built.  A sum or product of constants is
+    its left fold and a function or power of a constant the value its
+    compiled form gives."""
     if isinstance(node, _Param):
-        return Const(float(bindings[node.name]))
-    if isinstance(node, _Deferred):
-        left = _bind(node.left, bindings)
-        right = fold_constants(_bind(node.right, bindings)).value
-        if node.op == "^":
-            return Pow(left, _exponent(right, node.pos))
-        if right == 0.0:
-            raise ExpressionError("division by zero", node.pos)
-        folded = fold_constants(left)
-        if isinstance(folded, Const):
-            return Const(folded.value / right)
-        return _flat(Prod, left, Const(1.0 / right))
+        return Const(bindings[node.name])
+    if isinstance(node, (Const, Var)):
+        return node
     if isinstance(node, (Sum, Prod)):
-        first, *rest = (_bind(c, bindings) for c in node.children)
-        # a division in front binds to a Prod, which the parse of literals extends
-        return reduce(partial(_flat, type(node)), rest, first)
-    if isinstance(node, Pow):
-        return Pow(_bind(node.base, bindings), node.exponent)
-    if isinstance(node, (Neg, Sin, Cos, Exp)):
-        return type(node)(_bind(node.child, bindings))
-    return node  # Const, Var
+        kind = type(node)
+        first, *rest = (_fold(c, bindings) for c in node.children)
+        # a division in front binds to a Prod, which the parse of literals extends;
+        # a one-child Sum or Prod binds to its child
+        node = reduce(partial(_flat, kind), rest, first)
+        if not isinstance(node, kind) or not all(isinstance(c, Const) for c in node.children):
+            return node
+        op = operator.add if kind is Sum else operator.mul
+        return Const(reduce(op, (c.value for c in node.children)))
+    if isinstance(node, _Deferred):
+        left = _fold(node.left, bindings)
+        right = _fold(node.right, bindings).value
+        if node.op == "/":
+            if right == 0.0:
+                raise ExpressionError("division by zero", node.pos)
+            if isinstance(left, Const):
+                return Const(left.value / right)
+            return _flat(Prod, left, Const(1.0 / right))
+        kind, child, exponent = Pow, left, _exponent(right, node.pos)
+    elif isinstance(node, Pow):
+        kind, child, exponent = Pow, _fold(node.base, bindings), node.exponent
+    else:  # Neg, Sin, Cos, Exp
+        kind, child, exponent = type(node), _fold(node.child, bindings), None
+    if not isinstance(child, Const):
+        return Pow(child, exponent) if kind is Pow else kind(child)
+    try:
+        if kind is Pow:
+            return Const(child.value**exponent)
+        return Const(_CONSTANT_FUNCTIONS[kind](child.value))
+    except OverflowError:
+        raise ExpressionError("constant subexpression overflows") from None
+
+
+def fold_constants(node: ScalarExpr) -> ScalarExpr:
+    """Collapse variable-free subtrees to Const nodes: the walk that binds
+    a pre-parse, with no bindings."""
+    return _fold(node, {})
 
 
 def parse_expression(
@@ -490,7 +478,7 @@ def parse_expression(
     bindings = bindings or {}
     try:
         tree, _ = _preparse(text, tuple(variables), frozenset(bindings))
-        return fold_constants(_bind(tree, bindings))
+        return _fold(tree, bindings)
     except RecursionError:
         raise ExpressionError("expression nested too deeply") from None
 
@@ -555,8 +543,7 @@ def affine_split(
         coefficient = _coefficient(tree, name)
         if coefficient is None:
             return None
-        base = fold_constants(_bind(tree, {**bindings, name: 0.0}))
-        return base, fold_constants(_bind(coefficient, bindings))
+        return _fold(tree, {**bindings, name: 0.0}), _fold(coefficient, bindings)
     except _NotAffine:
         return None
     except RecursionError:

@@ -206,7 +206,7 @@ class IntervalSeries:
 
     # -- construction ----------------------------------------------------------
 
-    def _g_vanishes(self) -> bool:
+    def g_vanishes(self) -> bool:
         """g is 0 at every node of the interval, as g = a + b is for b = -a;
         then y is exactly 0 and long panels need no splitting."""
         if self._zero_g is None:
@@ -246,7 +246,7 @@ class IntervalSeries:
                 A = [-const_a * hw * x_start, const_a * hw]
                 bound = abs(const_a) * (hi - lo)
             if A is not None and bound > 1.0 + 1e-9:
-                if not self._g_vanishes():
+                if not self.g_vanishes():
                     split(start, stop, math.ceil(bound), depth)
                     continue
                 C = [0.0]
@@ -330,6 +330,8 @@ class IntervalSeries:
         0: |u(t)| within the rounding of the terms that sum to it."""
         if hi <= lo:
             return []
+        if not const and (not forced_coef or self.g_vanishes()):
+            return []  # u = flow_coef exp(A) has the sign of flow_coef throughout
         a_ev, g_ev = self.a.ev, self.g.ev
 
         def u(p: _Panel, t: float) -> Tuple[float, float, float]:

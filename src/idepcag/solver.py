@@ -159,9 +159,12 @@ class Trajectory:
             m, x = self._pairs[k]
             if grid.lagged:
                 # z(t_k) = m 2^x, z(t_{k-lag}) = n 2^y at the larger exponent of a nonzero
-                n, y = self._pairs[k - grid.lag]
-                top = max(x if m else y, y if n else x)
+                # value that z reads; where g vanishes z reads z(t_k) alone
                 series = IntervalSeries(problem.a, self._g, lo, hi, lo, k)
+                n, y = self._pairs[k - grid.lag]
+                if series.g_vanishes():
+                    n = 0.0
+                top = max(x if m else y, y if n else x)
                 p, q = math.ldexp(m, x - top), math.ldexp(n, y - top)
                 piece = (series, p, q, 0.0, 1.0, 1.0, top)
             else:

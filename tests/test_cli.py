@@ -359,6 +359,18 @@ class TestLaggedUnderflow:
         assert main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_OK
         assert " zeros=0 " in capsys.readouterr().out
 
+    def test_a_pure_flow_below_the_float_range_has_no_zeros(self, tmp_path, capsys):
+        # b = 0: z = exp(-700 t) keeps its sign, so its zero search needs no fit,
+        # and z(t_k) alone sets each interval's scale, so no knot value rounds to 0
+        cfg = base_config()
+        cfg["problem"].update({"a": "-700", "b": "0", "params": {}, "history": [1.0]})
+        cfg["problem"]["grid"] = {"type": "lagged", "t0": 0, "h": 1, "lag": 1}
+        cfg["problem"]["impulse"] = {"type": "none"}
+        cfg["problem"]["horizon"] = 3.0
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        assert main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_OK
+        assert " zeros=0 " in capsys.readouterr().out
+
 
 class TestCriterionCommand:
     def test_oscillatory_report(self, tmp_path, capsys):

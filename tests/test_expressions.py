@@ -98,6 +98,22 @@ class TestParse:
         with pytest.raises(ExpressionError, match="constant"):
             parse_expression("1/t")
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("1/(2*sin(t))", "divisor must be constant", 1),
+            ("2/(t - t)", "divisor must be constant", 1),
+            ("1/(3/t)", "divisor must be constant", 4),
+            ("t^(t*0)", "exponent must be a constant integer", 2),
+            ("exp(t)^(t)", "exponent must be a constant integer", 7),
+        ],
+    )
+    def test_a_divisor_or_exponent_that_reads_t_is_refused(self, text, message, position):
+        # refused from the text, even where the subexpression would fold away
+        with pytest.raises(ExpressionError, match=message) as info:
+            parse_expression(text)
+        assert info.value.position == position
+
     def test_division_by_zero_rejected(self):
         with pytest.raises(ExpressionError, match="zero"):
             parse_expression("1/0")
@@ -389,7 +405,8 @@ class TestDeepNesting:
 
 
 # a parameter in a dividend, a divisor, a ^( ... ) exponent, a function
-# argument and next to t
+# argument and next to t; a division in front of a product, a deferred
+# operation inside a function and an exponent on a folded function
 _BOUND_TEXTS = [
     "q/3 + t",
     "(q*t - 1)/7",
@@ -403,6 +420,13 @@ _BOUND_TEXTS = [
     "exp(q*t)*q",
     "q*t + t*q - q",
     "-q^2*t/(1 + q)",
+    "2/q*t",
+    "t*(q/2)*t",
+    "sin(q/3)*t",
+    "cos(t)^(q + 1)/q",
+    "exp(q/4)^(2)*t",
+    "t + (q + 1)/q",
+    "-(q*q)/3 - t/q",
 ]
 
 
