@@ -18,9 +18,11 @@ Each interpolant has the degree the tail chopping rule of Aurentz and
 Trefethen ("Chopping a Chebyshev series", ACM TOMS 2017) gives at machine
 precision; a panel whose coefficients do not level off is bisected.
 
-Zeros come from the colleague-matrix eigenvalues of the interpolant of
-the wanted combination on each panel (Good, 1961), polished by Newton
-steps with the derivative taken from the equation itself.
+Zeros are the real roots, from numpy's ``chebroots``, of the interpolant of
+the wanted combination on each panel: the eigenvalues of its colleague
+matrix (Good, 1961).  A root where the combination changes sign gets one
+secant step through the two values that show the change.  A double root
+is ill-conditioned and may come out as a pair or not at all.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ _EPS = float(np.finfo(float).eps)
 _SIZES = (33, 65, 129)
 _ROOT_IMAG_TOL = 1e-8
 _ROOT_MERGE_TOL = 1e-12
-_NEWTON_STEPS = 4
 
 
 @functools.lru_cache(maxsize=None)
@@ -129,19 +130,9 @@ def _antiderivative(c: np.ndarray, x_start: float, scale: float) -> List[float]:
 
 
 def _colleague_roots(c: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the colleague matrix of the series ``c`` (Good, 1961):
-    the roots of sum c_k T_k, complex ones included."""
-    n = len(c) - 1
-    if n == 1:
-        return np.array([-c[0] / c[1]])
-    mat = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    mat[idx, idx + 1] = mat[idx + 1, idx] = 0.5
-    mat[0, 1] = mat[1, 0] = math.sqrt(0.5)  # T_0 scaled by sqrt(1/2): symmetric
-    scale = np.full(n, 1.0)
-    scale[0] = math.sqrt(2.0)
-    mat[:, -1] -= 0.5 * (c[:-1] / c[-1]) * scale
-    return np.linalg.eigvals(mat)
+    """Roots of sum c_k T_k, complex ones included: the eigenvalues of its
+    colleague matrix (Good, 1961), none below degree 1."""
+    return np.polynomial.chebyshev.chebroots(c)
 
 
 def _clenshaw(c: List[float], x: float) -> float:
@@ -308,13 +299,14 @@ class IntervalSeries:
             raise OverflowError(f"flow weight exp({A:.3g}) overflows on {self._where}")
         return math.exp(A)
 
+    def terms(self, t: float) -> Tuple[float, float]:
+        """(A(t), y(t)) from one panel lookup."""
+        return (0.0, 0.0) if t == self.anchor else self._evaluate(self._panel(t), t)
+
     def combination(self, t: float, flow_coef: float, forced_coef: float, const: float) -> float:
-        """forced_coef y(t) + const + flow_coef exp(A(t)) from one panel
-        lookup; the flow is not evaluated when flow_coef is 0."""
-        if t == self.anchor:
-            A = y = 0.0
-        else:
-            A, y = self._evaluate(self._panel(t), t)
+        """forced_coef y(t) + const + flow_coef exp(A(t)); the flow is not
+        evaluated when flow_coef is 0."""
+        A, y = self.terms(t)
         u = forced_coef * y + const
         if flow_coef:
             u += flow_coef * self._flow(A)
@@ -325,22 +317,20 @@ class IntervalSeries:
     ) -> List[float]:
         """Sorted roots in [lo, hi) of u = flow_coef exp(A) + forced_coef y + const.
 
-        A panel whose fit keeps one sign holds none.  A polished colleague
-        root is kept where u changes sign across t +- 1e-8 hw, or touches
-        0: |u(t)| within the rounding of the terms that sum to it."""
+        A panel whose fit keeps one sign holds none.  A colleague root t is
+        kept where u changes sign across t +- 1e-8 hw, and then moved by one
+        secant step through those two values, within that bracket; or where
+        u touches 0: |u(t)| within the rounding of the terms that sum to it."""
         if hi <= lo:
             return []
         if not const and (not forced_coef or self.g_vanishes()):
             return []  # u = flow_coef exp(A) has the sign of flow_coef throughout
-        a_ev, g_ev = self.a.ev, self.g.ev
 
-        def u(p: _Panel, t: float) -> Tuple[float, float, float]:
-            """u(t), u'(t) = a (u - const) + forced_coef g, and the sum of the
-            magnitudes of the terms of u."""
+        def u(p: _Panel, t: float) -> Tuple[float, float]:
+            """u(t) and the sum of the magnitudes of its terms."""
             A, y = self._evaluate(p, t)
             y, flow = forced_coef * y, (flow_coef * self._flow(A) if flow_coef else 0.0)
-            v = y + flow
-            return v + const, a_ev(t) * v + forced_coef * g_ev(t), abs(y) + abs(flow) + abs(const)
+            return y + flow + const, abs(y) + abs(flow) + abs(const)
 
         def u_nodes(p: _Panel, t: np.ndarray, v: np.ndarray) -> np.ndarray:
             nonlocal scale  # the largest sum of the magnitudes of the terms of a sample
@@ -383,24 +373,17 @@ class IntervalSeries:
             err = 2 * len(coefs) * (rounding + _SIZES[-1] * _EPS) * scale
             if _keeps_sign(coefs, float(np.abs(dropped).sum()) + err):
                 continue
-            coefs = np.trim_zeros(coefs, "b")  # the colleague matrix divides by the last
-            if len(coefs) < 2:
-                continue
             for r in _colleague_roots(coefs):
                 if abs(r.imag) > _ROOT_IMAG_TOL or abs(r.real) > 1.0 + _ROOT_IMAG_TOL:
                     continue
                 t = min(max(p.mid + p.hw * float(r.real), p.lo), p.hi)
-                for _ in range(_NEWTON_STEPS):
-                    value, slope, _ = u(p, t)
-                    if value == 0.0 or slope == 0.0:
-                        break
-                    t_next = t - value / slope
-                    if t_next == t or not p.lo <= t_next <= p.hi:
-                        break
-                    t = t_next
-                d, (value, _, size) = _ROOT_IMAG_TOL * p.hw, u(p, t)
-                crosses = np.sign(u(p, t - d)[0]) != np.sign(u(p, t + d)[0])
-                if lo <= t < hi and (crosses or abs(value) <= rounding * size):
+                d, (value, size) = _ROOT_IMAG_TOL * p.hw, u(p, t)
+                below, above = u(p, t - d)[0], u(p, t + d)[0]
+                if np.sign(below) != np.sign(above):  # one secant step, kept in the bracket
+                    t += min(max(2.0 * d * value / (below - above), -d), d)
+                elif abs(value) > rounding * size:
+                    continue  # neither a crossing nor a touch
+                if lo <= t < hi:
                     roots.append(t)
         roots.sort()
         merged: List[float] = []

@@ -12,12 +12,14 @@ y' = a y + b, y(t_k) = 0, so that z = exp(A) z(t_k) + y z(t_{k-lag}).  Both
 are one combination of flow and forced response (see :class:`Trajectory`),
 and one march serves both grid kinds.  Dense values, the knot march and
 the in-interval zeros all come from that series; zeros are the real roots
-of its Chebyshev interpolant on each panel, polished by Newton steps.
+of its Chebyshev interpolant on each panel, from numpy's ``chebroots``.
 
 The march carries z at each interval base as its ``math.frexp`` pair, so
-|z| may leave the float range and come back.  A value is rounded to a float
-only when it is read (to 0.0 or a subnormal below 2^-1022, to +-inf above
-the largest float), and the knot signs are the signs of the mantissas.
+|z| may leave the float range and come back; a lagged pure flow carries
+the binary exponent of exp(A) as well where the float would underflow.
+A value is rounded to a float only when it is read (to 0.0 or a subnormal
+below 2^-1022, to +-inf above the largest float), and the knot signs are
+the signs of the mantissas.
 
 Start convention: no impulse is applied at tau itself (z0 is the
 post-jump state), and when the argument value of the start interval lies
@@ -29,6 +31,7 @@ choice is recorded in ``Trajectory.metadata``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -37,6 +40,11 @@ from typing import Dict, List, Tuple
 from .kernel import KernelTable, _require_invertible, flow_weighted_integral  # noqa: F401
 from .problem import Problem
 from .series import IntervalSeries
+
+
+# ln 2 = _LN2_HI + _LN2_LO, the high part with 21 trailing zero bits so that
+# n _LN2_HI is exact for |n| < 2^21 (fdlibm's split)
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
 
 def _sgn(x: float) -> int:
@@ -265,9 +273,16 @@ def solve(problem: Problem) -> Trajectory:
     while grid.knot(k + 1) <= problem.horizon:
         t_next = grid.knot(k + 1)
         series, p, q, r, e, m, x = traj._piece(k)
-        left, x_left = math.frexp(series.combination(t_next, p, q, r) / e * m)
+        value, n = series.combination(t_next, p, q, r) / e * m, 0
+        if not q and p and abs(value) < sys.float_info.min:
+            # a lagged pure flow p exp(A) below the normal range: carry exp(A)'s
+            # binary exponent n, with A = n ln 2 + rest
+            A = series.terms(t_next)[0]
+            n = round(A / math.log(2.0))
+            value = p * math.exp(A - n * _LN2_HI - n * _LN2_LO)
+        left, x_left = math.frexp(value)
         right, x_right = math.frexp(problem.impulses.factor(k + 1) * left)
-        x_left += x  # z(t_{k+1}^-) = left 2^x_left
+        x_left += x + n  # z(t_{k+1}^-) = left 2^x_left
         x_right += x_left  # z(t_{k+1}) = right 2^x_right
         traj._pairs[k + 1] = (right, x_right)
         z_left, z_right = _ldexp(left, x_left), _ldexp(right, x_right)

@@ -1,0 +1,17 @@
+"""The README's library example runs and prints what its comments say."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_example_prints_its_verdicts():
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue().splitlines()[-2:] == ["oscillatory", "oscillatory"]

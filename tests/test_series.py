@@ -8,6 +8,7 @@ oracle or against the Gronwall envelope.
 import dataclasses
 import json
 import math
+from decimal import Decimal
 from itertools import accumulate
 from pathlib import Path
 
@@ -425,3 +426,34 @@ def test_no_false_zeros_of_a_pure_flow(a):
         tau=0.0, z0=1.0, horizon=3.0, history=(1.0,),
     )
     assert solve(p).zero_list() == []
+
+
+def _pure_flow(a):
+    """z' = a z on a lagged grid with h = 1: z(t_k) = e^{a k}."""
+    return Problem(
+        a=Const(a), b=Const(0.0), grid=LaggedUniformGrid(0.0, 1.0, 1),
+        tau=0.0, z0=1.0, horizon=3.0, history=(1.0,),
+    )
+
+
+@pytest.mark.parametrize("a", [-744.0, -745.0, -2000.0])
+def test_a_pure_flow_below_the_float_range_keeps_its_knot_values(a):
+    # p exp(a) is subnormal at a = -744 and 0 from a = -745 on; the march
+    # carries exp(a)'s binary exponent, so each knot pair holds e^{a k}
+    traj = solve(_pure_flow(a))
+    assert traj.zero_list() == []
+    assert [pt.sign_right for pt in traj.skeleton()] == [1, 1, 1, 1]
+    for k in (1, 2, 3):
+        m, x = traj._pairs[k]
+        exact = (Decimal(a) * k).exp()
+        assert abs(Decimal(m) * Decimal(2) ** x / exact - 1) <= Decimal("1e-12"), k
+
+
+def test_a_pure_flow_in_the_float_range_is_unchanged():
+    # e^{-700 k} stays normal at k = 1: no knot takes the exponent carry
+    pairs = solve(_pure_flow(-700.0))._pairs
+    assert [(pairs[k][0].hex(), pairs[k][1]) for k in (1, 2, 3)] == [
+        ("0x1.14f2b0fb9307fp-1", -1009),
+        ("0x1.2b9c33b18b060p-1", -2019),
+        ("0x1.44207086197cap-1", -3029),
+    ]
