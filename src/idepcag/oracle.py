@@ -33,7 +33,7 @@ value read past the largest float is refused as an ``OverflowError``.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -129,6 +129,9 @@ class _OracleTrajectory(Trajectory):
             A, B = _rk4_linear(self.problem, np.stack([node[off], t[off]], axis=-1))
             z[off] = A[:, 1] * z[off] + B[:, 1] * z_zeta[off]
         return z.tolist()
+
+    def zeros_in_intervals(self, ks: Iterable[int]) -> Iterator[List[float]]:
+        return map(self.zeros_in_interval, ks)
 
     def zeros_in_interval(self, k: int) -> List[float]:
         """Roots in the solved part [lo, hi) of interval k: exact zeros on the

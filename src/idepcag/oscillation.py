@@ -139,7 +139,7 @@ def classify_continuous(
     With a sign-definite skeleton the solution is nonoscillatory exactly
     when j(t, zeta_k) keeps one strict sign across each interval; a root
     inside any interval produces in-interval zeros and hence oscillation.
-    Uses the roots of :meth:`Trajectory.zeros_in_interval`; requires a
+    Uses the roots of :meth:`Trajectory.zeros_in_intervals`; requires a
     kernel-backed trajectory.
     """
     if type(traj) is not Trajectory or traj.problem.grid.lagged:
@@ -149,9 +149,9 @@ def classify_continuous(
         raise ValueError(
             f"discrete classification must be nonoscillatory, got {discrete.status}"
         )
-    k_lo, k_hi = discrete.window
-    for k in range(k_lo, k_hi - 1):
-        if traj.zeros_in_interval(k):
+    ks = range(*discrete.window)[:-1]
+    for k, roots in zip(ks, traj.zeros_in_intervals(ks)):
+        if roots:
             return OscillationVerdict(
                 "oscillatory",
                 discrete.window,
@@ -208,8 +208,15 @@ def _window_extrema(problem: Problem, window: Tuple[int, int], quantity: Optiona
     return _extremum(values, quantity)
 
 
+# the impulse factors of these kinds repeat in k with this period
+_FACTOR_PERIOD = {"none": 1, "constant": 1, "multiplier": 1, "alternating": 2}
+
+
 def _impulse_branch(problem: Problem, window: Tuple[int, int]) -> str:
-    factors = [problem.impulses.factor(k) for k in range(window[0], window[1])]
+    """The signs of the factors 1 + c_k over the window's knots, read from
+    one period of them where the rule's kind repeats them."""
+    knots = range(*window)[: _FACTOR_PERIOD.get(problem.impulses.kind)]
+    factors = [problem.impulses.factor(k) for k in knots]
     if all(f > 0 for f in factors):
         return "positive-impulse"
     if all(f < 0 for f in factors):

@@ -18,11 +18,20 @@ Each interpolant has the degree the tail chopping rule of Aurentz and
 Trefethen ("Chopping a Chebyshev series", ACM TOMS 2017) gives at machine
 precision; a panel whose coefficients do not level off is bisected.
 
+The fits are made in row batches: :func:`build_sides` fits the pieces of
+many sides level by level, one sample matrix, one values-to-coefficients
+product and one chop per batch, and only then walks each side in chain
+order to set the values its panels start from.  Every row is computed
+alike whatever the other rows of its batch, so a side comes out bitwise
+the same built alone or with others.
+
 Zeros are the real roots, from numpy's ``chebroots``, of the interpolant of
 the wanted combination on each panel: the eigenvalues of its colleague
-matrix (Good, 1961).  A root where the combination changes sign gets one
-secant step through the two values that show the change.  A double root
-is ill-conditioned and may come out as a pair or not at all.
+matrix (Good, 1961).  :func:`zero_search` fits the combination on the
+panels of many intervals in one batch.  A root where the combination
+changes sign gets one secant step through the two values that show the
+change.  A double root is ill-conditioned and may come out as a pair or
+not at all.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -62,70 +71,129 @@ def _cheb_basis(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, m, v
 
 
-def _chop(coefs: np.ndarray, tol: float = _EPS) -> int:
-    """Number of leading coefficients to keep (Aurentz & Trefethen's
-    standardChop); ``len(coefs)`` when the tail has not levelled off."""
-    n = len(coefs)
-    env = np.maximum.accumulate(np.abs(coefs)[::-1])[::-1]
-    if env[0] == 0.0:
-        return 1
-    env /= env[0]
+@functools.lru_cache(maxsize=None)
+def _plateau_tests(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The indices j >= 2 that standardChop tests for a plateau in n
+    coefficients, and j2 = int(1.25 j + 5.5) for each, while j2 <= n."""
+    j = np.arange(2, n + 1)
+    j2 = (1.25 * j + 5.5).astype(int)
+    return j[j2 <= n], j2[j2 <= n]
+
+
+def _chop(coefs: np.ndarray, tol: float = _EPS) -> np.ndarray:
+    """Row i: the number of leading coefficients of ``coefs[i]`` to keep
+    (Aurentz & Trefethen's standardChop); n where the row's tail has not
+    levelled off.  Each row is chopped alike whatever the other rows."""
+    rows, n = coefs.shape
+    keep = np.ones(rows, dtype=int)
+    env = np.maximum.accumulate(np.abs(coefs)[:, ::-1], axis=1)[:, ::-1]
+    live = np.flatnonzero(env[:, 0] != 0.0)
+    env = env[live] / env[live, :1]
     # The plateau is the first j whose envelope barely falls by index
-    # 1.25 j + 5.  That needs env[j - 1] < tol^(2/3), so the scan starts at
-    # the first such j; the envelope does not increase.
-    first = int(np.argmax(env < tol ** (2.0 / 3.0))) + 1
-    floor = tol ** (7.0 / 6.0)
-    j3 = int(np.count_nonzero(env >= floor))
-    env = env.tolist()
-    log_tol = math.log(tol)
-    for j in range(max(first, 2), n + 1):
-        j2 = int(1.25 * j + 5.5)
-        if j2 > n:
-            return n
-        e1 = env[j - 1]
-        if e1 == 0.0 or env[j2 - 1] / e1 > 3.0 * (1.0 - math.log(e1) / log_tol):
-            break
-    else:
-        return n
+    # j2 = 1.25 j + 5, tested from the first j with env[j - 1] < tol^(2/3)
+    # on; the envelope does not increase.
+    j, j2 = _plateau_tests(n)
+    first = np.argmax(env < tol ** (2.0 / 3.0), axis=1) + 1
+    e1, e2 = env[:, j - 1], env[:, j2 - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        flat = (e1 == 0.0) | (e2 / e1 > 3.0 * (1.0 - np.log(e1) / math.log(tol)))
+    flat &= j >= first[:, None]
+    found = flat.any(axis=1)
+    at = np.argmax(flat, axis=1)
+    j, j2 = j[at], j2[at]
+    r = np.arange(len(live))
     plateau = j - 1
-    if env[plateau - 1] == 0.0:
-        return plateau
-    if j3 < j2:
-        j2 = j3 + 1
-        env[j2 - 1] = floor
+    at_zero = env[r, plateau - 1] == 0.0
+    # the coefficients past the plateau: cut where log10 of the envelope plus
+    # a slope from 0 to -log10(tol)/3 over [0, j2) is least, with the
+    # envelope floored at tol^(7/6) from its first index below that on
+    floor = tol ** (7.0 / 6.0)
+    j3 = np.count_nonzero(env >= floor, axis=1)
+    short = j3 < j2
+    j2 = np.where(short, j3 + 1, j2)
+    env[r[short], j2[short] - 1] = floor
     slope = -math.log10(tol) / (3.0 * (j2 - 1))
-    cc = [math.log10(env[i]) + i * slope for i in range(j2)]
-    return max(cc.index(min(cc)), 1)
+    i = np.arange(n)
+    with np.errstate(divide="ignore"):
+        cc = np.log10(env) + i * slope[:, None]
+    cc[i >= j2[:, None]] = np.inf
+    cut = np.maximum(np.argmin(cc, axis=1), 1)
+    keep[live] = np.where(found, np.where(at_zero, plateau, cut), n)
+    return keep
+
+
+_Fit = Tuple[np.ndarray, np.ndarray, np.ndarray]  # rows, their coefficients, kept lengths
 
 
 def _fit(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: float, hi: float, where: str
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Chebyshev coefficients of ``f`` on [lo, hi], those chopping keeps and
-    those it drops, or None when the largest sample size does not resolve
-    it.  ``f`` gets the sample times and the values of T_k there."""
+    f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray
+) -> Tuple[List[_Fit], np.ndarray]:
+    """Chebyshev fits of row i of ``f`` on [lo[i], hi[i]], each at the first
+    sample size whose coefficients chopping cuts.
+
+    ``f(rows, t, v)`` gets the rows to sample, their sample times, one row of
+    times each, and the values of T_k there, and returns one row of values
+    per row.  Returns the resolved rows grouped by sample size, as (rows,
+    coefficients, kept lengths), and a mask of the rows whose samples were
+    not finite; a row in neither is resolved by no size."""
     mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    rows = np.arange(len(lo))
+    bad = np.zeros(len(lo), dtype=bool)
+    fits: List[_Fit] = []
     for n in _SIZES:
+        if not len(rows):
+            break
         x, m, v = _cheb_basis(n)
         with np.errstate(over="ignore", invalid="ignore"):
-            values = f(mid + hw * x, v)
-        if not np.all(np.isfinite(values)):
-            raise OverflowError(f"non-finite values on {where} near [{lo!r}, {hi!r}]")
-        coefs = m @ values / n
+            values = f(rows, mid[rows, None] + hw[rows, None] * x, v)
+        finite = np.isfinite(values).all(axis=1)
+        bad[rows[~finite]] = True
+        rows, values = rows[finite], values[finite]
+        coefs = _products(m, values) / n
         keep = _chop(coefs)
-        if keep < n:
-            return coefs[:keep], coefs[keep:]
-    return None
+        done = keep < n
+        fits.append((rows[done], coefs[done], keep[done]))
+        rows = rows[~done]
+    return fits, bad
 
 
-def _antiderivative(c: np.ndarray, x_start: float, scale: float) -> List[float]:
-    """Coefficients of scale * int_{x_start}^x of the series ``c``, using
-    int T_0 = T_1 and int T_k = T_{k+1}/(2(k+1)) - T_{k-1}/(2(k-1))."""
-    c = c.tolist() + [0.0, 0.0]
-    n = len(c) - 2
-    out = [0.0, (2.0 * c[0] - c[2]) * 0.5 * scale]
-    out += [(c[k - 1] - c[k + 1]) * scale / (2 * k) for k in range(2, n + 1)]
-    out[0] = -sum(v * x_start**k for k, v in enumerate(out))
+def _kept(coefs: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``coefs`` with each row's entries from its kept length on set to 0."""
+    return np.where(np.arange(coefs.shape[1]) < keep[:, None], coefs, 0.0)
+
+
+def _antiderivative(c: np.ndarray, keep: np.ndarray, x_start: np.ndarray, scale: np.ndarray):
+    """Row i: the coefficients of scale[i] * int_{x_start[i]}^x of the series
+    ``c[i]``, zero from its kept length on, using int T_0 = T_1 and
+    int T_k = T_{k+1}/(2(k+1)) - T_{k-1}/(2(k-1)); the series has keep[i] + 1
+    terms, and each row is padded with zeros to the width of ``c``."""
+    rows, n = c.shape
+    c = np.concatenate([c, np.zeros((rows, 2))], axis=1)
+    out = np.zeros((rows, n))
+    out[:, 1] = (2.0 * c[:, 0] - c[:, 2]) * 0.5 * scale
+    out[:, 2:] = (c[:, 1 : n - 1] - c[:, 3 : n + 1]) * scale[:, None] / (2 * np.arange(2, n))
+    # the value at x_start, summed in index order; x_start^k is exactly +-1
+    signs = np.where(x_start[:, None] < 0.0, (-1.0) ** np.arange(n), 1.0)
+    out[:, 0] = -np.cumsum(out * signs, axis=1)[np.arange(rows), keep]
+    return out
+
+
+def _products(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row i: m @ rows[i].  A stack of matrix-vector products makes one
+    BLAS gemv per row, so each row comes out as it would alone, whatever
+    the row count; a product of two matrices would not."""
+    return np.matmul(m, rows[:, :, None])[:, :, 0]
+
+
+def _at_nodes(series: Sequence[np.ndarray], v: np.ndarray) -> np.ndarray:
+    """Row i: sum_k series[i][k] T_k at the points where ``v`` holds T_k,
+    from one :func:`_products` per series length."""
+    out = np.empty((len(series), v.shape[0]))
+    by_length: Dict[int, List[int]] = {}
+    for i, c in enumerate(series):
+        by_length.setdefault(len(c), []).append(i)
+    for length, rows in by_length.items():
+        out[rows] = _products(v[:, :length], np.array([series[i] for i in rows]))
     return out
 
 
@@ -163,8 +231,11 @@ class _Panel:
         # a side as short as one subnormal step still maps onto [-1, 1]
         self.mid, self.hw = 0.5 * (lo + hi), 0.5 * (hi - lo) or hi - lo
         self.A0, self.y0 = A0, y0
-        self.A_list, self.C_list = A, C
-        self.A, self.C = np.array(A), np.array(C)
+        self.A, self.C = A, C
+        self.A_list, self.C_list = A.tolist(), C.tolist()
+
+
+_Side = Union[Tuple[List[float], List[_Panel], float], BaseException]
 
 
 class IntervalSeries:
@@ -172,14 +243,15 @@ class IntervalSeries:
     anywhere in it.
 
     ``combination`` is a fixed combination of y(t) above, exactly 0 at the
-    anchor, with the flow exp(int_anchor^t a) and a constant, and ``zeros``
-    the roots of such a combination.  Each side of the anchor is built on
-    first use.  Raises :class:`QuadratureError`
-    when the coefficients do not level off after ``MAX_BISECTIONS`` halvings
-    or the chain needs more than ``MAX_PANELS`` panels, and ``OverflowError``
-    when exp(A) passes exp(709) where it multiplies a nonzero value; both
-    name the interval.  ``err`` sums a rounding-level error estimate of y
-    over the panels built so far.
+    anchor, with the flow exp(int_anchor^t a) and a constant, and
+    :func:`zero_search` finds the roots of such a combination.  Each side of the anchor is built on
+    first use unless :func:`build_sides` built it before.  Raises
+    :class:`QuadratureError` when the coefficients do not level off after
+    ``MAX_BISECTIONS`` halvings or the chain needs more than ``MAX_PANELS``
+    panels, and ``OverflowError`` when exp(A) passes exp(709) where it
+    multiplies a nonzero value; both name the interval, and a side raises
+    its failure each time it is used.  ``err`` sums a rounding-level error
+    estimate of y over the sides built so far.
     """
 
     def __init__(
@@ -189,11 +261,15 @@ class IntervalSeries:
             raise ValueError(f"anchor {anchor!r} outside [{lo!r}, {hi!r}]")
         self.a, self.g = a, g
         self.lo, self.hi, self.anchor = lo, hi, anchor
-        self.err = 0.0
         self._where = f"interval k={k}"
-        self._const_a = a.value if isinstance(a, Const) else None
         self._zero_g: Optional[bool] = None
-        self._sides: Dict[bool, Tuple[List[float], List[_Panel]]] = {}
+        self._sides: Dict[bool, _Side] = {}
+
+    @property
+    def err(self) -> float:
+        return sum(
+            s[2] for s in (self._sides.get(False), self._sides.get(True)) if isinstance(s, tuple)
+        )
 
     # -- construction ----------------------------------------------------------
 
@@ -201,94 +277,42 @@ class IntervalSeries:
         """g is 0 at every node of the interval, as g = a + b is for b = -a;
         then y is exactly 0 and long panels need no splitting."""
         if self._zero_g is None:
-            x = _cheb_basis(_SIZES[0])[0]
-            with np.errstate(over="ignore", invalid="ignore"):
-                nodes = self.g.ev_array(0.5 * (self.lo + self.hi) + 0.5 * (self.hi - self.lo) * x)
-            self._zero_g = not np.any(nodes)
+            _g_vanishes([self])
         return self._zero_g
 
-    def _chain(self, end: float) -> List[_Panel]:
-        """Panels from the anchor to ``end``, in chain order."""
-        a_arr, g_arr, const_a = self.a.ev_array, self.g.ev_array, self._const_a
-        panels: List[_Panel] = []
-        A0 = y0 = 0.0
-        pending = [(self.anchor, end, 0)]
-
-        def split(start, stop, pieces, depth):
-            if len(panels) + len(pending) + pieces > MAX_PANELS:
-                raise QuadratureError(
-                    f"series on {self._where} needs more than {MAX_PANELS} panels"
-                )
-            cuts = [start + (stop - start) * i / pieces for i in range(pieces)] + [stop]
-            pending.extend((cuts[i], cuts[i + 1], depth) for i in reversed(range(pieces)))
-
-        while pending:
-            start, stop, depth = pending.pop()
-            lo, hi = min(start, stop), max(start, stop)
-            hw = 0.5 * (hi - lo)
-            x_start = -1.0 if start < stop else 1.0
-            A = C = None
-            if const_a is None:
-                a_fit = _fit(lambda t, v: a_arr(t), lo, hi, self._where)
-                if a_fit is not None:
-                    A = _antiderivative(a_fit[0], x_start, hw)
-                    bound = float(np.abs(a_fit[0]).sum()) * (hi - lo)
-            else:  # a (t - start) = a hw (x - x_start), exact in panel coordinates
-                A = [-const_a * hw * x_start, const_a * hw]
-                bound = abs(const_a) * (hi - lo)
-            if A is not None and bound > 1.0 + 1e-9:
-                if not self.g_vanishes():
-                    split(start, stop, math.ceil(bound), depth)
-                    continue
-                C = [0.0]
-            elif A is not None:
-                f_fit = _fit(
-                    lambda t, v: np.exp(-(v[:, : len(A)] @ A)) * g_arr(t), lo, hi, self._where
-                )
-                if f_fit is not None:
-                    C = _antiderivative(f_fit[0], x_start, hw)
-                    self.err += _EPS * hw * float(np.abs(f_fit[0]).sum())
-            if C is None:  # a or the integrand is not resolved: bisect
-                if depth >= MAX_BISECTIONS:
-                    raise QuadratureError(
-                        f"Chebyshev coefficients do not decay on {self._where} "
-                        f"near [{lo!r}, {hi!r}] after {depth} bisections"
-                    )
-                split(start, stop, 2, depth + 1)
-                continue
-            p = _Panel(lo, hi, A0, y0, A, C)
-            panels.append(p)
-            A0, y0 = self._evaluate(p, stop)
-            if not math.isfinite(y0) or (A0 > EXP_OVERFLOW and y0 != 0.0):
-                raise OverflowError(
-                    f"flow weight exp({A0:.3g}) overflows on {self._where} at t={stop!r}"
-                )
-            self.err += _EPS * abs(y0)
-        return panels
-
-    def _side(self, t: float) -> Tuple[List[float], List[_Panel]]:
+    def _side(self, t: float) -> Tuple[List[float], List[_Panel], float]:
         if self.lo < self.anchor < self.hi:
             forward = t > self.anchor
         else:
             forward = self.anchor < self.hi
-        side = self._sides.get(forward)
-        if side is None:
-            panels = sorted(self._chain(self.hi if forward else self.lo), key=lambda p: p.lo)
-            side = ([p.lo for p in panels], panels)
-            self._sides[forward] = side
+        if forward not in self._sides:
+            build_sides([(self, forward)])
+        side = self._sides[forward]
+        if isinstance(side, BaseException):
+            raise side.with_traceback(None)
         return side
 
     def _panel(self, t: float) -> _Panel:
         slack = 1e-9 * (self.hi - self.lo)
         if not self.lo - slack <= t <= self.hi + slack:
             raise ValueError(f"t={t!r} outside {self._where} [{self.lo!r}, {self.hi!r}]")
-        los, panels = self._side(t)
+        los, panels, _ = self._side(t)
         i = min(max(bisect_right(los, t) - 1, 0), len(panels) - 1)
         return panels[i]
 
+    def _search_panels(self, lo: float, hi: float) -> List[_Panel]:
+        """The panels of the sides that [lo, hi) reaches, overlapping it."""
+        panels: List[_Panel] = []
+        if lo < self.anchor:
+            panels += self._side(lo)[1]
+        if hi > self.anchor:
+            panels += self._side(hi)[1]
+        return [p for p in panels if p.hi > lo and p.lo < hi]
+
     # -- evaluation ------------------------------------------------------------
 
-    def _evaluate(self, p: _Panel, t: float) -> Tuple[float, float]:
+    @staticmethod
+    def _evaluate(p: _Panel, t: float) -> Tuple[float, float]:
         """(A(t), y(t)) on panel ``p``."""
         x = (t - p.mid) / p.hw
         local = _clenshaw(p.A_list, x)
@@ -312,65 +336,289 @@ class IntervalSeries:
             u += flow_coef * self._flow(A)
         return u
 
-    def zeros(
-        self, lo: float, hi: float, flow_coef: float, forced_coef: float, const: float
-    ) -> List[float]:
-        """Sorted roots in [lo, hi) of u = flow_coef exp(A) + forced_coef y + const.
 
-        A panel whose fit keeps one sign holds none.  A colleague root t is
-        kept where u changes sign across t +- 1e-8 hw, and then moved by one
-        secant step through those two values, within that bracket; or where
-        u touches 0: |u(t)| within the rounding of the terms that sum to it."""
-        if hi <= lo:
-            return []
-        if not const and (not forced_coef or self.g_vanishes()):
-            return []  # u = flow_coef exp(A) has the sign of flow_coef throughout
+def _g_vanishes(series: Sequence[IntervalSeries]) -> None:
+    """Set ``g_vanishes`` of every series, sharing one g, from one sample matrix."""
+    x = _cheb_basis(_SIZES[0])[0]
+    lo, hi = np.array([s.lo for s in series]), np.array([s.hi for s in series])
+    with np.errstate(over="ignore", invalid="ignore"):
+        nodes = series[0].g.ev_array(0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * x)
+    for s, zero in zip(series, ~np.any(nodes, axis=1)):
+        s._zero_g = bool(zero)
+
+
+# -- building sides in row batches -------------------------------------------------
+
+class _Piece:
+    """A stretch [start, stop] of a side, oriented away from the anchor: split
+    into ``parts``, a panel's series ``A`` and ``C`` (with the integrand
+    fit's error term), or a ``failure`` to raise."""
+
+    __slots__ = ("side", "start", "stop", "depth", "lo", "hi", "parts", "A", "C", "err",
+                 "failure")
+
+    def __init__(self, side: "_SideBuild", start: float, stop: float, depth: int):
+        self.side, self.start, self.stop, self.depth = side, start, stop, depth
+        self.lo, self.hi = min(start, stop), max(start, stop)
+        self.parts: Optional[List[_Piece]] = None
+        self.C = self.failure = None
+        self.err = 0.0
+
+
+class _SideBuild:
+    __slots__ = ("series", "forward", "root", "count")
+
+    def __init__(self, series: IntervalSeries, forward: bool):
+        self.series, self.forward = series, forward
+        self.root = _Piece(self, series.anchor, series.hi if forward else series.lo, 0)
+        self.count = 1  # pieces that are panels or still to be built
+
+
+def _cap_error(series: IntervalSeries) -> QuadratureError:
+    return QuadratureError(f"series on {series._where} needs more than {MAX_PANELS} panels")
+
+
+def build_sides(requests: Sequence[Tuple[IntervalSeries, bool]]) -> None:
+    """Build the side of each (series, forward) pair, forward meaning from
+    the anchor to ``hi``; all the series share one a and one g.
+
+    All pieces of one level are fitted as one row batch: the fits of a, the
+    split of a piece whose int |a| exceeds 1 into pieces where it does not,
+    the fits of the integrand exp(-A) g, each at 33, then 65, then 129
+    points, and a bisection of a piece that no size resolves.  Then one walk
+    per side, in chain order, sets each panel's A0 and y0.  A side that fails
+    stores its failure, the one the walk meets first, and raises it on use.
+    """
+    a, g = requests[0][0].a, requests[0][0].g
+    unknown = [s for s, _ in requests if s._zero_g is None]
+    if unknown:
+        _g_vanishes(unknown)
+    const_a = a.value if isinstance(a, Const) else None
+    a_arr, g_arr = a.ev_array, g.ev_array
+    sides = [_SideBuild(s, forward) for s, forward in requests]
+    level = [side.root for side in sides]
+    following: List[_Piece] = []  # the pieces of the next level
+
+    def split(piece: _Piece, pieces: int, depth: int) -> None:
+        side = piece.side
+        side.count += pieces - 1
+        if side.count > MAX_PANELS:  # the walk raises the cap here at the latest
+            piece.failure = _cap_error(side.series)
+            return
+        start, stop = piece.start, piece.stop
+        cuts = [start + (stop - start) * i / pieces for i in range(pieces)] + [stop]
+        piece.parts = [_Piece(side, cuts[i], cuts[i + 1], depth) for i in range(pieces)]
+        following.extend(piece.parts)
+
+    def bisect(piece: _Piece) -> None:
+        if piece.depth >= MAX_BISECTIONS:
+            piece.failure = QuadratureError(
+                f"Chebyshev coefficients do not decay on {piece.side.series._where} "
+                f"near [{piece.lo!r}, {piece.hi!r}] after {piece.depth} bisections"
+            )
+        else:
+            split(piece, 2, piece.depth + 1)
+
+    def non_finite(piece: _Piece) -> None:
+        piece.failure = OverflowError(
+            f"non-finite values on {piece.side.series._where} near [{piece.lo!r}, {piece.hi!r}]"
+        )
+
+    while level:
+        lo = np.array([p.lo for p in level])
+        hi = np.array([p.hi for p in level])
+        hw = 0.5 * (hi - lo)
+        x_start = np.array([-1.0 if p.start < p.stop else 1.0 for p in level])
+        bound = np.full(len(level), np.nan)  # int |a| over each piece, NaN while unknown
+        if const_a is None:
+            fits, bad = _fit(lambda rows, t, v: a_arr(t), lo, hi)
+            for rows, coefs, keep in fits:
+                kept = _kept(coefs, keep)
+                A = _antiderivative(kept, keep, x_start[rows], hw[rows])
+                bound[rows] = np.abs(kept).sum(axis=1) * (hi[rows] - lo[rows])
+                for i, row, length in zip(rows.tolist(), A, (keep + 1).tolist()):
+                    level[i].A = row[:length]
+        else:  # a (t - start) = a hw (x - x_start), exact in panel coordinates
+            bad = np.zeros(len(level), dtype=bool)
+            bound = abs(const_a) * (hi - lo)
+            for p, x0, h in zip(level, x_start.tolist(), hw.tolist()):
+                p.A = np.array([-const_a * h * x0, const_a * h])
+        integrand: List[int] = []
+        for i, (p, b) in enumerate(zip(level, bound.tolist())):
+            if p.side.count > MAX_PANELS:
+                continue  # a side past the cap builds no more
+            if bad[i]:
+                non_finite(p)
+            elif math.isnan(b):  # a is not resolved: bisect
+                bisect(p)
+            elif b > 1.0 + 1e-9:
+                if not p.side.series.g_vanishes():
+                    split(p, math.ceil(b), p.depth)
+                else:
+                    p.C = np.zeros(1)
+            else:
+                integrand.append(i)
+        if integrand:
+            pieces = [level[i] for i in integrand]
+            As = [p.A for p in pieces]
+
+            def exp_weighted_g(rows, t, v):
+                return np.exp(-_at_nodes([As[i] for i in rows.tolist()], v)) * g_arr(t)
+
+            rows_lo, rows_hi = lo[integrand], hi[integrand]
+            fits, bad = _fit(exp_weighted_g, rows_lo, rows_hi)
+            resolved = np.zeros(len(pieces), dtype=bool)
+            for rows, coefs, keep in fits:
+                kept = _kept(coefs, keep)
+                h = 0.5 * (rows_hi[rows] - rows_lo[rows])
+                C = _antiderivative(kept, keep, x_start[integrand][rows], h)
+                err = _EPS * h * np.abs(kept).sum(axis=1)
+                for i, row, length, e in zip(rows.tolist(), C, (keep + 1).tolist(), err.tolist()):
+                    pieces[i].C, pieces[i].err = row[:length], e
+                resolved[rows] = True
+            for p, failed, done in zip(pieces, bad.tolist(), resolved.tolist()):
+                if failed:
+                    non_finite(p)
+                elif not done:  # the integrand is not resolved: bisect
+                    bisect(p)
+        level, following = following, []
+    for side in sides:
+        side.series._sides[side.forward] = _walk(side)
+
+
+def _walk(side: _SideBuild) -> _Side:
+    """The side's panels sorted by ``lo`` with their start values set, their
+    ``lo`` ends and its error estimate; or the failure met first in chain
+    order: a piece's own, the flow's overflow, or the panel cap, which a
+    piece left unbuilt past the cap also raises."""
+    series = side.series
+    panels: List[_Panel] = []
+    A0 = y0 = err = 0.0
+    count = 1
+    stack = [side.root]
+    try:
+        while stack:
+            piece = stack.pop()
+            if piece.failure is not None:
+                raise piece.failure
+            if piece.parts is not None:
+                count += len(piece.parts) - 1
+                if count > MAX_PANELS:
+                    raise _cap_error(series)
+                stack.extend(reversed(piece.parts))
+                continue
+            if piece.C is None:
+                raise _cap_error(series)
+            err += piece.err
+            p = _Panel(piece.lo, piece.hi, A0, y0, piece.A, piece.C)
+            panels.append(p)
+            A0, y0 = series._evaluate(p, piece.stop)
+            if not math.isfinite(y0) or (A0 > EXP_OVERFLOW and y0 != 0.0):
+                raise OverflowError(
+                    f"flow weight exp({A0:.3g}) overflows on {series._where} at t={piece.stop!r}"
+                )
+            err += _EPS * abs(y0)
+    except (QuadratureError, OverflowError) as exc:
+        return exc
+    panels.sort(key=lambda p: p.lo)
+    return [p.lo for p in panels], panels, err
+
+
+# -- zeros ---------------------------------------------------------------------------
+
+_Job = Tuple[Optional[IntervalSeries], float, float, float, float, float]
+
+
+def zero_search(jobs: Iterable[_Job]) -> Iterator[List[float]]:
+    """For each job (series, lo, hi, flow_coef, forced_coef, const), in order,
+    the sorted roots in [lo, hi) of u = flow_coef exp(A) + forced_coef y +
+    const; a job with hi <= lo has none and needs no series.
+
+    u is fitted on every panel of every job in one row batch.  A panel whose
+    fit keeps one sign holds no root.  A colleague root t is kept where u
+    changes sign across t +- 1e-8 hw, and then moved by one secant step
+    through those two values, within that bracket; or where u touches 0:
+    |u(t)| within the rounding of the terms that sum to it.  ``jobs`` is read
+    up to its first failure, which is raised after the roots of the jobs
+    before it, as a failure of a panel's fit is raised in its job's turn.
+    """
+    searched: List[Tuple[_Job, List[_Panel]]] = []
+    failure: Optional[BaseException] = None
+    try:
+        for job in jobs:
+            series, lo, hi, flow_coef, forced_coef, const = job
+            if hi <= lo or (not const and (not forced_coef or series.g_vanishes())):
+                # nothing to search, or u = flow_coef exp(A) with that sign throughout
+                searched.append((job, []))
+            else:
+                searched.append((job, series._search_panels(lo, hi)))
+    except Exception as exc:  # raised in its turn, below
+        failure = exc
+    every = [p for _, panels in searched for p in panels]
+    fits: List[_Fit] = []
+    bad = np.zeros(len(every), dtype=bool)
+    scale = np.zeros(len(every))  # the largest sum of the magnitudes of a sample's terms
+    if every:
+        # flow_coef, forced_coef and const of the job of each panel
+        coefs_of = np.array([job[3:] for job, panels in searched for _ in panels])
+        A0, y0 = np.array([p.A0 for p in every]), np.array([p.y0 for p in every])
+        c_sum = np.array([float(np.abs(p.C).sum()) for p in every])
+
+        def u_nodes(rows: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:
+            flow, forced, const = coefs_of[rows].T
+            local = _at_nodes([every[i].A for i in rows.tolist()], v)
+            out = np.repeat(const[:, None], t.shape[1], axis=1)
+            size = np.abs(const)
+            f = np.flatnonzero(forced)
+            if len(f):
+                grow = np.exp(local[f])
+                C = _at_nodes([every[i].C for i in rows[f].tolist()], v)
+                out[f] += forced[f, None] * grow * (y0[rows[f], None] + C)
+                terms = np.abs(y0[rows[f]]) + c_sum[rows[f]]
+                size[f] += np.abs(forced[f]) * terms * grow.max(axis=1)
+            w = np.flatnonzero(flow)
+            if len(w):
+                flow_values = np.exp(A0[rows[w], None] + local[w])
+                out[w] += flow[w, None] * flow_values
+                size[w] += np.abs(flow[w]) * flow_values.max(axis=1)
+            scale[rows] = size
+            return out
+
+        fits, bad = _fit(u_nodes, np.array([p.lo for p in every]), np.array([p.hi for p in every]))
+    found: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    for fit_rows, coefs, keep in fits:
+        for i, c, n in zip(fit_rows.tolist(), coefs, keep.tolist()):
+            found[i] = c[:n], c[n:]
+    i = 0
+    for job, panels in searched:
+        series, lo, hi, flow_coef, forced_coef, const = job
 
         def u(p: _Panel, t: float) -> Tuple[float, float]:
             """u(t) and the sum of the magnitudes of its terms."""
-            A, y = self._evaluate(p, t)
-            y, flow = forced_coef * y, (flow_coef * self._flow(A) if flow_coef else 0.0)
+            A, y = series._evaluate(p, t)
+            y, flow = forced_coef * y, (flow_coef * series._flow(A) if flow_coef else 0.0)
             return y + flow + const, abs(y) + abs(flow) + abs(const)
 
-        def u_nodes(p: _Panel, t: np.ndarray, v: np.ndarray) -> np.ndarray:
-            nonlocal scale  # the largest sum of the magnitudes of the terms of a sample
-            local = v[:, : len(p.A)] @ p.A
-            out = np.full_like(t, const)
-            scale = abs(const)
-            if forced_coef:
-                grow = np.exp(local)
-                out += forced_coef * grow * (p.y0 + v[:, : len(p.C)] @ p.C)
-                scale += abs(forced_coef) * (abs(p.y0) + np.abs(p.C).sum()) * grow.max()
-            if flow_coef:
-                flow = np.exp(p.A0 + local)
-                out += flow_coef * flow
-                scale += abs(flow_coef) * flow.max()
-            return out
-
-        panels: List[_Panel] = []
-        if lo < self.anchor:
-            panels += self._side(lo)[1]
-        if hi > self.anchor:
-            panels += self._side(hi)[1]
         roots: List[float] = []
         for p in panels:
-            if p.hi <= lo or p.lo >= hi:
-                continue
-            scale = 0.0
-            fit = _fit(lambda t, v: u_nodes(p, t, v), p.lo, p.hi, self._where)
-            if fit is None:
+            if bad[i]:
+                raise OverflowError(
+                    f"non-finite values on {series._where} near [{p.lo!r}, {p.hi!r}]"
+                )
+            if i not in found:
                 raise QuadratureError(
-                    f"zero search on {self._where}: {_SIZES[-1]} Chebyshev points "
+                    f"zero search on {series._where}: {_SIZES[-1]} Chebyshev points "
                     f"do not resolve [{p.lo!r}, {p.hi!r}]"
                 )
-            coefs, dropped = fit
+            coefs, dropped = found[i]
             # |u - sum c_k T_k| <= the dropped tail, standing for the aliased one
             # too, plus per kept coefficient twice the rounding of a value of u (eps
             # of its terms' magnitudes per term of the products with A and C, as
             # much again for exp, sums and products) and 2 n eps scale, n <= 129,
             # from the coefficient product
             rounding = 2 * (len(p.A) + len(p.C)) * _EPS
-            err = 2 * len(coefs) * (rounding + _SIZES[-1] * _EPS) * scale
+            err = 2 * len(coefs) * (rounding + _SIZES[-1] * _EPS) * scale[i]
+            i += 1
             if _keeps_sign(coefs, float(np.abs(dropped).sum()) + err):
                 continue
             for r in _colleague_roots(coefs):
@@ -390,4 +638,6 @@ class IntervalSeries:
         for t in roots:
             if not merged or t - merged[-1] > _ROOT_MERGE_TOL * max(1.0, abs(t)):
                 merged.append(t)
-        return merged
+        yield merged
+    if failure is not None:
+        raise failure

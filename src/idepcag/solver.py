@@ -5,18 +5,21 @@ kernel factors of :mod:`idepcag.kernel`, and at each knot the jump
 z(t_k) = (1 + c_k) z(t_k^-) applies.  The skeleton stores both one-sided
 values; dense evaluation reconstructs z anywhere in [tau, horizon].
 
-Every interval carries one :class:`~idepcag.series.IntervalSeries`, built
-on first use and cached by the trajectory: on kernel-backed grids the
+Every interval carries one :class:`~idepcag.series.IntervalSeries`; the
+solve creates those of all intervals up to the horizon and builds their
+sides in one row batch before it marches: on kernel-backed grids the
 series of e(., zeta_k) - 1, on lagged grids that of the flow and of
 y' = a y + b, y(t_k) = 0, so that z = exp(A) z(t_k) + y z(t_{k-lag}).  Both
 are one combination of flow and forced response (see :class:`Trajectory`),
 and one march serves both grid kinds.  Dense values, the knot march and
 the in-interval zeros all come from that series; zeros are the real roots
-of its Chebyshev interpolant on each panel, from numpy's ``chebroots``.
+of its Chebyshev interpolant on each panel, from numpy's ``chebroots``,
+fitted on the panels of every searched interval in one batch.
 
 The march carries z at each interval base as its ``math.frexp`` pair, so
 |z| may leave the float range and come back; a lagged pure flow carries
-the binary exponent of exp(A) as well where the float would underflow.
+the binary exponent of exp(A) as well where the float would underflow,
+at the knots and in dense values alike.
 A value is rounded to a float only when it is read (to 0.0 or a subnormal
 below 2^-1022, to +-inf above the largest float), and the knot signs are
 the signs of the mantissas.
@@ -33,13 +36,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 # flow_weighted_integral is unused here but stays bound in this module:
 # bench/tracing.py rebinds solver.flow_weighted_integral by name.
 from .kernel import KernelTable, _require_invertible, flow_weighted_integral  # noqa: F401
 from .problem import Problem
-from .series import IntervalSeries
+from .series import IntervalSeries, build_sides, zero_search
 
 
 # ln 2 = _LN2_HI + _LN2_LO, the high part with 21 trailing zero bits so that
@@ -102,7 +105,7 @@ class Trajectory:
 
     Interval k holds one :class:`~idepcag.series.IntervalSeries`, giving
     the flow exponent A(t) and the forced response y(t), and six numbers
-    p, q, r, e, m, x, all built on first use, so that
+    p, q, r, e, m, x, built on first use, so that
 
         z(t) = (q y(t) + r + p exp(A(t))) / e * m * 2^x.
 
@@ -123,6 +126,7 @@ class Trajectory:
         self.metadata: Dict[str, object] = {}
         self._by_time: Dict[float, SkeletonPoint] = {}
         self._by_k: Dict[int, SkeletonPoint] = {}
+        self._series: Dict[int, IntervalSeries] = {}
         self._pieces: Dict[int, Tuple[IntervalSeries, float, float, float, float, float, int]] = {}
         self._pairs: Dict[int, Tuple[float, int]] = {}  # math.frexp of z at each interval base
         if grid.lagged:
@@ -158,17 +162,36 @@ class Trajectory:
             raise ValueError(f"interval k={k} not in solved range")
         return pt.t, pt.z_right
 
+    def _build_series(self) -> None:
+        """Create the series of every interval from k_start to the horizon's and
+        build, in one :func:`~idepcag.series.build_sides` batch, the sides of
+        their anchors that the solved range reaches."""
+        problem, grid = self.problem, self.problem.grid
+        sides = []
+        for k in range(self.k_start, grid.interval_index(problem.horizon) + 1):
+            lo, hi = grid.knot(k), grid.knot(k + 1)
+            if grid.lagged:
+                anchor = lo
+            else:  # an argument value behind tau on the start interval is clamped to tau
+                anchor = max(grid.zeta(k), problem.tau) if k == self.k_start else grid.zeta(k)
+            series = self._series[k] = IntervalSeries(problem.a, self._g, lo, hi, anchor, k)
+            base, end = (problem.tau if k == self.k_start else lo), min(hi, problem.horizon)
+            if base < min(anchor, end):
+                sides.append((series, False))
+            if base < end and anchor < end:
+                sides.append((series, True))
+        if sides:
+            build_sides(sides)
+
     def _piece(self, k: int) -> Tuple[IntervalSeries, float, float, float, float, float, int]:
         """(series, p, q, r, e, m, x) of interval k, built on first use."""
         piece = self._pieces.get(k)
         if piece is None:
-            problem, grid = self.problem, self.problem.grid
-            lo, hi = grid.knot(k), grid.knot(k + 1)
+            grid, series = self.problem.grid, self._series[k]
             m, x = self._pairs[k]
             if grid.lagged:
                 # z(t_k) = m 2^x, z(t_{k-lag}) = n 2^y at the larger exponent of a nonzero
                 # value that z reads; where g vanishes z reads z(t_k) alone
-                series = IntervalSeries(problem.a, self._g, lo, hi, lo, k)
                 n, y = self._pairs[k - grid.lag]
                 if series.g_vanishes():
                     n = 0.0
@@ -176,9 +199,6 @@ class Trajectory:
                 p, q = math.ldexp(m, x - top), math.ldexp(n, y - top)
                 piece = (series, p, q, 0.0, 1.0, 1.0, top)
             else:
-                # an argument value behind tau on the start interval is clamped to tau
-                zeta = max(grid.zeta(k), problem.tau) if k == self.k_start else grid.zeta(k)
-                series = IntervalSeries(problem.a, self._g, lo, hi, zeta, k)
                 e = series.combination(self._interval_base(k)[0], 0.0, 1.0, 1.0)
                 _require_invertible(e, e - 1.0, k)
                 piece = (series, 0.0, 1.0, 1.0, e, m, x)
@@ -203,18 +223,41 @@ class Trajectory:
             )
         return self.problem.grid.interval_index(t)
 
-    def _value_in_interval(self, t: float, k: int) -> float:
+    def _scaled_value(self, t: float, k: int) -> Tuple[float, int]:
+        """(v, x) with z(t) = v 2^x on interval k.  A lagged pure flow
+        p exp(A) below the normal range carries exp(A)'s binary exponent n
+        in x, with A = n ln 2 + rest."""
         series, p, q, r, e, m, x = self._piece(k)
-        return _ldexp(series.combination(t, p, q, r) / e * m, x)
+        value = series.combination(t, p, q, r) / e * m
+        if q or not p or abs(value) >= sys.float_info.min:
+            return value, x
+        A = series.terms(t)[0]
+        n = round(A / math.log(2.0))
+        return p * math.exp(A - n * _LN2_HI - n * _LN2_LO), x + n
+
+    def _value_in_interval(self, t: float, k: int) -> float:
+        return _ldexp(*self._scaled_value(t, k))
 
     def zeros_in_interval(self, k: int) -> List[float]:
         """Roots of z in the solved part of interval k; on kernel-backed
         grids these are the roots of j(t, zeta_k), that is of e(t, zeta_k)."""
-        lo, hi = self._window(k)
-        if hi <= lo:
-            return []
-        series, p, q, r = self._piece(k)[:4]
-        return series.zeros(lo, hi, p, q, r)
+        return next(self.zeros_in_intervals([k]))
+
+    def zeros_in_intervals(self, ks: Iterable[int]) -> Iterator[List[float]]:
+        """The roots of z in the solved part of each interval of ks, in order,
+        from one :func:`~idepcag.series.zero_search` over all their panels; a
+        failure is raised in its interval's turn."""
+
+        def jobs():
+            for k in ks:
+                lo, hi = self._window(k)
+                if hi <= lo:
+                    yield None, lo, hi, 0.0, 0.0, 0.0
+                else:
+                    series, p, q, r = self._piece(k)[:4]
+                    yield series, lo, hi, p, q, r
+
+        return zero_search(jobs())
 
     def _window(self, k: int) -> Tuple[float, float]:
         """The solved part [lo, hi] of interval k."""
@@ -230,14 +273,19 @@ class Trajectory:
         merely underflowed to 0.0 is not taken for a zero.
         """
         k_end = self.problem.grid.interval_index(self.problem.horizon)
-        out: List[Tuple[int, float]] = []
+        bases = {}  # the base point of each interval whose base value is zero
         for k in range(self.k_start, k_end + 1):
             base_t, base_z = self._interval_base(k)
             pt = self._by_k.get(k)
             if (pt.sign_right if pt is not None else _sgn(base_z)) == 0:
-                out.append((k, base_t))
+                bases[k] = base_t
+        roots = self.zeros_in_intervals(k for k in range(self.k_start, k_end + 1) if k not in bases)
+        out: List[Tuple[int, float]] = []
+        for k in range(self.k_start, k_end + 1):
+            if k in bases:
+                out.append((k, bases[k]))
             else:
-                out.extend((k, root) for root in self.zeros_in_interval(k))
+                out.extend((k, root) for root in next(roots))
         return out
 
 
@@ -254,8 +302,7 @@ def solve(problem: Problem) -> Trajectory:
     some 1 + c_k = 0.
     """
     grid = problem.grid
-    traj = Trajectory(problem)
-    k = traj.k_start
+    k = grid.interval_index(problem.tau)
     start: Tuple[float, ...] = (problem.z0,)
     if grid.lagged:
         if problem.tau != grid.knot(k):
@@ -266,23 +313,18 @@ def solve(problem: Problem) -> Trajectory:
                 f"t_{{{k - grid.lag}}}..t_{{{k - 1}}}"
             )
         start = (*problem.history, problem.z0)  # z(t_{k-lag}) .. z(t_k)
+    traj = Trajectory(problem)
+    traj._build_series()
     traj._pairs.update(enumerate(map(math.frexp, start), k + 1 - len(start)))
     z = problem.z0
     if problem.tau == grid.knot(k):
         traj._append(SkeletonPoint(k, problem.tau, z, z, _sgn(z), _sgn(z)))
     while grid.knot(k + 1) <= problem.horizon:
         t_next = grid.knot(k + 1)
-        series, p, q, r, e, m, x = traj._piece(k)
-        value, n = series.combination(t_next, p, q, r) / e * m, 0
-        if not q and p and abs(value) < sys.float_info.min:
-            # a lagged pure flow p exp(A) below the normal range: carry exp(A)'s
-            # binary exponent n, with A = n ln 2 + rest
-            A = series.terms(t_next)[0]
-            n = round(A / math.log(2.0))
-            value = p * math.exp(A - n * _LN2_HI - n * _LN2_LO)
+        value, x = traj._scaled_value(t_next, k)
         left, x_left = math.frexp(value)
         right, x_right = math.frexp(problem.impulses.factor(k + 1) * left)
-        x_left += x + n  # z(t_{k+1}^-) = left 2^x_left
+        x_left += x  # z(t_{k+1}^-) = left 2^x_left
         x_right += x_left  # z(t_{k+1}) = right 2^x_right
         traj._pairs[k + 1] = (right, x_right)
         z_left, z_right = _ldexp(left, x_left), _ldexp(right, x_right)

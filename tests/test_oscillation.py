@@ -9,6 +9,7 @@ from idepcag.grid import LaggedUniformGrid, UniformGrid
 from idepcag.oracle import oracle_integrate
 from idepcag.oscillation import (
     GronwallBound,
+    _impulse_branch,
     aw_criterion,
     classify_continuous,
     classify_discrete,
@@ -17,7 +18,7 @@ from idepcag.oscillation import (
     recurring_sign_changes,
     wn_sequence,
 )
-from idepcag.problem import ImpulseRule, Problem
+from idepcag.problem import ImpulseDegenerate, ImpulseRule, Problem
 from idepcag.solver import solve
 
 
@@ -205,6 +206,79 @@ class TestAwCriterion:
         text = rep.to_text()
         for key in ("sup_i_plus", "inf_i_plus", "sup_i_minus", "inf_i_minus", "margin", "verdict"):
             assert key in text
+
+
+_RULES = [
+    ImpulseRule.none(),
+    ImpulseRule.constant(0.5),
+    ImpulseRule.constant(-1.5),
+    ImpulseRule.constant(-1.0),  # 1 + c = 0 at every knot
+    ImpulseRule.multiplier(2.0),
+    ImpulseRule.multiplier(-0.5),
+    ImpulseRule.multiplier(0.0),
+    ImpulseRule.alternating(0.5),
+    ImpulseRule.alternating(1.5),  # factors 2.5 at even k, -0.5 at odd k
+    ImpulseRule.alternating(1.0),  # 1 + c_k = 0 at odd k
+    ImpulseRule.alternating(-1.0),  # 1 + c_k = 0 at even k
+    ImpulseRule.explicit([0.5] * 6 + [-1.5] + [0.5] * 9),
+    ImpulseRule.explicit([0.5] * 9 + [-1.0] + [0.5] * 6),
+    ImpulseRule.from_expression(Sin(Var("k"))),
+    ImpulseRule.from_expression(Prod((Const(-2.0), Sin(Var("k"))))),
+]
+
+
+def _scanned_branch(rule, window):
+    """The branch, or the ImpulseDegenerate knot, from every knot's factor."""
+    try:
+        factors = [rule.factor(k) for k in range(*window)]
+    except ImpulseDegenerate as exc:
+        return "degenerate", exc.k
+    if all(f > 0 for f in factors):
+        return "positive-impulse"
+    if all(f < 0 for f in factors):
+        return "negative-impulse"
+    return "mixed"
+
+
+class TestImpulseBranch:
+    @pytest.mark.parametrize("rule", _RULES, ids=lambda r: r.kind)
+    def test_branch_matches_the_scan_over_every_knot(self, rule):
+        p = unit_problem(Const(-1.0), Const(0.5), rule)
+        for window in [(3, 3), (4, 2), (3, 4), (4, 5), (3, 5), (4, 6), (0, 16), (1, 16), (5, 12)]:
+            try:
+                got = _impulse_branch(p, window)
+            except ImpulseDegenerate as exc:
+                got = "degenerate", exc.k
+            assert got == _scanned_branch(rule, window), (rule, window)
+
+    @pytest.mark.parametrize(
+        "rule, k", [(ImpulseRule.constant(-1.0), 8), (ImpulseRule.alternating(1.0), 9)]
+    )
+    def test_a_degenerate_factor_names_its_knot(self, rule, k):
+        with pytest.raises(ImpulseDegenerate) as info:
+            _impulse_branch(unit_problem(Const(-1.0), Const(0.5), rule), (8, 72))
+        assert info.value.k == k
+
+    @pytest.mark.parametrize("rule", _RULES[:3] + _RULES[4:6] + _RULES[7:9], ids=lambda r: r.kind)
+    def test_a_periodic_rule_reads_at_most_two_factors_per_criterion(self, rule, monkeypatch):
+        calls = []
+        factor = ImpulseRule.factor
+
+        def counted(self, k):
+            calls.append(k)
+            return factor(self, k)
+
+        monkeypatch.setattr(ImpulseRule, "factor", counted)
+        p = unit_problem(Const(-1.0), Const(0.5), rule)
+        for criterion in (aw_criterion, nonosc_criterion):
+            calls.clear()
+            criterion(p, (8, 72))
+            assert len(calls) <= 2, (criterion.__name__, calls)
+
+    def test_an_empty_window_reads_no_factor(self, monkeypatch):
+        monkeypatch.setattr(ImpulseRule, "factor", lambda self, k: pytest.fail("factor read"))
+        p = unit_problem(Const(-1.0), Const(0.5), ImpulseRule.constant(-1.0))
+        assert _impulse_branch(p, (5, 5)) == "positive-impulse"
 
 
 class TestNonoscCriterion:

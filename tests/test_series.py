@@ -18,15 +18,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from idepcag import series as series_module
+from idepcag import solver as solver_module
 from idepcag.cli import build_problem
-from idepcag.expressions import Const, Cos, Neg, Prod, Sin, Sum, Var
+from idepcag.expressions import Const, Cos, Neg, Prod, Sin, Sum, Var, parse_expression
 from idepcag.grid import ExplicitGrid, LaggedUniformGrid, UniformGrid
 from idepcag.kernel import KernelTable, SingularKernel, w_intra
 from idepcag.oracle import oracle_integrate
 from idepcag.oscillation import GronwallBound
 from idepcag.problem import ImpulseRule, Problem
-from idepcag.series import IntervalSeries
-from idepcag.solver import solve
+from idepcag.quadrature import QuadratureError
+from idepcag.series import IntervalSeries, build_sides
+from idepcag.solver import Trajectory, solve
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -350,28 +352,34 @@ def _zero_search_spies(mp):
     """Record, for every panel the zero search visits, the combination
     searched, the panel's ends, its fit and whether the bound skipped it;
     count the colleague-matrix solves."""
-    visits, colleague_calls, current, fits = [], [], [], []
-    real_zeros, real_fit = IntervalSeries.zeros, series_module._fit
+    visits, colleague_calls, jobs, rows = [], [], [], []
+    real_search, real_fit = solver_module.zero_search, series_module._fit
     real_keeps, real_colleague = series_module._keeps_sign, series_module._colleague_roots
 
-    def zeros(self, lo, hi, *coefs):
-        current[:] = [self, coefs]
-        return real_zeros(self, lo, hi, *coefs)
+    def zero_search(batch):
+        def recorded():
+            for job in batch:
+                jobs.append(job)
+                yield job
 
-    def fit(f, lo, hi, where):
-        fits.append((lo, hi))
-        return real_fit(f, lo, hi, where)
+        return real_search(recorded())
+
+    def fit(f, lo, hi):
+        rows[:] = zip(lo.tolist(), hi.tolist())  # a zero search fits its panels last
+        return real_fit(f, lo, hi)
 
     def keeps_sign(c, err):
         kept = real_keeps(c, err)
-        visits.append((*current, fits[-1], c, kept))
+        lo, hi = rows.pop(0)  # the panels reach the bound in the order they were fitted
+        series, _, _, *coefs = next(j for j in jobs if j[0] and j[0].lo <= lo < j[0].hi)
+        visits.append((series, coefs, (lo, hi), c, kept))
         return kept
 
     def colleague_roots(c):
         colleague_calls.append(len(c))
         return real_colleague(c)
 
-    mp.setattr(IntervalSeries, "zeros", zeros)
+    mp.setattr(solver_module, "zero_search", zero_search)
     mp.setattr(series_module, "_fit", fit)
     mp.setattr(series_module, "_keeps_sign", keeps_sign)
     mp.setattr(series_module, "_colleague_roots", colleague_roots)
@@ -457,3 +465,96 @@ def test_a_pure_flow_in_the_float_range_is_unchanged():
         ("0x1.2b9c33b18b060p-1", -2019),
         ("0x1.44207086197cap-1", -3029),
     ]
+
+
+@pytest.mark.parametrize("t", [0.99, 0.999])
+def test_dense_values_of_a_pure_flow_below_the_normal_range(t):
+    # z = 1e300 e^{-745 t} is a normal float at these t although e^{-745 t}
+    # alone is subnormal; a dense value carries exp(A)'s binary exponent as the
+    # knot march does (the reference is exact to 28 digits)
+    p = dataclasses.replace(_pure_flow(-745.0), z0=1e300, history=(1e300,))
+    exact = Decimal(1e300) * (Decimal(-745.0) * Decimal(t)).exp()
+    assert abs(Decimal(solve(p).value(t)) / exact - 1) <= Decimal("1e-12")
+
+
+def test_dense_values_of_a_pure_flow_in_the_float_range_are_unchanged():
+    p = dataclasses.replace(_pure_flow(-700.0), z0=1e300, history=(1e300,))
+    traj = solve(p)
+    assert [traj.value(t).hex() for t in (0.5, 0.99, 0.999, 1.5)] == [
+        "0x1.8d98e8c019804p+491",
+        "0x1.bae0bcb580af6p-4",
+        "0x1.a06373f3d7864p-13",
+        "0x1.ae21c85afa61cp-519",
+    ]
+
+
+# -- sides built in row batches -------------------------------------------------
+
+
+def _side_bits(side):
+    """A built side, or its failure, as exact values."""
+    if isinstance(side, BaseException):
+        return type(side), str(side)
+    los, panels, err = side
+    return err.hex(), [
+        (p.lo.hex(), p.hi.hex(), p.A0.hex(), p.y0.hex(), p.A.tobytes(), p.C.tobytes())
+        for p in panels
+    ]
+
+
+@PROPERTY
+@given(st.one_of(kernel_problems(), lagged_problems(), small_problems()))
+def test_a_side_built_in_the_batch_is_the_side_built_alone(p):
+    # the solve builds the sides of all its intervals in one batch; each comes
+    # out bitwise as the same side built alone, as KernelTable builds one
+    traj = Trajectory(p)
+    traj._build_series()
+    for k, series in traj._series.items():
+        for forward, side in series._sides.items():
+            alone = IntervalSeries(series.a, series.g, series.lo, series.hi, series.anchor, k)
+            build_sides([(alone, forward)])
+            assert _side_bits(alone._sides[forward]) == _side_bits(side), (k, forward)
+
+
+_UNIT = UniformGrid(0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "problem, error, message",
+    [
+        # y_b has a boundary layer of width 1/|a|: int |a| needs 10^6 panels
+        (Problem(a=Const(-1e6), b=Const(0.1), grid=_UNIT, horizon=3.0),
+         QuadratureError, "series on interval k=0 needs more than 4096 panels"),
+        # the samples of g = a + b carry eps |a| of noise, which never chops
+        (Problem(a=parse_expression("-1 + 1e-12*sin(2*t)"), b=Const(1.0), grid=_UNIT,
+                 tau=0.5, z0=-1.0, horizon=1.5),
+         QuadratureError, "Chebyshev coefficients do not decay on interval k=0 "
+         "near [0.5, 0.5001220703125] after 12 bisections"),
+        (Problem(a=Const(800.0), b=Const(0.1), grid=_UNIT, horizon=3.0),
+         OverflowError, "flow weight exp(709) overflows on interval k=0 at t=0.88625"),
+    ],
+)
+def test_a_failing_side_raises_on_use(problem, error, message):
+    # the batch stores a side's failure and raises it, with the message a side
+    # built alone gives, each time the side is used
+    traj = Trajectory(problem)
+    traj._build_series()
+    series = traj._series[traj.k_start]
+    for _ in range(2):
+        with pytest.raises(error) as info:
+            series.terms(series.hi)
+        assert str(info.value) == message
+    with pytest.raises(error) as info:
+        solve(problem)
+    assert str(info.value) == message
+
+
+def test_a_later_side_fails_only_when_used():
+    # A = 200 (t^2 - k^2) passes 709 only on interval 2, which the march up to
+    # t = 2.5 never reads at its far end; a dense value there raises
+    p = Problem(a=parse_expression("400*t"), b=Const(0.1), grid=_UNIT, horizon=2.5)
+    traj = solve(p)
+    assert traj.value(1.5) == pytest.approx(traj.knot_value(1) * math.exp(200 * 1.25), rel=1e-3)
+    with pytest.raises(OverflowError) as info:
+        traj.value(2.2)
+    assert str(info.value) == "flow weight exp(710) overflows on interval k=2 at t=2.7475"
