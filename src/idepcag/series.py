@@ -366,6 +366,8 @@ class _Piece:
 
 
 class _SideBuild:
+    """One side of a series while :func:`build_sides` builds it."""
+
     __slots__ = ("series", "forward", "root", "count")
 
     def __init__(self, series: IntervalSeries, forward: bool):
