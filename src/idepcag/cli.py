@@ -234,16 +234,15 @@ def cmd_solve(cfg: dict, args) -> int:
                 yield from ((lo + (hi - lo) * i / n_samples, k) for i in range(n_samples))
         yield problem.horizon, k_end
 
+    ts, ks = zip(*sample_times())
     rows: List[str] = ["t,z,interval_k,is_knot,z_left,z_right"]
-    for t, k in sample_times():
+    for t, k, z_right in zip(ts, ks, traj.values(ts, ks)):
         pt = traj._by_time.get(t)
-        if pt is not None:
-            z_left, z_right, is_knot = pt.z_left, pt.z_right, 1
-        else:
-            z_left = z_right = traj.value(t)
-            is_knot = 0
+        z_left = z_right if pt is None else pt.z_left
         _require_finite(k, z_left, z_right)
-        rows.append(f"{_fmt(t)},{_fmt(z_right)},{k},{is_knot},{_fmt(z_left)},{_fmt(z_right)}")
+        right = _fmt(z_right)
+        left = right if pt is None else _fmt(z_left)
+        rows.append(f"{_fmt(t)},{right},{k},{int(pt is not None)},{left},{right}")
     out_path = _write(args, "trajectory.csv", "\n".join(rows) + "\n")
 
     zeros = traj.zero_list()
@@ -449,8 +448,8 @@ def cmd_oracle_check(cfg: dict, args) -> int:
         ts = [problem.tau + span * (i + 0.5) / n_samples for i in range(n_samples)]
     max_dev = 0.0
     worst_t = problem.tau
-    for t, zo in zip(ts, otraj.values(ts)):
-        zk = traj.value(t)
+    zos = otraj.values(ts)
+    for t, zo, zk in zip(ts, zos, traj.values(ts)):
         dev = abs(zk - zo) / max(abs(zk), abs(zo), sys.float_info.min)
         if dev > max_dev:
             max_dev, worst_t = dev, t

@@ -98,21 +98,9 @@ class _OracleTrajectory(Trajectory):
         # exponent of z at the interval's base
         self._grids: Dict[int, Tuple[np.ndarray, np.ndarray, float, int]] = {}
 
-    def values(self, ts: Sequence[float]) -> List[float]:
-        """[self.value(t) for t in ts]: knots from the skeleton, the rest read
-        by :meth:`_unscaled_values` in one batch."""
-        out = [None if pt is None else pt.z_right for pt in map(self._by_time.get, ts)]
-        rest = [i for i, z in enumerate(out) if z is None]
-        ks = [self._interval_of(ts[i]) for i in rest]
-        for i, k, z in zip(rest, ks, self._unscaled_values([ts[i] for i in rest], ks)):
-            out[i] = _float(z, self._grids[k][3], k)
-        return out
-
-    def _value_in_interval(self, t: float, k: int) -> float:
-        return _float(self._unscaled_value(t, k), self._grids[k][3], k)
-
-    def _unscaled_value(self, t: float, k: int) -> float:
-        return self._unscaled_values([t], [k])[0]
+    def _interval_values(self, ts: Sequence[float], ks: Sequence[int]) -> List[float]:
+        """z at each t of ts on its interval of ks, by :meth:`_unscaled_values` in one batch."""
+        return [_float(z, self._grids[k][3], k) for k, z in zip(ks, self._unscaled_values(ts, ks))]
 
     def _unscaled_values(self, ts: Sequence[float], ks: Sequence[int]) -> List[float]:
         """z(t) 2^-x for each t in interval k of ks, x the exponent stored with k:
@@ -144,7 +132,7 @@ class _OracleTrajectory(Trajectory):
         roots = ts[signs == 0.0].tolist()
         for i in np.flatnonzero(np.abs(np.diff(signs)) == 2.0).tolist():
             roots.append(bisect_root(
-                lambda t: self._unscaled_value(t, k),
+                lambda t: self._unscaled_values([t], [k])[0],
                 float(ts[i]), float(ts[i + 1]), float(zs[i]), ZERO_LOCATION_TOL,
             ))
         return sorted(r for r in roots if lo <= r < hi)

@@ -96,13 +96,16 @@ def recurring_sign_changes(values: Sequence[float]) -> bool:
 def classify_discrete(
     traj: Trajectory, window: Optional[Tuple[int, int]] = None
 ) -> OscillationVerdict:
-    """Classify the knot sequence z(t_n) over a half-open knot window."""
+    """Classify the knot sequence z(t_n) over a half-open knot window, which
+    may not end past the last solved knot."""
     pts = traj.skeleton()
     if not pts:
         raise ValueError("trajectory has no knots")
     if window is None:
         window = (pts[0].k, pts[-1].k + 1)
     k_lo, k_hi = window
+    if k_hi > pts[-1].k + 1:
+        raise ValueError(f"window [{k_lo}, {k_hi}) ends past the last solved knot k={pts[-1].k}")
     # the knot signs stay exact where the values under- or overflow
     seq = [(p.k, p.sign_right) for p in pts if k_lo <= p.k < k_hi]
     if len(seq) < MIN_WINDOW_KNOTS:

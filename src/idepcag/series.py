@@ -23,7 +23,9 @@ many sides level by level, one sample matrix, one values-to-coefficients
 product and one chop per batch, and only then walks each side in chain
 order to set the values its panels start from.  Every row is computed
 alike whatever the other rows of its batch, so a side comes out bitwise
-the same built alone or with others.
+the same built alone or with others.  :class:`PanelTable` lays the built
+sides of many series out flat, and reads (A, y) at many points in one
+array pass, bitwise as one point at a time.
 
 Zeros are the real roots, from numpy's ``chebroots``, of the interpolant of
 the wanted combination on each panel: the eigenvalues of its colleague
@@ -203,7 +205,9 @@ def _colleague_roots(c: np.ndarray) -> np.ndarray:
     return np.polynomial.chebyshev.chebroots(c)
 
 
-def _clenshaw(c: List[float], x: float) -> float:
+def _clenshaw(c, x):
+    """sum_k c[k] T_k(x).  Given columns (row k holds c_k of each point) and an
+    array x, it sums each point as alone: zero padding keeps b1 = b2 = +0."""
     b1 = b2 = 0.0
     x2 = 2.0 * x
     for i in range(len(c) - 1, 0, -1):
@@ -314,27 +318,95 @@ class IntervalSeries:
     @staticmethod
     def _evaluate(p: _Panel, t: float) -> Tuple[float, float]:
         """(A(t), y(t)) on panel ``p``."""
-        x = (t - p.mid) / p.hw
-        local = _clenshaw(p.A_list, x)
-        return p.A0 + local, math.exp(local) * (p.y0 + _clenshaw(p.C_list, x))
+        return _panel_terms(t, p.mid, p.hw, p.A0, p.y0, p.A_list, p.C_list)
 
-    def _flow(self, A: float) -> float:
-        if A > EXP_OVERFLOW:
-            raise OverflowError(f"flow weight exp({A:.3g}) overflows on {self._where}")
-        return math.exp(A)
+    def _flow(self, A):
+        """exp(A) of one point, or of many as an array; refused above exp(709)."""
+        top = A if isinstance(A, float) else A.max(initial=-math.inf)
+        if top > EXP_OVERFLOW:
+            raise OverflowError(f"flow weight exp({top:.3g}) overflows on {self._where}")
+        return _exp(A)
 
     def terms(self, t: float) -> Tuple[float, float]:
         """(A(t), y(t)) from one panel lookup."""
         return (0.0, 0.0) if t == self.anchor else self._evaluate(self._panel(t), t)
 
     def combination(self, t: float, flow_coef: float, forced_coef: float, const: float) -> float:
-        """forced_coef y(t) + const + flow_coef exp(A(t)); the flow is not
-        evaluated when flow_coef is 0."""
-        A, y = self.terms(t)
+        """:meth:`combine` of the terms at t."""
+        return self.combine(*self.terms(t), flow_coef, forced_coef, const)
+
+    def combine(self, A, y, flow_coef: float, forced_coef: float, const: float):
+        """forced_coef y + const + flow_coef exp(A) from the terms of one point, or
+        of many as arrays; the flow is not evaluated when flow_coef is 0."""
         u = forced_coef * y + const
         if flow_coef:
-            u += flow_coef * self._flow(A)
+            u = u + flow_coef * self._flow(A)
         return u
+
+
+def _exp(v):
+    """exp of a float, or of each entry of an array, by ``math.exp``
+    (numpy's exp rounds some inputs differently)."""
+    return math.exp(v) if isinstance(v, float) else np.array(list(map(math.exp, v.tolist())))
+
+
+def _panel_terms(t, mid, hw, A0, y0, A, C):
+    """(A(t), y(t)) on a panel about mid, hw wide each way, entered with A0 and
+    y0: for one point, or for many with arrays and coefficient columns."""
+    x = (t - mid) / hw
+    local = _clenshaw(A, x)
+    return A0 + local, _exp(local) * (y0 + _clenshaw(C, x))
+
+
+class PanelTable:
+    """The built sides of many series, in interval order, laid out flat: panel
+    ``lo`` edges (sorted across the series), ``mid``, ``hw``, ``A0``, ``y0``
+    and zero-padded coefficient rows of ``A`` and ``C``."""
+
+    def __init__(self, series: Sequence[IntervalSeries]):
+        self._anchor = np.array([s.anchor for s in series])
+        # past an inner anchor a point is on the forward side; where the
+        # anchor is an end, on the side that ``_ahead`` gives
+        self._inner = np.array([s.lo < s.anchor < s.hi for s in series])
+        self._ahead = np.array([s.anchor < s.hi for s in series])
+        sides = [s._sides.get(forward) for s in series for forward in (False, True)]
+        sides = [side[1] if isinstance(side, tuple) else [] for side in sides]
+        panels = [p for side in sides for p in side]
+        # the first and last row of each side, backward then forward
+        self._last = np.cumsum([len(side) for side in sides]) - 1
+        self._first = np.concatenate([[0], self._last[:-1] + 1])
+        self._lo, self._mid, self._hw, self._A0, self._y0 = np.array(
+            [(p.lo, p.mid, p.hw, p.A0, p.y0) for p in panels], dtype=float
+        ).reshape(-1, 5).T
+        self._A, self._nA = _padded([p.A for p in panels])
+        self._C, self._nC = _padded([p.C for p in panels])
+
+    def terms(self, t: np.ndarray, i: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(A, y) at each point t of series i, bitwise as ``series[i].terms(t)``:
+        the panel from one ``searchsorted`` clamped into the rows of the point's
+        side, and each series summed by one Clenshaw pass over all points.
+        Raises ``LookupError`` for a point on a side with no panels."""
+        at_anchor = t == self._anchor[i]
+        side = 2 * i + np.where(self._inner[i], t > self._anchor[i], self._ahead[i])
+        first, last = self._first[side], self._last[side]
+        if ((first > last) & ~at_anchor).any():
+            raise LookupError("a point lies on a side that failed or was not built")
+        rows = np.clip(np.searchsorted(self._lo, t, side="right") - 1, first, last)
+        A, y = _panel_terms(
+            t, self._mid[rows], self._hw[rows], self._A0[rows], self._y0[rows],
+            self._A[rows, : self._nA[rows].max()].T, self._C[rows, : self._nC[rows].max()].T,
+        )
+        A[at_anchor] = y[at_anchor] = 0.0
+        return A, y
+
+
+def _padded(rows: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """``rows`` as one matrix, each padded with zeros to the longest, and their lengths."""
+    lengths = [len(r) for r in rows]
+    out = np.zeros((len(rows), max(lengths, default=1)))
+    for row, r, n in zip(out, rows, lengths):
+        row[:n] = r
+    return out, np.array(lengths, dtype=int)
 
 
 def _g_vanishes(series: Sequence[IntervalSeries]) -> None:

@@ -521,6 +521,36 @@ class TestWindowFlag:
         assert "window: [3, 15)" in text
 
 
+    # h = 1.5 and horizon 80: the last solved knot is k = 53, and the skeleton keeps one sign
+    _PAST_HORIZON = {
+        "problem": {
+            "a": "-0.443 + 0.281*cos(2.25*t)",
+            "b": "-0.350 - 0.085*sin(1.47*t)",
+            "grid": {"type": "uniform", "t0": 0, "h": 1.5, "alpha": 0.5},
+            "impulse": {"type": "none"},
+            "tau": 0.0,
+            "z0": 1.0,
+            "horizon": 80.0,
+        }
+    }
+
+    @pytest.mark.parametrize("width, end", [(47, 55), (48, 56)])
+    def test_classify_window_past_the_last_solved_knot_is_refused(
+        self, tmp_path, capsys, width, end
+    ):
+        cfg_path = write_config(tmp_path / "cfg.json", self._PAST_HORIZON)
+        args = ["classify", "--config", cfg_path, "--out", str(tmp_path), "--window", f"8,{width}"]
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"window [8, {end}) ends past the last solved knot k=53" in err
+
+    def test_classify_window_up_to_the_last_solved_knot_is_read(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "cfg.json", self._PAST_HORIZON)
+        args = ["classify", "--config", cfg_path, "--out", str(tmp_path), "--window", "8,46"]
+        assert main(args) == EXIT_OK
+        assert "window: [8, 54)" in capsys.readouterr().out
+
+
 @pytest.fixture
 def window_passes(monkeypatch):
     """Arguments of every window pass, that is every KernelTable.criterion call."""

@@ -210,7 +210,8 @@ def crossing_problems():
 
 
 def _sample_times(p, fractions):
-    return [p.tau + f * (p.horizon - p.tau) for f in fractions]
+    # tau + 1.0 * (horizon - tau) can round past the horizon
+    return [min(p.tau + f * (p.horizon - p.tau), p.horizon) for f in fractions]
 
 
 _fractions = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)
@@ -558,3 +559,110 @@ def test_a_later_side_fails_only_when_used():
     with pytest.raises(OverflowError) as info:
         traj.value(2.2)
     assert str(info.value) == "flow weight exp(710) overflows on interval k=2 at t=2.7475"
+
+
+# -- dense values in one array pass ------------------------------------------------
+
+
+def _special_times(traj):
+    """Knots, the horizon, t = zeta_k and panel edges of the solved range."""
+    p = traj.problem
+    ts = [pt.t for pt in traj.skeleton()] + [p.tau, p.horizon]
+    for series in traj._series.values():
+        ts.append(series.anchor)
+        for side in series._sides.values():
+            if isinstance(side, tuple):
+                ts += [panel.lo for panel in side[1]] + [panel.hi for panel in side[1]]
+    return sorted(t for t in set(ts) if p.tau <= t <= p.horizon)
+
+
+def _read_times(traj, data):
+    """Many points for one call: special ones, repeats and draws in [tau, horizon]."""
+    p = traj.problem
+    ts = data.draw(st.lists(
+        st.sampled_from(_special_times(traj)) | st.floats(p.tau, p.horizon), min_size=1,
+        max_size=60,
+    ))
+    return ts + ts[: len(ts) // 2]
+
+
+@PROPERTY
+@given(knot_start_problems(), st.data())
+def test_values_are_kernel_table_steps(p, data):
+    # one call reads every point as KernelTable steps z(t_k) to it, bitwise
+    traj, table, grid = _solved(p), KernelTable(p), p.grid
+    ts, expected = [], []
+    for t in _read_times(traj, data):
+        k = grid.interval_index(t)
+        try:
+            expected.append(table.w_intra(k, t, grid.knot(k)) * traj.knot_value(k))
+        except SingularKernel:  # e(t_k) vanished on the unsolved last interval
+            continue
+        ts.append(t)
+    with pytest.MonkeyPatch.context() as mp:  # read in the array pass, not one at a time
+        mp.setattr(Trajectory, "_scaled_value", None)
+        values = traj.values(ts)
+    assert [z.hex() for z in values] == [z.hex() for z in expected]
+    assert values == [traj.value(t) for t in ts]
+
+
+@PROPERTY
+@given(lagged_problems(), st.data())
+def test_values_are_scalar_combinations_on_lagged_grids(p, data):
+    # z = (q y + r + p exp(A)) / e * m 2^x, with each point's terms read alone
+    traj = solve(p)
+    ts = _read_times(traj, data)
+    expected = []
+    for t in ts:
+        knot = traj._by_time.get(t)
+        if knot is not None:
+            expected.append(knot.z_right)
+            continue
+        series, flow, forced, const, e, m, x = traj._piece(p.grid.interval_index(t))
+        expected.append(math.ldexp(series.combination(t, flow, forced, const) / e * m, x))
+    assert [z.hex() for z in traj.values(ts)] == [z.hex() for z in expected]
+
+
+@pytest.mark.parametrize("a", [-745.0, -2000.0])
+def test_values_of_a_pure_flow_carry_the_exponent(a):
+    # z = 1e300 e^{a t} on [0, 1): the array pass carries exp(A)'s binary
+    # exponent point by point, as the one-point read of the march does
+    p = dataclasses.replace(_pure_flow(a), z0=1e300, history=(1e300,))
+    traj = solve(p)
+    ts = [i / 64 for i in range(193)] + [0.99, 0.999, 0.5, 0.5]
+    values = traj.values(ts)
+    one_at_a_time = [
+        traj.knot_value(int(t)) if t in traj._by_time
+        else solver_module._ldexp(*traj._scaled_value(t, int(t)))
+        for t in ts
+    ]
+    assert [z.hex() for z in values] == [z.hex() for z in one_at_a_time]
+    for t, z in zip(ts, values):
+        if t < 1.0 and abs(z) >= 2.0 ** -1022:  # a normal value: within 1e-12 of exact
+            exact = Decimal(1e300) * (Decimal(a) * Decimal(t)).exp()
+            assert abs(Decimal(z) / exact - 1) <= Decimal("1e-12"), t
+
+
+@pytest.mark.parametrize("t", [-0.5, 10.5, math.nan])
+def test_values_refuse_a_point_outside_the_solved_range(t):
+    traj = solve(_pure_flow(-1.0))
+    with pytest.raises(ValueError, match=f"t={t} outside solved range"):
+        traj.values([0.5, 1.0, t])
+
+
+def test_values_raise_the_failure_of_a_side():
+    # the side of interval 2 fails; the march never reads it, a dense value does
+    p = Problem(a=parse_expression("-700*t^2"), b=Const(0.0), grid=_UNIT, horizon=2.5)
+    traj = solve(p)
+    assert traj.values([0.5, 1.5]) == [traj.value(0.5), traj.value(1.5)]
+    with pytest.raises(QuadratureError, match="series on interval k=2 needs more than 4096 panels"):
+        traj.values([0.5, 2.25, 1.5])
+
+
+def test_values_refuse_a_flow_above_the_float_range():
+    # A = 200 (t^2 - k^2) passes exp(709) only on interval 2, which the march
+    # up to t = 2.5 never reads
+    p = Problem(a=parse_expression("400*t"), b=Const(0.1), grid=_UNIT, horizon=2.5)
+    traj = solve(p)
+    with pytest.raises(OverflowError, match=r"flow weight exp\(710\) overflows on interval k=2"):
+        traj.values([1.5, 2.2, 0.5])
