@@ -235,10 +235,13 @@ def cmd_solve(cfg: dict, args) -> int:
         yield problem.horizon, k_end
 
     ts, ks = zip(*sample_times())
+    pts = list(map(traj._by_time.get, ts))
+    # rows are refused in order: no value is read past the first knot row out of range
+    knots = (i for i, pt in enumerate(pts) if pt)
+    bad = (i for i in knots if not all(map(math.isfinite, (pts[i].z_left, pts[i].z_right))))
     rows: List[str] = ["t,z,interval_k,is_knot,z_left,z_right"]
-    for t, k, z_right in zip(ts, ks, traj.values(ts, ks)):
-        pt = traj._by_time.get(t)
-        z_left = z_right if pt is None else pt.z_left
+    for t, k, pt, z in zip(ts, ks, pts, traj.values(ts[: next(bad, len(ts)) + 1])):
+        z_left, z_right = (z, z) if pt is None else (pt.z_left, pt.z_right)
         _require_finite(k, z_left, z_right)
         right = _fmt(z_right)
         left = right if pt is None else _fmt(z_left)
@@ -448,8 +451,7 @@ def cmd_oracle_check(cfg: dict, args) -> int:
         ts = [problem.tau + span * (i + 0.5) / n_samples for i in range(n_samples)]
     max_dev = 0.0
     worst_t = problem.tau
-    zos = otraj.values(ts)
-    for t, zo, zk in zip(ts, zos, traj.values(ts)):
+    for t, zo, zk in zip(ts, otraj.values(ts), traj.values(ts)):
         dev = abs(zk - zo) / max(abs(zk), abs(zo), sys.float_info.min)
         if dev > max_dev:
             max_dev, worst_t = dev, t

@@ -96,8 +96,7 @@ def recurring_sign_changes(values: Sequence[float]) -> bool:
 def classify_discrete(
     traj: Trajectory, window: Optional[Tuple[int, int]] = None
 ) -> OscillationVerdict:
-    """Classify the knot sequence z(t_n) over a half-open knot window, which
-    may not end past the last solved knot."""
+    """Classify the knot sequence z(t_n) over a half-open knot window up to the last knot."""
     pts = traj.skeleton()
     if not pts:
         raise ValueError("trajectory has no knots")

@@ -23,9 +23,8 @@ many sides level by level, one sample matrix, one values-to-coefficients
 product and one chop per batch, and only then walks each side in chain
 order to set the values its panels start from.  Every row is computed
 alike whatever the other rows of its batch, so a side comes out bitwise
-the same built alone or with others.  :class:`PanelTable` lays the built
-sides of many series out flat, and reads (A, y) at many points in one
-array pass, bitwise as one point at a time.
+the same built alone or with others.  :class:`PanelTable` reads (A, y) of
+many points in one array pass over built sides laid out flat.
 
 Zeros are the real roots, from numpy's ``chebroots``, of the interpolant of
 the wanted combination on each panel: the eigenvalues of its colleague
@@ -206,8 +205,7 @@ def _colleague_roots(c: np.ndarray) -> np.ndarray:
 
 
 def _clenshaw(c, x):
-    """sum_k c[k] T_k(x).  Given columns (row k holds c_k of each point) and an
-    array x, it sums each point as alone: zero padding keeps b1 = b2 = +0."""
+    """sum_k c[k] T_k(x), also for an array x and rows c[k] of zero-padded columns."""
     b1 = b2 = 0.0
     x2 = 2.0 * x
     for i in range(len(c) - 1, 0, -1):
@@ -225,10 +223,11 @@ def _keeps_sign(c: np.ndarray, err: float) -> bool:
 class _Panel:
     """One chain link: [lo, hi], entered at its end c nearer the anchor with
     A(c) = A0 and y(c) = y0.  ``A`` and ``C`` are the Chebyshev coefficients
-    of the local antiderivatives int_c^t a and int_c^t exp(-A) g, as arrays
-    and as float lists for scalar evaluation."""
+    of the local antiderivatives int_c^t a and int_c^t exp(-A) g; ``args``
+    are the arguments of :func:`_panel_terms` after t, with them as float
+    lists for scalar evaluation."""
 
-    __slots__ = ("lo", "hi", "mid", "hw", "A0", "y0", "A", "C", "A_list", "C_list")
+    __slots__ = ("lo", "hi", "mid", "hw", "A0", "y0", "A", "C", "args")
 
     def __init__(self, lo, hi, A0, y0, A, C):
         self.lo, self.hi = lo, hi
@@ -236,7 +235,7 @@ class _Panel:
         self.mid, self.hw = 0.5 * (lo + hi), 0.5 * (hi - lo) or hi - lo
         self.A0, self.y0 = A0, y0
         self.A, self.C = A, C
-        self.A_list, self.C_list = A.tolist(), C.tolist()
+        self.args = (self.mid, self.hw, A0, y0, A.tolist(), C.tolist())
 
 
 _Side = Union[Tuple[List[float], List[_Panel], float], BaseException]
@@ -315,13 +314,7 @@ class IntervalSeries:
 
     # -- evaluation ------------------------------------------------------------
 
-    @staticmethod
-    def _evaluate(p: _Panel, t: float) -> Tuple[float, float]:
-        """(A(t), y(t)) on panel ``p``."""
-        return _panel_terms(t, p.mid, p.hw, p.A0, p.y0, p.A_list, p.C_list)
-
     def _flow(self, A):
-        """exp(A) of one point, or of many as an array; refused above exp(709)."""
         top = A if isinstance(A, float) else A.max(initial=-math.inf)
         if top > EXP_OVERFLOW:
             raise OverflowError(f"flow weight exp({top:.3g}) overflows on {self._where}")
@@ -329,7 +322,7 @@ class IntervalSeries:
 
     def terms(self, t: float) -> Tuple[float, float]:
         """(A(t), y(t)) from one panel lookup."""
-        return (0.0, 0.0) if t == self.anchor else self._evaluate(self._panel(t), t)
+        return (0.0, 0.0) if t == self.anchor else _panel_terms(t, *self._panel(t).args)
 
     def combination(self, t: float, flow_coef: float, forced_coef: float, const: float) -> float:
         """:meth:`combine` of the terms at t."""
@@ -345,17 +338,19 @@ class IntervalSeries:
 
 
 def _exp(v):
-    """exp of a float, or of each entry of an array, by ``math.exp``
-    (numpy's exp rounds some inputs differently)."""
+    """exp of a float or of an array by ``math.exp``, which numpy's exp does not match."""
     return math.exp(v) if isinstance(v, float) else np.array(list(map(math.exp, v.tolist())))
 
 
 def _panel_terms(t, mid, hw, A0, y0, A, C):
-    """(A(t), y(t)) on a panel about mid, hw wide each way, entered with A0 and
-    y0: for one point, or for many with arrays and coefficient columns."""
+    """(A(t), y(t)) on the panel about mid, hw wide each way, entered with A0 and y0."""
     x = (t - mid) / hw
     local = _clenshaw(A, x)
     return A0 + local, _exp(local) * (y0 + _clenshaw(C, x))
+
+
+class NoPanels(LookupError):
+    """A :class:`PanelTable` read met a point on a side that failed or was not built."""
 
 
 class PanelTable:
@@ -365,16 +360,10 @@ class PanelTable:
 
     def __init__(self, series: Sequence[IntervalSeries]):
         self._anchor = np.array([s.anchor for s in series])
-        # past an inner anchor a point is on the forward side; where the
-        # anchor is an end, on the side that ``_ahead`` gives
-        self._inner = np.array([s.lo < s.anchor < s.hi for s in series])
-        self._ahead = np.array([s.anchor < s.hi for s in series])
         sides = [s._sides.get(forward) for s in series for forward in (False, True)]
         sides = [side[1] if isinstance(side, tuple) else [] for side in sides]
         panels = [p for side in sides for p in side]
-        # the first and last row of each side, backward then forward
-        self._last = np.cumsum([len(side) for side in sides]) - 1
-        self._first = np.concatenate([[0], self._last[:-1] + 1])
+        self._side = np.repeat(np.arange(len(sides)), [len(side) for side in sides])  # of each row
         self._lo, self._mid, self._hw, self._A0, self._y0 = np.array(
             [(p.lo, p.mid, p.hw, p.A0, p.y0) for p in panels], dtype=float
         ).reshape(-1, 5).T
@@ -382,16 +371,15 @@ class PanelTable:
         self._C, self._nC = _padded([p.C for p in panels])
 
     def terms(self, t: np.ndarray, i: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(A, y) at each point t of series i, bitwise as ``series[i].terms(t)``:
-        the panel from one ``searchsorted`` clamped into the rows of the point's
-        side, and each series summed by one Clenshaw pass over all points.
-        Raises ``LookupError`` for a point on a side with no panels."""
+        """(A, y) at each point t of series i, in [lo, hi) of that series, bitwise
+        as ``series[i].terms(t)``: its panel is the last that starts at or before
+        t, which must lie on its side, the forward one past the anchor; each
+        series is summed by one Clenshaw pass over all points."""
         at_anchor = t == self._anchor[i]
-        side = 2 * i + np.where(self._inner[i], t > self._anchor[i], self._ahead[i])
-        first, last = self._first[side], self._last[side]
-        if ((first > last) & ~at_anchor).any():
-            raise LookupError("a point lies on a side that failed or was not built")
-        rows = np.clip(np.searchsorted(self._lo, t, side="right") - 1, first, last)
+        rows = np.searchsorted(self._lo, t, side="right") - 1
+        side = 2 * i + (t > self._anchor[i])
+        if not len(self._lo) or ((self._side[rows] != side) & ~at_anchor).any():
+            raise NoPanels("a point lies on a side that failed or was not built")
         A, y = _panel_terms(
             t, self._mid[rows], self._hw[rows], self._A0[rows], self._y0[rows],
             self._A[rows, : self._nA[rows].max()].T, self._C[rows, : self._nC[rows].max()].T,
@@ -402,11 +390,10 @@ class PanelTable:
 
 def _padded(rows: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     """``rows`` as one matrix, each padded with zeros to the longest, and their lengths."""
-    lengths = [len(r) for r in rows]
-    out = np.zeros((len(rows), max(lengths, default=1)))
-    for row, r, n in zip(out, rows, lengths):
-        row[:n] = r
-    return out, np.array(lengths, dtype=int)
+    lengths = np.array([len(r) for r in rows], dtype=int)
+    out = np.zeros((len(rows), lengths.max(initial=1)))
+    out[np.arange(out.shape[1]) < lengths[:, None]] = np.concatenate([np.zeros(0), *rows])
+    return out, lengths
 
 
 def _g_vanishes(series: Sequence[IntervalSeries]) -> None:
@@ -586,7 +573,7 @@ def _walk(side: _SideBuild) -> _Side:
             err += piece.err
             p = _Panel(piece.lo, piece.hi, A0, y0, piece.A, piece.C)
             panels.append(p)
-            A0, y0 = series._evaluate(p, piece.stop)
+            A0, y0 = _panel_terms(piece.stop, *p.args)
             if not math.isfinite(y0) or (A0 > EXP_OVERFLOW and y0 != 0.0):
                 raise OverflowError(
                     f"flow weight exp({A0:.3g}) overflows on {series._where} at t={piece.stop!r}"
@@ -669,7 +656,7 @@ def zero_search(jobs: Iterable[_Job]) -> Iterator[List[float]]:
 
         def u(p: _Panel, t: float) -> Tuple[float, float]:
             """u(t) and the sum of the magnitudes of its terms."""
-            A, y = series._evaluate(p, t)
+            A, y = _panel_terms(t, *p.args)
             y, flow = forced_coef * y, (flow_coef * series._flow(A) if flow_coef else 0.0)
             return y + flow + const, abs(y) + abs(flow) + abs(const)
 

@@ -12,11 +12,11 @@ series of e(., zeta_k) - 1, on lagged grids that of the flow and of
 y' = a y + b, y(t_k) = 0, so that z = exp(A) z(t_k) + y z(t_{k-lag}).  Both
 are one combination of flow and forced response (see :class:`Trajectory`),
 and one march serves both grid kinds.  Dense values, the knot march and
-the in-interval zeros all come from that series: the march reads one panel
-per knot, dense values one array pass over a flat panel table (``value`` is
-its one-point case), and zeros are the real roots of its Chebyshev
-interpolant on each panel, from numpy's ``chebroots``, fitted on the panels
-of every searched interval in one batch.
+the in-interval zeros all come from that series: the march and ``value``
+read one panel per point, ``values`` reads many points in one array pass
+over a flat panel table, with the same bits, and zeros are the real roots
+of its Chebyshev interpolant on each panel, from numpy's ``chebroots``,
+fitted on the panels of every searched interval in one batch.
 
 The march carries z at each interval base as its ``math.frexp`` pair, so
 |z| may leave the float range and come back; a lagged pure flow carries
@@ -42,11 +42,13 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .kernel import KernelTable, SingularKernel, _require_invertible
 # flow_weighted_integral is unused here but stays bound in this module:
 # bench/tracing.py rebinds solver.flow_weighted_integral by name.
-from .kernel import KernelTable, _require_invertible, flow_weighted_integral  # noqa: F401
+from .kernel import flow_weighted_integral  # noqa: F401
 from .problem import Problem
-from .series import IntervalSeries, PanelTable, build_sides, zero_search
+from .quadrature import QuadratureError
+from .series import IntervalSeries, NoPanels, PanelTable, build_sides, zero_search
 
 
 # ln 2 = _LN2_HI + _LN2_LO, the high part with 21 trailing zero bits so that
@@ -83,22 +85,15 @@ def bisect_root(f, a: float, b: float, fa: float, tol: float) -> float:
 def _scaled(piece, A, y):
     """(v, x) with z = v 2^x = (q y + r + p exp(A)) / e * m 2^x, for piece =
     (series, p, q, r, e, m, x) and the terms (A, y) of one point, or of many as
-    arrays, with e, m and x one per point or shared.  A lagged pure flow
-    p exp(A) below the normal range carries exp(A)'s binary exponent n in x,
-    with A = n ln 2 + rest."""
+    arrays with e, m and x one per point.  A lagged pure flow p exp(A) below
+    the normal range carries exp(A)'s binary exponent n in x, with
+    A = n ln 2 + rest; many points of a pure flow are read one at a time."""
     series, p, q, r, e, m, x = piece
+    if p and not q and not isinstance(A, float):
+        points = zip(e.tolist(), m.tolist(), x.tolist(), A.tolist(), y.tolist())
+        return tuple(map(np.array, zip(*(_scaled((*piece[:4], *o[:3]), *o[3:]) for o in points))))
     v = series.combine(A, y, p, q, r) / e * m
-    if q or not p:
-        return v, x
-    if isinstance(v, float):
-        return _carry(p, A, v, x)
-    pairs = zip(A.tolist(), v.tolist(), np.broadcast_to(x, v.shape).tolist())
-    return tuple(map(np.array, zip(*(_carry(p, a, w, n) for a, w, n in pairs))))
-
-
-def _carry(p: float, A: float, v: float, x: int) -> Tuple[float, int]:
-    """:func:`_scaled`'s (v, x) of one point of a pure flow."""
-    if abs(v) >= sys.float_info.min:
+    if q or not p or abs(v) >= sys.float_info.min:
         return v, x
     n = round(A / math.log(2.0))
     return p * math.exp(A - n * _LN2_HI - n * _LN2_LO), x + n
@@ -142,8 +137,8 @@ class Trajectory:
     t_k, or tau on the start interval.  On lagged grids y solves y' = a y + b,
     y(t_k) = 0, r = 0, e = m = 1, p 2^x = z(t_k) and q 2^x = z(t_{k-lag}).
 
-    Dense values are read by :meth:`values`, one array pass over a flat table
-    of every built side's panels; :meth:`value` is its one-point case.
+    :meth:`value` reads one point by one panel lookup, :meth:`values` many in
+    one array pass over a flat table of the panels, bitwise the same.
 
     Immutable after construction; dense queries are safe to issue
     concurrently.
@@ -240,64 +235,64 @@ class Trajectory:
     # -- dense evaluation ------------------------------------------------------
 
     def value(self, t: float, side: str = "right") -> float:
-        """z(t); ``side='left'`` gives the pre-jump limit at a knot.  The
-        one-point case of :meth:`values`."""
+        """z(t); ``side='left'`` gives the pre-jump limit at a knot."""
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         pt = self._by_time.get(t)
-        if pt is not None and side == "left":
-            return pt.z_left
-        return self.values([t])[0]
+        if pt is not None:
+            return pt.z_left if side == "left" else pt.z_right
+        return self._interval_values([t], [self._interval_of(t)])[0]
 
-    def values(self, ts: Sequence[float], ks: Optional[Sequence[int]] = None) -> List[float]:
-        """[self.value(t) for t in ts], bitwise: knots from the skeleton, the rest
-        by one :meth:`_interval_values` call.  ``ks``, if given, are the intervals
-        of ts, taken as they are; else a t outside [tau, horizon] is refused first."""
+    def values(self, ts: Sequence[float]) -> List[float]:
+        """[self.value(t) for t in ts], bitwise: knots from the skeleton, the rest,
+        once none lies outside [tau, horizon], by one :meth:`_interval_values` call."""
         out = [None if pt is None else pt.z_right for pt in map(self._by_time.get, ts)]
         rest = [i for i, z in enumerate(out) if z is None]
-        if rest:
-            rest_ts = [ts[i] for i in rest]
-            if ks is None:
-                tau, horizon = self.problem.tau, self.problem.horizon
-                t = np.array(rest_ts, dtype=float)
-                for i in np.flatnonzero(~((tau <= t) & (t <= horizon)))[:1].tolist():
-                    raise ValueError(f"t={rest_ts[i]} outside solved range [{tau}, {horizon}]")
-                knots = [pt.t for pt in self.points if pt.k > self.k_start]
-                rest_ks = (np.searchsorted(knots, t, side="right") + self.k_start).tolist()
-            else:
-                rest_ks = [ks[i] for i in rest]
-            for i, z in zip(rest, self._interval_values(rest_ts, rest_ks)):
-                out[i] = z
+        t = np.array([ts[i] for i in rest], dtype=float)
+        for i in np.flatnonzero(~((self.problem.tau <= t) & (t <= self.problem.horizon)))[:1]:
+            self._interval_of(ts[rest[i]])  # raises
+        knots = [pt.t for pt in self.points if pt.k > self.k_start]
+        ks = (np.searchsorted(knots, t, side="right") + self.k_start).tolist()
+        for i, z in zip(rest, self._interval_values(t.tolist(), ks)):
+            out[i] = z
         return out
 
+    def _interval_of(self, t: float) -> int:
+        """The interval holding t, refused outside [tau, horizon]."""
+        if not (self.problem.tau <= t <= self.problem.horizon):
+            raise ValueError(
+                f"t={t} outside solved range [{self.problem.tau}, {self.problem.horizon}]"
+            )
+        return self.problem.grid.interval_index(t)
+
     def _interval_values(self, ts: Sequence[float], ks: Sequence[int]) -> List[float]:
-        """z at each t of ts, none a knot, on its interval of ks: the terms from
-        the panel table, then one :func:`_scaled` over the points of all the
-        intervals that share p, q and r (all of them on a kernel grid).  Where
-        that fails, the points are read one at a time instead, so that the
-        first that fails raises as ``value`` would, or, where a side the table
-        lacks reads fine alone, each comes out as read alone."""
-        t, k = np.array(ts, dtype=float), np.array(ks, dtype=int)
-        try:
-            if self._table is None:
-                self._table = PanelTable([self._series[j] for j in sorted(self._series)])
-            A, y = self._table.terms(t, k - self.k_start)
-            intervals, of = np.unique(k, return_inverse=True)
-            pieces = [self._piece(j) for j in intervals.tolist()]
-            e, m, x = (np.array([piece[i] for piece in pieces])[of] for i in (4, 5, 6))
-            first: Dict[Tuple[float, ...], int] = {}  # the first interval with each p, q, r
-            for i, piece in enumerate(pieces):
-                first.setdefault(piece[1:4], i)
-            same = np.array([first[piece[1:4]] for piece in pieces])[of]
-            v = np.empty_like(t)
-            for i in first.values():
-                at = np.flatnonzero(same == i)
-                piece = (*pieces[i][:4], e[at], m[at], x[at])
-                v[at], x[at] = _scaled(piece, A[at], y[at])
-        except (ArithmeticError, LookupError, RuntimeError):  # a failed side or piece
-            return [_ldexp(*self._scaled_value(one, j)) for one, j in zip(ts, ks)]
-        with np.errstate(over="ignore"):  # +-inf beyond the float range, as _ldexp
-            return np.ldexp(v, x).tolist()
+        """z at each t of ts, none a knot, on its interval of ks.  Many points take
+        one array pass: the terms from the panel table, then one :func:`_scaled`
+        per p, q and r (one on a kernel grid).  One point, or many where a side,
+        a piece or a flow fails, is read one panel lookup at a time, so that the
+        first failing point raises as ``value`` does."""
+        if len(ts) > 1:
+            try:
+                with np.errstate(all="ignore"):  # inf and nan arise as on floats
+                    t, k = np.array(ts, dtype=float), np.array(ks, dtype=int)
+                    if self._table is None:
+                        self._table = PanelTable([self._series[j] for j in sorted(self._series)])
+                    A, y = self._table.terms(t, k - self.k_start)
+                    intervals, of = np.unique(k, return_inverse=True)
+                    pieces = [self._piece(j) for j in intervals.tolist()]
+                    e, m, x = (np.array([piece[i] for piece in pieces])[of] for i in (4, 5, 6))
+                    first: Dict[Tuple[float, ...], int] = {}  # the first interval with each p, q, r
+                    group = [first.setdefault(piece[1:4], i) for i, piece in enumerate(pieces)]
+                    group = np.array(group)[of]
+                    v = np.empty_like(t)
+                    for i in first.values():
+                        at = np.flatnonzero(group == i)
+                        piece = (*pieces[i][:4], e[at], m[at], x[at])
+                        v[at], x[at] = _scaled(piece, A[at], y[at])
+                    return np.ldexp(v, x).tolist()
+            except (NoPanels, OverflowError, QuadratureError, SingularKernel):
+                pass  # read one at a time below
+        return [_ldexp(*self._scaled_value(t, k)) for t, k in zip(ts, ks)]
 
     def _scaled_value(self, t: float, k: int) -> Tuple[float, int]:
         """:func:`_scaled` at t on interval k, from one panel read."""

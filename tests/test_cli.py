@@ -165,6 +165,15 @@ class TestExitCodes:
         assert "range error" in captured.err and "not finite on interval k=23" in captured.err
         assert captured.out == "" and not (out / "trajectory.csv").exists()
 
+    def test_rows_are_refused_in_order(self, tmp_path, capsys):
+        # a = 400 t: the knot value z(2) leaves the float range, and a dense row
+        # after it on interval 2 meets a flow past exp(709); the knot row is first
+        cfg = base_config()
+        cfg["problem"].update({"a": "400*t", "b": "0.1", "params": {}, "horizon": 2.5})
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        assert main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_RANGE
+        assert "solution value is not finite on interval k=2" in capsys.readouterr().err
+
     def test_oracle_overflow_exit_names_interval(self, tmp_path, capsys):
         # h a = -15 per RK4 step is far outside the stability region: the
         # oracle leaves the float range on k=0 while the kernel route is fine

@@ -5,6 +5,7 @@ Each property is compared against the definitional adaptive quadrature of
 oracle or against the Gronwall envelope.
 """
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -586,6 +587,16 @@ def _read_times(traj, data):
     return ts + ts[: len(ts) // 2]
 
 
+@contextlib.contextmanager
+def _array_pass(traj, ts):
+    """Within it ``traj.values(ts)`` reads by the array pass alone: the
+    one-point read, which serves a lone point or a failed pass, is gone."""
+    with pytest.MonkeyPatch.context() as mp:
+        if sum(t not in traj._by_time for t in ts) > 1:
+            mp.setattr(Trajectory, "_scaled_value", None)
+        yield
+
+
 @PROPERTY
 @given(knot_start_problems(), st.data())
 def test_values_are_kernel_table_steps(p, data):
@@ -599,8 +610,7 @@ def test_values_are_kernel_table_steps(p, data):
         except SingularKernel:  # e(t_k) vanished on the unsolved last interval
             continue
         ts.append(t)
-    with pytest.MonkeyPatch.context() as mp:  # read in the array pass, not one at a time
-        mp.setattr(Trajectory, "_scaled_value", None)
+    with _array_pass(traj, ts):
         values = traj.values(ts)
     assert [z.hex() for z in values] == [z.hex() for z in expected]
     assert values == [traj.value(t) for t in ts]
@@ -620,7 +630,9 @@ def test_values_are_scalar_combinations_on_lagged_grids(p, data):
             continue
         series, flow, forced, const, e, m, x = traj._piece(p.grid.interval_index(t))
         expected.append(math.ldexp(series.combination(t, flow, forced, const) / e * m, x))
-    assert [z.hex() for z in traj.values(ts)] == [z.hex() for z in expected]
+    with _array_pass(traj, ts):
+        values = traj.values(ts)
+    assert [z.hex() for z in values] == [z.hex() for z in expected]
 
 
 @pytest.mark.parametrize("a", [-745.0, -2000.0])
@@ -630,17 +642,23 @@ def test_values_of_a_pure_flow_carry_the_exponent(a):
     p = dataclasses.replace(_pure_flow(a), z0=1e300, history=(1e300,))
     traj = solve(p)
     ts = [i / 64 for i in range(193)] + [0.99, 0.999, 0.5, 0.5]
-    values = traj.values(ts)
-    one_at_a_time = [
-        traj.knot_value(int(t)) if t in traj._by_time
-        else solver_module._ldexp(*traj._scaled_value(t, int(t)))
-        for t in ts
-    ]
+    one_at_a_time = [traj.value(t) for t in ts]
+    with _array_pass(traj, ts):
+        values = traj.values(ts)
     assert [z.hex() for z in values] == [z.hex() for z in one_at_a_time]
     for t, z in zip(ts, values):
         if t < 1.0 and abs(z) >= 2.0 ** -1022:  # a normal value: within 1e-12 of exact
             exact = Decimal(1e300) * (Decimal(a) * Decimal(t)).exp()
             assert abs(Decimal(z) / exact - 1) <= Decimal("1e-12"), t
+
+
+def test_one_point_is_read_without_laying_out_the_panel_table():
+    traj = solve(_pure_flow(-1.0))
+    # one point that is not a knot, the knot t = 1 from the skeleton
+    assert traj.values([0.5, 1.0]) == [traj.value(0.5), traj.knot_value(1)]
+    assert traj._table is None
+    assert traj.values([0.5, 1.5]) == [traj.value(0.5), traj.value(1.5)]
+    assert traj._table is not None
 
 
 @pytest.mark.parametrize("t", [-0.5, 10.5, math.nan])
@@ -657,6 +675,10 @@ def test_values_raise_the_failure_of_a_side():
     assert traj.values([0.5, 1.5]) == [traj.value(0.5), traj.value(1.5)]
     with pytest.raises(QuadratureError, match="series on interval k=2 needs more than 4096 panels"):
         traj.values([0.5, 2.25, 1.5])
+    # started on interval 2, the solve has no panels at all to lay out
+    traj = solve(dataclasses.replace(p, tau=2.0))
+    with pytest.raises(QuadratureError, match="series on interval k=2 needs more than 4096 panels"):
+        traj.values([2.25, 2.375])
 
 
 def test_values_refuse_a_flow_above_the_float_range():
