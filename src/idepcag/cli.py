@@ -202,12 +202,6 @@ def _criterion_tol(cfg: dict, args) -> float:
 
 # -- commands -------------------------------------------------------------------
 
-def _require_finite(k: int, *values: float) -> None:
-    """Refuse a solution value outside the float range rather than write it."""
-    if not all(map(math.isfinite, values)):
-        raise OverflowError(f"solution value is not finite on interval k={k}")
-
-
 def _write(args, name: str, text: str) -> Path:
     """Write one output file into ``--out``, made if missing; its path."""
     out_dir = Path(args.out)
@@ -239,18 +233,20 @@ def cmd_solve(cfg: dict, args) -> int:
     # rows are refused in order: no value is read past the first knot row out of range
     knots = (i for i, pt in enumerate(pts) if pt)
     bad = (i for i in knots if not all(map(math.isfinite, (pts[i].z_left, pts[i].z_right))))
-    rows: List[str] = ["t,z,interval_k,is_knot,z_left,z_right"]
-    for t, k, pt, z in zip(ts, ks, pts, traj.values(ts[: next(bad, len(ts)) + 1])):
-        z_left, z_right = (z, z) if pt is None else (pt.z_left, pt.z_right)
-        _require_finite(k, z_left, z_right)
-        right = _fmt(z_right)
-        left = right if pt is None else _fmt(z_left)
-        rows.append(f"{_fmt(t)},{right},{k},{int(pt is not None)},{left},{right}")
-    out_path = _write(args, "trajectory.csv", "\n".join(rows) + "\n")
+    zs = traj.values(ts[: next(bad, len(ts)) + 1])  # z_right of each row
+    lefts = [z if pt is None else pt.z_left for z, pt in zip(zs, pts)]
+    for i in np.flatnonzero(~np.isfinite([zs, lefts]).all(axis=0))[:1].tolist():
+        raise OverflowError(f"solution value is not finite on interval k={ks[i]}")
+    right = [f"{z:.17g}" for z in zs]
+    rows = ["t,z,interval_k,is_knot,z_left,z_right\n"] + [
+        f"{t:.17g},{r},{k},{int(pt is not None)},{format(pt.z_left, '.17g') if pt else r},{r}\n"
+        for t, r, k, pt in zip(ts, right, ks, pts)
+    ]
+    out_path = _write(args, "trajectory.csv", "".join(rows))
 
     zeros = traj.zero_list()
     print(
-        f"knots={len(traj.points)} zeros={len(zeros)} final={_fmt(z_right)} "
+        f"knots={len(traj.points)} zeros={len(zeros)} final={right[-1]} "
         f"start_argument=\"{traj.metadata.get('start_argument', '')}\" out={out_path}"
     )
     return EXIT_OK

@@ -28,11 +28,24 @@ many points in one array pass over built sides laid out flat.
 
 Zeros are the real roots, from numpy's ``chebroots``, of the interpolant of
 the wanted combination on each panel: the eigenvalues of its colleague
-matrix (Good, 1961).  :func:`zero_search` fits the combination on the
-panels of many intervals in one batch.  A root where the combination
-changes sign gets one secant step through the two values that show the
-change.  A double root is ill-conditioned and may come out as a pair or
-not at all.
+matrix (Good, 1961).  :func:`zero_search` reads the panels of many intervals
+from a :class:`PanelTable` and fits the combination on them in one batch.
+A root where the combination changes sign gets one secant step through the
+two values that show the change.  A double root is ill-conditioned and may
+come out as a pair or not at all.
+
+Before any fit, :func:`_one_signed` skips a panel where a bound from its
+series' coefficients alone keeps the combination u = exp(a) q + const away
+from 0; there a is the panel's local exponent and q = forced (y0 + C) + flow
+exp(A0).  Each series lies within c_0 +- sum_{k>=1} |c_k| and changes by at
+most sum_k k^2 |c_k| per unit of the panel variable (|T_k| <= 1 and
+|T_k'| <= k^2, a little more at the reads just past the panel's ends), which
+bounds |u'|; on each of 16 sub-panels u is then within its value at the
+centre plus the half-width times that bound.  Where, with the rounding of
+both reads, |u| stays above the threshold under which a root is kept as a
+touch, every value the search could read has one sign and is no touch, so it
+would keep no root there; the other panels take the path they take when none
+is skipped, and every root comes out bitwise the same.
 """
 
 from __future__ import annotations
@@ -245,16 +258,15 @@ class IntervalSeries:
     """Flow and forced response on one interval, built once and evaluated
     anywhere in it.
 
-    ``combination`` is a fixed combination of y(t) above, exactly 0 at the
-    anchor, with the flow exp(int_anchor^t a) and a constant, and
-    :func:`zero_search` finds the roots of such a combination.  Each side of the anchor is built on
-    first use unless :func:`build_sides` built it before.  Raises
-    :class:`QuadratureError` when the coefficients do not level off after
-    ``MAX_BISECTIONS`` halvings or the chain needs more than ``MAX_PANELS``
-    panels, and ``OverflowError`` when exp(A) passes exp(709) where it
-    multiplies a nonzero value; both name the interval, and a side raises
-    its failure each time it is used.  ``err`` sums a rounding-level error
-    estimate of y over the sides built so far.
+    ``combination`` is a fixed combination of y(t) above, exactly 0 at the anchor, with
+    the flow exp(int_anchor^t a) and a constant, and :func:`zero_search` finds the roots
+    of such a combination.  Each side of the anchor is built on first use unless
+    :func:`build_sides` built it before.  Raises :class:`QuadratureError` when the
+    coefficients do not level off after ``MAX_BISECTIONS`` halvings or the chain needs
+    more than ``MAX_PANELS`` panels, and ``OverflowError`` when exp(A) passes exp(709)
+    where it multiplies a nonzero value or inside a panel kept whole; both name the
+    interval, and a side raises its failure each time it is used.  ``err`` sums a
+    rounding-level error estimate of y over the sides built so far.
     """
 
     def __init__(
@@ -303,15 +315,6 @@ class IntervalSeries:
         i = min(max(bisect_right(los, t) - 1, 0), len(panels) - 1)
         return panels[i]
 
-    def _search_panels(self, lo: float, hi: float) -> List[_Panel]:
-        """The panels of the sides that [lo, hi) reaches, overlapping it."""
-        panels: List[_Panel] = []
-        if lo < self.anchor:
-            panels += self._side(lo)[1]
-        if hi > self.anchor:
-            panels += self._side(hi)[1]
-        return [p for p in panels if p.hi > lo and p.lo < hi]
-
     # -- evaluation ------------------------------------------------------------
 
     def _flow(self, A):
@@ -354,19 +357,19 @@ class NoPanels(LookupError):
 
 
 class PanelTable:
-    """The built sides of many series, in interval order, laid out flat: panel
-    ``lo`` edges (sorted across the series), ``mid``, ``hw``, ``A0``, ``y0``
-    and zero-padded coefficient rows of ``A`` and ``C``."""
+    """The built sides of many series, in interval order, laid out flat: panels, their
+    ``lo`` and ``hi`` edges (sorted across the series), ``mid``, ``hw``, ``A0``, ``y0``
+    and zero-padded rows of ``A`` and ``C`` with their lengths."""
 
     def __init__(self, series: Sequence[IntervalSeries]):
         self._anchor = np.array([s.anchor for s in series])
         sides = [s._sides.get(forward) for s in series for forward in (False, True)]
         sides = [side[1] if isinstance(side, tuple) else [] for side in sides]
-        panels = [p for side in sides for p in side]
+        self._panels = panels = [p for side in sides for p in side]
         self._side = np.repeat(np.arange(len(sides)), [len(side) for side in sides])  # of each row
-        self._lo, self._mid, self._hw, self._A0, self._y0 = np.array(
-            [(p.lo, p.mid, p.hw, p.A0, p.y0) for p in panels], dtype=float
-        ).reshape(-1, 5).T
+        self._lo, self._hi, self._mid, self._hw, self._A0, self._y0 = np.array(
+            [(p.lo, p.hi, p.mid, p.hw, p.A0, p.y0) for p in panels], dtype=float
+        ).reshape(-1, 6).T
         self._A, self._nA = _padded([p.A for p in panels])
         self._C, self._nC = _padded([p.C for p in panels])
 
@@ -411,17 +414,18 @@ def _g_vanishes(series: Sequence[IntervalSeries]) -> None:
 class _Piece:
     """A stretch [start, stop] of a side, oriented away from the anchor: split
     into ``parts``, a panel's series ``A`` and ``C`` (with the integrand
-    fit's error term), or a ``failure`` to raise."""
+    fit's error term and, where int |a| exceeds 1, a bound ``top`` of its
+    local exponent), or a ``failure`` to raise."""
 
     __slots__ = ("side", "start", "stop", "depth", "lo", "hi", "parts", "A", "C", "err",
-                 "failure")
+                 "top", "failure")
 
     def __init__(self, side: "_SideBuild", start: float, stop: float, depth: int):
         self.side, self.start, self.stop, self.depth = side, start, stop, depth
         self.lo, self.hi = min(start, stop), max(start, stop)
         self.parts: Optional[List[_Piece]] = None
         self.C = self.failure = None
-        self.err = 0.0
+        self.err, self.top = 0.0, -math.inf
 
 
 class _SideBuild:
@@ -515,8 +519,8 @@ def build_sides(requests: Sequence[Tuple[IntervalSeries, bool]]) -> None:
             elif b > 1.0 + 1e-9:
                 if not p.side.series.g_vanishes():
                     split(p, math.ceil(b), p.depth)
-                else:
-                    p.C = np.zeros(1)
+                else:  # kept whole: y is 0, but exp of the local exponent must not overflow
+                    p.C, p.top = np.zeros(1), p.A[0] + float(np.abs(p.A[1:]).sum())
             else:
                 integrand.append(i)
         if integrand:
@@ -573,7 +577,10 @@ def _walk(side: _SideBuild) -> _Side:
             err += piece.err
             p = _Panel(piece.lo, piece.hi, A0, y0, piece.A, piece.C)
             panels.append(p)
-            A0, y0 = _panel_terms(piece.stop, *p.args)
+            if piece.top > EXP_OVERFLOW:  # exp(A - A0) <= exp(top) overflows in the panel,
+                A0, y0 = A0 + piece.top, math.nan  # and y = exp(A - A0) * 0 is undefined
+            else:
+                A0, y0 = _panel_terms(piece.stop, *p.args)
             if not math.isfinite(y0) or (A0 > EXP_OVERFLOW and y0 != 0.0):
                 raise OverflowError(
                     f"flow weight exp({A0:.3g}) overflows on {series._where} at t={piece.stop!r}"
@@ -589,69 +596,108 @@ def _walk(side: _SideBuild) -> _Side:
 
 _Job = Tuple[Optional[IntervalSeries], float, float, float, float, float]
 
+# |T_k(x)| and |T_k'(x)| / k^2 for k < 130 where the search reads u: |x| <= 1 + 1e-8
+_BRACKET_T = math.cosh(_SIZES[-1] * math.acosh(1.0 + 2.0 * _ROOT_IMAG_TOL))
+_SUBS, _K = 16, np.arange(_SIZES[-1] + 1.0)  # sub-panels of the screen, and k
+_T_MID = np.cos(np.outer(_K, np.arccos(np.arange(0.5, _SUBS) / _SUBS * 2 - 1)))  # at their centres
 
-def zero_search(jobs: Iterable[_Job]) -> Iterator[List[float]]:
+
+def _one_signed(table: PanelTable, rows: np.ndarray, flow, forced, const) -> np.ndarray:
+    """Mask of the ``rows`` of ``table`` where u = exp(a) q + const, with a the local
+    exponent and q = forced (y0 + C) + flow exp(A0), holds no root the search would
+    keep, by the bound of the module docstring on each of ``_SUBS`` sub-panels."""
+    A, C, A0, y0 = table._A[rows], table._C[rows], table._A0[rows], table._y0[rows]
+    A_abs, C_abs, forced_abs = np.abs(A), np.abs(C), np.abs(forced)
+    a_top = A[:, 0] + _BRACKET_T * A_abs[:, 1:].sum(axis=1)
+    # the rounding of a read of a, and of y0 + C: 1e-11 > 130^2 eps
+    err_a = 1e-11 * (np.abs(A0) + A_abs.sum(axis=1))
+    err_C = 1e-11 * (np.abs(y0) + C_abs.sum(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        flow_w = np.where(flow != 0.0, flow * np.exp(A0), 0.0)
+        q = forced[:, None] * (y0[:, None] + C @ _T_MID[: C.shape[1]]) + flow_w[:, None]
+        u = np.exp(A @ _T_MID[: A.shape[1]]) * q + const[:, None]  # at the sub-panel centres
+        grow = np.exp(a_top + err_a)
+        q_max = np.abs(forced * (y0 + C[:, 0]) + flow_w)
+        q_max += forced_abs * _BRACKET_T * C_abs[:, 1:].sum(axis=1)
+        slope = q_max * (A_abs @ _K[: A.shape[1]] ** 2)  # |u'| <= _BRACKET_T grow slope
+        slope += forced_abs * (C_abs @ _K[: C.shape[1]] ** 2)
+        terms = grow * (q_max + 2 * np.abs(flow_w))  # of |forced y| + |flow exp(A)|
+        size = np.abs(const) + terms
+        radius = (1.0 / _SUBS + 1e-7) * _BRACKET_T * grow * slope + 8 * _EPS * size
+        radius += 2 * (2 * err_a * terms + grow * forced_abs * err_C)
+        margin = 4 * (table._nA[rows] + table._nC[rows]) * _EPS * size  # twice rounding * size
+        low, high = (u - radius[:, None]).min(axis=1), (u + radius[:, None]).max(axis=1)
+        return ((low > margin) | (high < -margin)) & ((flow == 0.0) | (A0 + a_top <= EXP_OVERFLOW))
+
+
+def zero_search(table: PanelTable, jobs: Iterable[_Job]) -> Iterator[List[float]]:
     """For each job (series, lo, hi, flow_coef, forced_coef, const), in order,
     the sorted roots in [lo, hi) of u = flow_coef exp(A) + forced_coef y +
-    const; a job with hi <= lo has none and needs no series.
+    const; a job with hi <= lo has none and needs no series.  ``table`` lays
+    out the built sides of the jobs' series.
 
-    u is fitted on every panel of every job in one row batch.  A panel whose
-    fit keeps one sign holds no root.  A colleague root t is kept where u
-    changes sign across t +- 1e-8 hw, and then moved by one secant step
-    through those two values, within that bracket; or where u touches 0:
-    |u(t)| within the rounding of the terms that sum to it.  ``jobs`` is read
-    up to its first failure, which is raised after the roots of the jobs
-    before it, as a failure of a panel's fit is raised in its job's turn.
+    The panels that overlap [lo, hi) are one row range of the table.  A panel
+    where a bound of u from its coefficients clears 0 (:func:`_one_signed`)
+    is not fitted; u is fitted on the others in one row batch, and a panel
+    whose fit keeps one sign holds no root either.  A colleague root t is
+    kept where u changes sign across t +- 1e-8 hw, and then moved by one
+    secant step through those two values, within that bracket; or where u
+    touches 0: |u(t)| within the rounding of the terms that sum to it.
+    ``jobs`` is read up to its first failure, which is raised after the roots
+    of the jobs before it, as a failure of a panel's fit is raised in its
+    job's turn.
     """
-    searched: List[Tuple[_Job, List[_Panel]]] = []
+    searched: List[_Job] = []
     failure: Optional[BaseException] = None
     try:
         for job in jobs:
             series, lo, hi, flow_coef, forced_coef, const = job
             if hi <= lo or (not const and (not forced_coef or series.g_vanishes())):
                 # nothing to search, or u = flow_coef exp(A) with that sign throughout
-                searched.append((job, []))
+                job = (series, math.inf, math.inf, 0.0, 0.0, 0.0)  # spans no panel
             else:
-                searched.append((job, series._search_panels(lo, hi)))
+                for t in (lo, hi):
+                    if t != series.anchor:
+                        series._side(t)  # a side that failed raises here
+            searched.append(job)
     except Exception as exc:  # raised in its turn, below
         failure = exc
-    every = [p for _, panels in searched for p in panels]
-    fits: List[_Fit] = []
-    bad = np.zeros(len(every), dtype=bool)
-    scale = np.zeros(len(every))  # the largest sum of the magnitudes of a sample's terms
-    if every:
-        # flow_coef, forced_coef and const of the job of each panel
-        coefs_of = np.array([job[3:] for job, panels in searched for _ in panels])
-        A0, y0 = np.array([p.A0 for p in every]), np.array([p.y0 for p in every])
-        c_sum = np.array([float(np.abs(p.C).sum()) for p in every])
+    spans = np.array([job[1:] for job in searched], dtype=float).reshape(-1, 5)
+    first = np.searchsorted(table._hi, spans[:, 0], side="right")
+    count = np.searchsorted(table._lo, spans[:, 1], side="left") - first
+    rows = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+    of_job = np.repeat(np.arange(len(searched)), count)
+    live = ~_one_signed(table, rows, *spans[of_job, 2:].T)
+    rows, of_job = rows[live], of_job[live]
+    coefs_of = spans[of_job, 2:]  # flow_coef, forced_coef and const of the job of each row
+    panels = [table._panels[r] for r in rows.tolist()]
+    c_sum = np.array([np.abs(p.C).sum() for p in panels])
+    scale = np.zeros(len(rows))  # the largest sum of the magnitudes of a sample's terms
 
-        def u_nodes(rows: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:
-            flow, forced, const = coefs_of[rows].T
-            local = _at_nodes([every[i].A for i in rows.tolist()], v)
-            out = np.repeat(const[:, None], t.shape[1], axis=1)
-            size = np.abs(const)
-            f = np.flatnonzero(forced)
-            if len(f):
-                grow = np.exp(local[f])
-                C = _at_nodes([every[i].C for i in rows[f].tolist()], v)
-                out[f] += forced[f, None] * grow * (y0[rows[f], None] + C)
-                terms = np.abs(y0[rows[f]]) + c_sum[rows[f]]
-                size[f] += np.abs(forced[f]) * terms * grow.max(axis=1)
-            w = np.flatnonzero(flow)
-            if len(w):
-                flow_values = np.exp(A0[rows[w], None] + local[w])
-                out[w] += flow[w, None] * flow_values
-                size[w] += np.abs(flow[w]) * flow_values.max(axis=1)
-            scale[rows] = size
-            return out
+    def u_nodes(r: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:
+        p, (flow_r, forced_r, const_r) = rows[r], coefs_of[r].T
+        local = _at_nodes([panels[i].A for i in r.tolist()], v)
+        out = np.repeat(const_r[:, None], t.shape[1], axis=1)
+        size = np.abs(const_r)
+        f = np.flatnonzero(forced_r)
+        grow = np.exp(local[f])
+        C = _at_nodes([panels[i].C for i in r[f].tolist()], v)
+        out[f] += forced_r[f, None] * grow * (table._y0[p[f], None] + C)
+        terms = np.abs(table._y0[p[f]]) + c_sum[r[f]]
+        size[f] += np.abs(forced_r[f]) * terms * grow.max(axis=1)
+        w = np.flatnonzero(flow_r)
+        flow_values = np.exp(table._A0[p[w], None] + local[w])
+        out[w] += flow_r[w, None] * flow_values
+        size[w] += np.abs(flow_r[w]) * flow_values.max(axis=1)
+        scale[r] = size
+        return out
 
-        fits, bad = _fit(u_nodes, np.array([p.lo for p in every]), np.array([p.hi for p in every]))
-    found: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    for fit_rows, coefs, keep in fits:
-        for i, c, n in zip(fit_rows.tolist(), coefs, keep.tolist()):
-            found[i] = c[:n], c[n:]
-    i = 0
-    for job, panels in searched:
+    fits, bad = _fit(u_nodes, table._lo[rows], table._hi[rows])
+    found: Dict[int, Tuple[np.ndarray, np.ndarray]] = {  # kept and dropped coefficients
+        i: (c[:n], c[n:]) for at, cs, ns in fits for i, c, n in zip(at.tolist(), cs, ns.tolist())
+    }
+    ends = np.searchsorted(of_job, np.arange(len(searched) + 1)).tolist()
+    for job, start, stop in zip(searched, ends, ends[1:]):
         series, lo, hi, flow_coef, forced_coef, const = job
 
         def u(p: _Panel, t: float) -> Tuple[float, float]:
@@ -661,7 +707,8 @@ def zero_search(jobs: Iterable[_Job]) -> Iterator[List[float]]:
             return y + flow + const, abs(y) + abs(flow) + abs(const)
 
         roots: List[float] = []
-        for p in panels:
+        for i in range(start, stop):
+            p = panels[i]
             if bad[i]:
                 raise OverflowError(
                     f"non-finite values on {series._where} near [{p.lo!r}, {p.hi!r}]"
@@ -679,7 +726,6 @@ def zero_search(jobs: Iterable[_Job]) -> Iterator[List[float]]:
             # from the coefficient product
             rounding = 2 * (len(p.A) + len(p.C)) * _EPS
             err = 2 * len(coefs) * (rounding + _SIZES[-1] * _EPS) * scale[i]
-            i += 1
             if _keeps_sign(coefs, float(np.abs(dropped).sum()) + err):
                 continue
             for r in _colleague_roots(coefs):

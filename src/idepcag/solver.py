@@ -155,7 +155,7 @@ class Trajectory:
         self._series: Dict[int, IntervalSeries] = {}
         self._pieces: Dict[int, Tuple[IntervalSeries, float, float, float, float, float, int]] = {}
         self._pairs: Dict[int, Tuple[float, int]] = {}  # math.frexp of z at each interval base
-        self._table: Optional[PanelTable] = None  # laid out on the first dense read
+        self._table: Optional[PanelTable] = None  # laid out on first use
         if grid.lagged:
             self._g = problem.b
             self.metadata["start_argument"] = "lagged history"
@@ -275,9 +275,7 @@ class Trajectory:
             try:
                 with np.errstate(all="ignore"):  # inf and nan arise as on floats
                     t, k = np.array(ts, dtype=float), np.array(ks, dtype=int)
-                    if self._table is None:
-                        self._table = PanelTable([self._series[j] for j in sorted(self._series)])
-                    A, y = self._table.terms(t, k - self.k_start)
+                    A, y = self._panel_table().terms(t, k - self.k_start)
                     intervals, of = np.unique(k, return_inverse=True)
                     pieces = [self._piece(j) for j in intervals.tolist()]
                     e, m, x = (np.array([piece[i] for piece in pieces])[of] for i in (4, 5, 6))
@@ -294,6 +292,12 @@ class Trajectory:
                 pass  # read one at a time below
         return [_ldexp(*self._scaled_value(t, k)) for t, k in zip(ts, ks)]
 
+    def _panel_table(self) -> PanelTable:
+        """The panels of every built side, laid out flat on first use."""
+        if self._table is None:
+            self._table = PanelTable([self._series[j] for j in sorted(self._series)])
+        return self._table
+
     def _scaled_value(self, t: float, k: int) -> Tuple[float, int]:
         """:func:`_scaled` at t on interval k, from one panel read."""
         piece = self._piece(k)
@@ -306,19 +310,16 @@ class Trajectory:
 
     def zeros_in_intervals(self, ks: Iterable[int]) -> Iterator[List[float]]:
         """The roots of z in the solved part of each interval of ks, in order,
-        from one :func:`~idepcag.series.zero_search` over all their panels; a
+        from one :func:`~idepcag.series.zero_search` over the panel table; a
         failure is raised in its interval's turn."""
 
         def jobs():
             for k in ks:
                 lo, hi = self._window(k)
-                if hi <= lo:
-                    yield None, lo, hi, 0.0, 0.0, 0.0
-                else:
-                    series, p, q, r = self._piece(k)[:4]
-                    yield series, lo, hi, p, q, r
+                series, p, q, r = self._piece(k)[:4] if lo < hi else (None, 0.0, 0.0, 0.0)
+                yield series, lo, hi, p, q, r
 
-        return zero_search(jobs())
+        return zero_search(self._panel_table(), jobs())
 
     def _window(self, k: int) -> Tuple[float, float]:
         """The solved part [lo, hi] of interval k."""

@@ -174,6 +174,19 @@ class TestExitCodes:
         assert main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_RANGE
         assert "solution value is not finite on interval k=2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("a", ["800", "2400*cos(pi*t)"])
+    def test_a_whole_pure_flow_side_past_exp_709_names_its_interval(self, tmp_path, capsys, a):
+        # b = 0 on a lagged grid: the side is one panel, whose local exponent
+        # passes 709 inside interval 0 while the horizon stops short of knot 1
+        cfg = base_config()
+        cfg["problem"].update({"a": a, "b": "0", "params": {}, "history": [1.0], "horizon": 0.95})
+        cfg["problem"]["grid"] = {"type": "lagged", "t0": 0, "h": 1, "lag": 1}
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        assert main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_RANGE
+        err = capsys.readouterr().err
+        assert "flow weight exp(" in err and "overflows on interval k=0 at t=1.0" in err
+        assert "Traceback" not in err
+
     def test_oracle_overflow_exit_names_interval(self, tmp_path, capsys):
         # h a = -15 per RK4 step is far outside the stability region: the
         # oracle leaves the float range on k=0 while the kernel route is fine

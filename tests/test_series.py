@@ -352,19 +352,32 @@ SINE_FORCING = Path(__file__).resolve().parent.parent / "configs" / "sine_forcin
 
 def _zero_search_spies(mp):
     """Record, for every panel the zero search visits, the combination
-    searched, the panel's ends, its fit and whether the bound skipped it;
-    count the colleague-matrix solves."""
+    searched, the panel's ends, its fit and whether the bound skipped it; a
+    panel that the screen of its coefficients clears before any fit is a
+    skipped visit with no fit.  Count the colleague-matrix solves."""
     visits, colleague_calls, jobs, rows = [], [], [], []
     real_search, real_fit = solver_module.zero_search, series_module._fit
     real_keeps, real_colleague = series_module._keeps_sign, series_module._colleague_roots
+    real_screen = series_module._one_signed
 
-    def zero_search(batch):
+    def zero_search(table, batch):
         def recorded():
             for job in batch:
                 jobs.append(job)
                 yield job
 
-        return real_search(recorded())
+        return real_search(table, recorded())
+
+    def job_of(lo):
+        series, _, _, *coefs = next(j for j in jobs if j[0] and j[0].lo <= lo < j[0].hi)
+        return series, coefs
+
+    def one_signed(table, panel_rows, *coefs):
+        cleared = real_screen(table, panel_rows, *coefs)
+        cleared_rows = panel_rows[cleared]
+        for lo, hi in zip(table._lo[cleared_rows].tolist(), table._hi[cleared_rows].tolist()):
+            visits.append((*job_of(lo), (lo, hi), None, True))
+        return cleared
 
     def fit(f, lo, hi):
         rows[:] = zip(lo.tolist(), hi.tolist())  # a zero search fits its panels last
@@ -373,8 +386,7 @@ def _zero_search_spies(mp):
     def keeps_sign(c, err):
         kept = real_keeps(c, err)
         lo, hi = rows.pop(0)  # the panels reach the bound in the order they were fitted
-        series, _, _, *coefs = next(j for j in jobs if j[0] and j[0].lo <= lo < j[0].hi)
-        visits.append((series, coefs, (lo, hi), c, kept))
+        visits.append((*job_of(lo), (lo, hi), c, kept))
         return kept
 
     def colleague_roots(c):
@@ -383,6 +395,7 @@ def _zero_search_spies(mp):
 
     mp.setattr(solver_module, "zero_search", zero_search)
     mp.setattr(series_module, "_fit", fit)
+    mp.setattr(series_module, "_one_signed", one_signed)
     mp.setattr(series_module, "_keeps_sign", keeps_sign)
     mp.setattr(series_module, "_colleague_roots", colleague_roots)
     return visits, colleague_calls
@@ -399,7 +412,7 @@ def test_a_skipped_panel_holds_no_root(p):
         _solved(p).zero_list()
     tol = series_module._ROOT_IMAG_TOL
     for series, coefs, (lo, hi), c, kept in visits:
-        if not kept:
+        if not kept or c is None:  # a panel the screen cleared has no fit: see below
             continue
         trimmed = np.trim_zeros(c, "b")
         if len(trimmed) >= 2:
@@ -407,6 +420,41 @@ def test_a_skipped_panel_holds_no_root(p):
                 assert abs(r.imag) > tol or abs(r.real) > 1.0 + tol, (lo, hi, r)
         for t in np.linspace(lo, hi, 257):
             assert np.sign(series.combination(float(t), *coefs)) == np.sign(c[0]), (lo, hi, t)
+
+
+@PROPERTY
+@given(st.one_of(kernel_problems(), lagged_problems()))
+def test_a_panel_the_screen_clears_holds_no_root(p):
+    # where the bound from a panel's coefficients clears 0, u has one sign and
+    # is above the touch threshold at 257 points of the panel and at the
+    # bracket reads 1e-8 hw past both its ends, read on that panel's series
+    with pytest.MonkeyPatch.context() as mp:
+        visits, _ = _zero_search_spies(mp)
+        _solved(p).zero_list()
+    for series, (flow, forced, const), (lo, hi), c, _ in visits:
+        if c is not None:
+            continue
+        panel = series._panel(0.5 * (lo + hi))
+        d = series_module._ROOT_IMAG_TOL * panel.hw
+        rounding = 2 * (len(panel.A) + len(panel.C)) * np.finfo(float).eps
+        signs = set()
+        for t in [lo - d, *np.linspace(lo, hi, 257).tolist(), hi + d]:
+            A, y = series_module._panel_terms(t, *panel.args)
+            terms = (forced * y, flow * math.exp(A) if flow else 0.0, const)
+            u, size = sum(terms), sum(map(abs, terms))
+            assert abs(u) > rounding * size, (lo, hi, t)
+            signs.add(np.sign(u))
+        assert len(signs) == 1, (lo, hi)
+
+
+@PROPERTY
+@given(st.one_of(kernel_problems(), lagged_problems()))
+def test_a_screen_that_clears_nothing_finds_the_same_zeros(p):
+    traj = _solved(p)
+    zeros = [(k, t.hex()) for k, t in traj.zero_list()]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_module, "_one_signed", lambda table, rows, *coefs: rows < 0)
+        assert [(k, t.hex()) for k, t in traj.zero_list()] == zeros
 
 
 def _sine_forcing_zeros():
@@ -418,10 +466,15 @@ def test_skipped_panels_save_colleague_solves_and_keep_the_roots():
         visits, colleague_calls = _zero_search_spies(mp)
         roots = _sine_forcing_zeros()
     # z has one root in each of the 60 intervals, on the last of its 3 panels;
-    # only those 60 of the 180 panels searched reach the colleague matrix
+    # only those 60 of the 180 panels searched reach the colleague matrix, and
+    # the screen clears the other 120 before any fit
     assert (len(visits), len(colleague_calls), len(roots)) == (180, 60, 60)
+    assert sum(c is None for _, _, _, c, _ in visits) == 120
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(series_module, "_keeps_sign", lambda c, err: False)
+        assert _sine_forcing_zeros() == roots
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_module, "_one_signed", lambda table, rows, *coefs: rows < 0)
         assert _sine_forcing_zeros() == roots
 
 
@@ -560,6 +613,18 @@ def test_a_later_side_fails_only_when_used():
     with pytest.raises(OverflowError) as info:
         traj.value(2.2)
     assert str(info.value) == "flow weight exp(710) overflows on interval k=2 at t=2.7475"
+
+
+@pytest.mark.parametrize("a, top", [("800", "800"), ("2400*cos(pi*t)", "764")])
+def test_a_whole_pure_flow_side_past_exp_709_is_refused_by_name(a, top):
+    # b = 0 on a lagged grid keeps the side one panel; exp of its local exponent
+    # passes exp(709) inside it (at t = 0.5 for the cosine), so no value is read
+    p = dataclasses.replace(_pure_flow(0.0), a=parse_expression(a), horizon=0.95)
+    traj = solve(p)
+    for t in (0.25, 0.5):
+        with pytest.raises(OverflowError) as info:
+            traj.value(t)
+        assert str(info.value) == f"flow weight exp({top}) overflows on interval k=0 at t=1.0"
 
 
 # -- dense values in one array pass ------------------------------------------------
