@@ -211,6 +211,19 @@ def _write(args, name: str, text: str) -> Path:
     return path
 
 
+def _sample_times(traj, n_samples: int) -> Tuple[List[float], List[int]]:
+    """(t, k) of every row of ``solve``: n_samples evenly from the start of
+    each solved interval, then the horizon, so that the rows end on z(horizon)."""
+    horizon = traj.problem.horizon
+    k_end = traj.problem.grid.interval_index(horizon)
+    ks = np.arange(traj.k_start, k_end + 1)
+    lo, hi = np.array([traj._window(k) for k in ks.tolist()]).reshape(-1, 2).T
+    solved = lo < hi
+    lo, hi = lo[solved, None], hi[solved, None]  # one row of samples per interval
+    ts = (lo + (hi - lo) * np.arange(n_samples) / n_samples).ravel()
+    return [*ts.tolist(), horizon], [*np.repeat(ks[solved], n_samples).tolist(), k_end]
+
+
 def cmd_solve(cfg: dict, args) -> int:
     problem = build_problem(cfg)
     with _reading("output"):
@@ -218,17 +231,7 @@ def cmd_solve(cfg: dict, args) -> int:
         if n_samples < 1:
             raise ConfigError("output.samples_per_interval must be at least 1")
     traj = solve(problem)
-
-    k_end = problem.grid.interval_index(problem.horizon)
-
-    def sample_times():  # the horizon comes last, so the rows end on z(horizon)
-        for k in range(traj.k_start, k_end + 1):
-            lo, hi = traj._window(k)
-            if lo < hi:
-                yield from ((lo + (hi - lo) * i / n_samples, k) for i in range(n_samples))
-        yield problem.horizon, k_end
-
-    ts, ks = zip(*sample_times())
+    ts, ks = _sample_times(traj, n_samples)
     pts = list(map(traj._by_time.get, ts))
     # rows are refused in order: no value is read past the first knot row out of range
     knots = (i for i, pt in enumerate(pts) if pt)
@@ -329,14 +332,16 @@ def _affine_rows(cfg: dict, pname: str, lo: float, hi: float, problem: Problem, 
         w = KernelTable(dataclasses.replace(problem, b=split[1])).criterion(*window)
     except (ArithmeticError, RuntimeError, ValueError):
         return None
-    passes = {"plus": (u[0], w[0]), "minus": (u[1], w[1])}
+    # each side's u, w, |u| and |w|, so that a value only combines them
+    passes = {side: (u[i], w[i], np.abs(u[i]), np.abs(w[i]))
+              for i, side in enumerate(("plus", "minus"))}
 
     def rows_at(v: float, side: str):
-        (u, w), dv = passes[side], v - lo
+        (u, w, abs_u, abs_w), dv = passes[side], v - lo
         if dv == 0.0:
             return u
         rows = u + dv * w
-        bound = np.abs(u) + abs(dv) * np.abs(w)
+        bound = abs_u + abs(dv) * abs_w
         if np.isfinite(rows).all() and (bound <= _SPLIT_GUARD * np.abs(rows)).all():
             return rows
         return None

@@ -87,25 +87,27 @@ def flow_weighted_integral(
     each row and is read at the middle node of each panel.  The inner flow
     integral is exact for constant ``a``, otherwise a second row pass over
     the outer nodes at a tenth of the tolerance.  A node where ``g``
-    vanishes contributes exactly 0.0 and skips the inner work.
+    vanishes contributes exactly 0.0, is never tested for overflow and
+    skips the inner pass.
     """
     tol = default_rel_tol() if rel_tol is None else rel_tol
 
     def integrand(s: np.ndarray) -> np.ndarray:
         gs = _in_range(g(s), s)
         nz = gs != 0.0
-        at = np.broadcast_to(gamma(s[:, s.shape[1] // 2])[:, None], s.shape)[nz]
+        at = gamma(s[:, s.shape[1] // 2])[:, None]
         if isinstance(a, Const):
-            w = a.value * (at - s[nz])
-        else:
-            w, _ = integrate(lambda x: _in_range(a.ev_array(x), x), s[nz], at, 0.1 * tol)
-        over = w > EXP_OVERFLOW
+            w = a.value * (at - s)
+        else:  # the inner pass runs on the nodes where g does not vanish
+            w = np.zeros_like(gs)
+            ends = s[nz], np.broadcast_to(at, s.shape)[nz]
+            w[nz], _ = integrate(lambda x: _in_range(a.ev_array(x), x), *ends, 0.1 * tol)
+        over = (w > EXP_OVERFLOW) & nz
         if over.any():
-            where = f"s={float(s[nz][np.argmax(over)])!r}"
+            where = f"s={float(s[over][0])!r}"
             raise OverflowError(f"flow weight exp({w[over][0]:.3g}) overflows at {where}")
-        out = np.zeros_like(gs)
-        out[nz] = np.exp(w) * gs[nz]
-        return out
+        # the row pass runs with float warnings off: exp may overflow where g vanishes
+        return np.where(nz, np.exp(w) * gs, 0.0)
 
     return integrate(integrand, lo, hi, tol)
 

@@ -183,8 +183,8 @@ def _integrate_rows(f, lo: np.ndarray, hi: np.ndarray, tol: float, max_panels: i
     value[rows], err[rows] = _gk15_rows(f, a[rows], b[rows])
     failing = rows[err[rows] > np.maximum(tol * np.abs(value[rows]), tol)]
     # in groups, so that the panel store and the cost of a failure stay bounded
-    for group in np.split(failing, range(_ROWS_PER_GROUP, failing.size, _ROWS_PER_GROUP)):
-        _refine(f, group, a, b, value, err, tol, max_panels)
+    for start in range(0, failing.size, _ROWS_PER_GROUP):
+        _refine(f, failing[start : start + _ROWS_PER_GROUP], a, b, value, err, tol, max_panels)
     return np.where(lo > hi, -value, value), err
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import idepcag.cli as cli_module
@@ -19,6 +19,7 @@ from idepcag.cli import (
     EXIT_RANGE,
     EXIT_SINGULAR,
     _affine_rows,
+    _sample_times,
     build_problem,
     main,
 )
@@ -123,6 +124,41 @@ class TestSolveCommand:
         main(["solve", "--config", cfg_path, "--out", str(tmp_path)])
         for line in (tmp_path / "trajectory.csv").read_text().splitlines()[1:]:
             assert line.split(",")[1] == "1"
+
+    @staticmethod
+    def _generated_rows(traj, n_samples):
+        """(t, k) of the rows one at a time, as a generator over the intervals gives them."""
+        problem = traj.problem
+        k_end = problem.grid.interval_index(problem.horizon)
+        for k in range(traj.k_start, k_end + 1):
+            lo, hi = traj._window(k)
+            if lo < hi:
+                yield from ((lo + (hi - lo) * i / n_samples, k) for i in range(n_samples))
+        yield problem.horizon, k_end
+
+    @pytest.mark.parametrize(
+        "name, update, n_samples",
+        [(path.name, {}, None) for path in sorted(CONFIGS.glob("*.json"))]
+        + [
+            # lagged: the march starts on a later knot and the horizon falls inside an interval
+            ("lagged_unit_delay.json",
+             {"tau": 1.5, "horizon": 7.6, "history": [1.0, 0.5],
+              "grid": {"type": "lagged", "t0": 0, "h": 0.75, "lag": 2}}, 5),
+            ("sine_forcing.json", {"tau": 0.37, "horizon": 5.3}, 7),
+            ("sine_forcing.json", {}, 1),
+        ],
+    )
+    def test_sample_times_are_the_generated_rows_bitwise(self, name, update, n_samples):
+        cfg = json.loads((CONFIGS / name).read_text())
+        cfg["problem"].update(update)
+        if n_samples is None:
+            n_samples = cfg.get("output", {}).get("samples_per_interval", 64)
+        traj = cli_module.solve(build_problem(cfg))
+        ts, ks = _sample_times(traj, n_samples)
+        want_ts, want_ks = zip(*self._generated_rows(traj, n_samples))
+        assert [t.hex() for t in ts] == [t.hex() for t in want_ts]
+        assert ks == list(want_ks)
+        assert all(type(t) is float for t in ts) and all(type(k) is int for k in ks)
 
 
 class TestExitCodes:
@@ -701,6 +737,9 @@ _affine_terms = st.sampled_from(
     lo=st.floats(-2.0, 2.0),
     dv=st.floats(-3.0, 3.0),
 )
+# a subnormal step: the rows differ by one subnormal unit, the relative terms round to 0
+@example(terms=["q0*t/3"], a="-p", h=0.5, alpha=0.0, burn_in=0, width=2, lo=0.0,
+         dv=2.225073858507203e-309)
 def test_combined_rows_agree_with_a_direct_pass_within_the_error_estimates(
     terms, a, h, alpha, burn_in, width, lo, dv
 ):
@@ -723,7 +762,10 @@ def test_combined_rows_agree_with_a_direct_pass_within_the_error_estimates(
         if rows is None:  # the guard sends this value to a direct pass
             continue
         scale = np.abs(u) + abs(v - lo) * np.abs(w) + np.abs(direct)
+        # rounding error is relative plus an absolute underflow term (Higham 2002, 2.1);
+        # the last term leaves every bound of at least 2**-1017 bitwise as it was
         bound = err_u + abs(v - lo) * err_w + err_d + 8 * np.finfo(float).eps * scale
+        bound = bound + 8 * np.finfo(float).smallest_subnormal
         assert np.all(np.abs(rows - direct) <= bound)
 
 

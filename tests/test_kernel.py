@@ -1,10 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import idepcag.kernel as kernel_module
 import idepcag.quadrature as quadrature_module
 from idepcag.expressions import Const, Cos, Neg, Pow, Prod, Sin, Sum, Var, parse_expression
 from idepcag.grid import ExplicitGrid, GridRangeError, UniformGrid
@@ -12,6 +14,7 @@ from idepcag.kernel import (
     KernelTable,
     SingularKernel,
     criterion_integrals,
+    flow_weighted_integral,
     gl2_lagged_integral,
     gl2_oscillation_bound,
     h3_check,
@@ -22,6 +25,7 @@ from idepcag.kernel import (
 from idepcag.oscillation import EXTREMA, _window_extrema
 from idepcag.problem import ImpulseRule, Problem
 from idepcag.quadrature import default_rel_tol, integrate
+from idepcag.series import EXP_OVERFLOW
 
 
 def make_problem(a, b, alpha=0.0, h=1.0, t0=0.0, horizon=20.0, impulses=None):
@@ -377,3 +381,86 @@ class TestCriterionWindowPass:
         for a in (Const(-0.9), Sin(Var("t"))):
             p = make_problem(a, parse_expression("sin(2*pi*t)"), alpha=0.3)
             assert len(_window_extrema(p, (0, 12))) == 4
+
+
+# -- the constant-a integrand of the window pass -----------------------------------
+
+def _gathered_integrand(a, gs, zetas, s):
+    """The integrand at the nodes ``s`` as a gather of the nodes where g != 0,
+    the flow weight and overflow test there, and a scatter into zeros."""
+    nz = gs != 0.0
+    at = np.broadcast_to(zetas[:, None], s.shape)[nz]
+    w = a * (at - s[nz])
+    over = w > EXP_OVERFLOW
+    if over.any():
+        where = f"s={float(s[nz][np.argmax(over)])!r}"
+        raise OverflowError(f"flow weight exp({w[over][0]:.3g}) overflows at {where}")
+    out = np.zeros_like(gs)
+    out[nz] = np.exp(w) * gs[nz]
+    return out
+
+
+def _window_integrand(a, gs, zetas):
+    """The integrand that flow_weighted_integral hands to the row pass, for
+    constant ``a``, g read as ``gs`` and gamma as ``zetas``; called as the row
+    pass calls it, with numpy's floating-point warnings off."""
+    handed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel_module, "integrate", lambda f, *args: handed.append(f))
+        flow_weighted_integral(Const(a), lambda s: gs, np.zeros(1), np.ones(1), lambda _: zetas)
+    return np.errstate(all="ignore")(handed[0])
+
+
+def _floats(draw, n, lo, hi):
+    return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+
+@st.composite
+def _node_matrices(draw):
+    """(a, g, zeta of each row, GK15 node matrix); g vanishes at random nodes, and
+    unless a is small the largest a (zeta - s) lies within 9 of exp's overflow."""
+    n = draw(st.integers(1, 5))
+    lo, h = _floats(draw, n, -4.0, 4.0), _floats(draw, n, 1e-3, 2.0)
+    s = (lo + h)[:, None] + h[:, None] * quadrature_module._NODES
+    zetas = lo + 2.0 * h * _floats(draw, n, 0.0, 1.0)
+    gs = _floats(draw, 15 * n, -2.0, 2.0).reshape(n, 15)
+    gs[np.array(draw(st.lists(st.booleans(), min_size=15 * n, max_size=15 * n))).reshape(n, 15)] = 0
+    # the largest a (zeta - s) of a = top / reach is top, near EXP_OVERFLOW = 709
+    reach = np.max(zetas[:, None] - s)
+    a = draw(st.one_of(st.floats(-3.0, 3.0), st.floats(700.0, 718.0).map(lambda top: top / reach)))
+    return a, gs, zetas, s
+
+
+class TestConstantFlowIntegrand:
+    """For constant a the integrand takes a(gamma - s) over the whole node matrix;
+    it is bitwise the gathered form, and raises its error with the same text."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_node_matrices())
+    # a (zeta - s) runs from 800 down to 400; it passes 709 only where g vanishes
+    @example((400.0, np.array([[0.0] * 4 + [1.0] * 11]), np.array([1.0]),
+              np.linspace(-1.0, 0.0, 15)[None, :]))
+    def test_is_the_gathered_form_bitwise(self, case):
+        a, gs, zetas, s = case
+        integrand = _window_integrand(a, gs, zetas)
+        try:
+            want = _gathered_integrand(a, gs, zetas, s)
+        except OverflowError as exc:
+            with pytest.raises(OverflowError) as info:
+                integrand(s)
+            assert str(info.value) == str(exc)
+            return
+        got = integrand(s)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_the_first_node_past_exp_709_where_g_does_not_vanish_is_named(self):
+        s = np.linspace(-1.0, 0.0, 15)[None, :]  # a (zeta - s) runs from 1440 down to 720
+        gs = np.ones((1, 15))
+        gs[0, :3] = 0.0
+        integrand = _window_integrand(720.0, gs, np.array([1.0]))
+        with pytest.raises(OverflowError) as info:
+            integrand(s)
+        at = float(s[0, 3])
+        assert str(info.value) == f"flow weight exp({720.0 * (1.0 - at):.3g}) overflows at s={at!r}"
+        gs[0, :] = 0.0
+        assert _window_integrand(720.0, gs, np.array([1.0]))(s).tolist() == [[0.0] * 15]

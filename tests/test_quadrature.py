@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import idepcag.quadrature as quadrature_module
 from idepcag.cli import EXIT_CONFIG, build_problem, main
 from idepcag.kernel import h3_check
 from idepcag.oscillation import GronwallBound
@@ -101,6 +102,41 @@ class TestOneToleranceSetting:
         problem = build_problem(json.loads(SINE_FORCING.read_text()))
         with pytest.raises(QuadratureError):
             GronwallBound(problem)
+
+
+class TestRowPassRefinement:
+    """Only rows that miss their target on the first panel are refined, in
+    groups of at most 64."""
+
+    @pytest.fixture
+    def groups(self, monkeypatch):
+        """The row count of each _refine call."""
+        sizes = []
+        refine = quadrature_module._refine
+
+        def spy(f, rows, *args):
+            sizes.append(rows.size)
+            return refine(f, rows, *args)
+
+        monkeypatch.setattr(quadrature_module, "_refine", spy)
+        return sizes
+
+    def test_rows_that_converge_on_their_first_panel_are_not_refined(self, groups):
+        lo, hi = np.linspace(-2.0, 3.0, 200), np.linspace(0.0, 6.0, 200)
+        value, _ = integrate(lambda s: 1.0 - s * s, lo, hi)  # GK15 is exact on a quadratic
+        assert groups == []
+        assert value == pytest.approx(hi - hi**3 / 3 - (lo - lo**3 / 3), rel=1e-13, abs=1e-13)
+
+    def test_failing_rows_are_refined_in_groups_of_at_most_64(self, groups):
+        # 150 long rows miss their target on one panel; 50 short ones meet it
+        lo = np.zeros(200)
+        hi = np.where(np.arange(200) % 4 == 0, 0.01, np.linspace(5.0, 20.0, 200))
+        value, _ = integrate(lambda s: np.sin(8.0 * s), lo, hi)
+        assert groups == [64, 64, 22]
+        assert value == pytest.approx((1.0 - np.cos(8.0 * hi)) / 8.0, rel=1e-9, abs=1e-12)
+        # a row comes out the same in its group as integrated alone
+        for i in (1, 150, 199):
+            assert integrate(lambda s: np.sin(8.0 * s), lo[i:i + 1], hi[i:i + 1])[0][0] == value[i]
 
 
 class TestUnreachableToleranceFailsEarly:
