@@ -385,8 +385,3 @@ class GronwallBound:
         if exponent > EXP_OVERFLOW:  # an infinite envelope is still a bound
             return math.inf
         return self._cum_jump[i] * math.exp(exponent) * abs(self.problem.z0)
-
-
-def gronwall_bound(problem: Problem, t: float) -> float:
-    """Envelope value at one time point; see :class:`GronwallBound`."""
-    return GronwallBound(problem).bound(t)

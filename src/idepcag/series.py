@@ -20,8 +20,9 @@ precision; a panel whose coefficients do not level off is bisected.
 
 The fits are made in row batches: :func:`build_sides` fits the pieces of
 many sides level by level, one sample matrix, one values-to-coefficients
-product and one chop per batch, and only then walks each side in chain
-order to set the values its panels start from.  Every row is computed
+product and one chop per batch; each piece built or failed is a leaf of
+its side, and one walk per side then takes the leaves in chain order to
+set the values its panels start from.  Every row is computed
 alike whatever the other rows of its batch, so a side comes out bitwise
 the same built alone or with others.  :class:`PanelTable` reads (A, y) of
 many points in one array pass over built sides laid out flat.
@@ -234,21 +235,24 @@ def _keeps_sign(c: np.ndarray, err: float) -> bool:
 
 
 class _Panel:
-    """One chain link: [lo, hi], entered at its end c nearer the anchor with
-    A(c) = A0 and y(c) = y0.  ``A`` and ``C`` are the Chebyshev coefficients
-    of the local antiderivatives int_c^t a and int_c^t exp(-A) g; ``args``
-    are the arguments of :func:`_panel_terms` after t, with them as float
-    lists for scalar evaluation."""
+    """One stretch [start, stop] of a side, oriented away from the anchor, at ``key``,
+    its path of part indices in the chain of request ``req`` of :func:`build_sides`.
+    Fitted as a piece, it holds the Chebyshev coefficients ``A`` and ``C`` of the local
+    antiderivatives int_c^t a and int_c^t exp(-A) g from its end c nearer the anchor,
+    the integrand fit's error term ``err`` and, where int |a| exceeds 1, a bound ``top``
+    of its local exponent.  :func:`_walk` then enters it as a chain link with A(c) = A0
+    and y(c) = y0; ``args`` are the arguments of :func:`_panel_terms` after t, with
+    ``A`` and ``C`` as float lists for scalar evaluation."""
 
-    __slots__ = ("lo", "hi", "mid", "hw", "A0", "y0", "A", "C", "args")
+    __slots__ = ("req", "key", "start", "stop", "depth", "lo", "hi", "mid", "hw", "A0", "y0",
+                 "A", "C", "err", "top", "args")
 
-    def __init__(self, lo, hi, A0, y0, A, C):
-        self.lo, self.hi = lo, hi
+    def __init__(self, req: int, key: Tuple[int, ...], start: float, stop: float, depth: int):
+        self.req, self.key, self.start, self.stop, self.depth = req, key, start, stop, depth
+        self.lo, self.hi = lo, hi = min(start, stop), max(start, stop)
         # a side as short as one subnormal step still maps onto [-1, 1]
         self.mid, self.hw = 0.5 * (lo + hi), 0.5 * (hi - lo) or hi - lo
-        self.A0, self.y0 = A0, y0
-        self.A, self.C = A, C
-        self.args = (self.mid, self.hw, A0, y0, A.tolist(), C.tolist())
+        self.err, self.top = 0.0, -math.inf
 
 
 _Side = Union[Tuple[List[float], List[_Panel], float], BaseException]
@@ -411,36 +415,11 @@ def _g_vanishes(series: Sequence[IntervalSeries]) -> None:
 
 # -- building sides in row batches -------------------------------------------------
 
-class _Piece:
-    """A stretch [start, stop] of a side, oriented away from the anchor: split
-    into ``parts``, a panel's series ``A`` and ``C`` (with the integrand
-    fit's error term and, where int |a| exceeds 1, a bound ``top`` of its
-    local exponent), or a ``failure`` to raise."""
-
-    __slots__ = ("side", "start", "stop", "depth", "lo", "hi", "parts", "A", "C", "err",
-                 "top", "failure")
-
-    def __init__(self, side: "_SideBuild", start: float, stop: float, depth: int):
-        self.side, self.start, self.stop, self.depth = side, start, stop, depth
-        self.lo, self.hi = min(start, stop), max(start, stop)
-        self.parts: Optional[List[_Piece]] = None
-        self.C = self.failure = None
-        self.err, self.top = 0.0, -math.inf
-
-
-class _SideBuild:
-    """One side of a series while :func:`build_sides` builds it."""
-
-    __slots__ = ("series", "forward", "root", "count")
-
-    def __init__(self, series: IntervalSeries, forward: bool):
-        self.series, self.forward = series, forward
-        self.root = _Piece(self, series.anchor, series.hi if forward else series.lo, 0)
-        self.count = 1  # pieces that are panels or still to be built
-
-
 def _cap_error(series: IntervalSeries) -> QuadratureError:
     return QuadratureError(f"series on {series._where} needs more than {MAX_PANELS} panels")
+
+
+_Leaf = Tuple[Tuple[int, ...], Union[_Panel, BaseException]]  # a piece's key, and it or its failure
 
 
 def build_sides(requests: Sequence[Tuple[IntervalSeries, bool]]) -> None:
@@ -450,9 +429,11 @@ def build_sides(requests: Sequence[Tuple[IntervalSeries, bool]]) -> None:
     All pieces of one level are fitted as one row batch: the fits of a, the
     split of a piece whose int |a| exceeds 1 into pieces where it does not,
     the fits of the integrand exp(-A) g, each at 33, then 65, then 129
-    points, and a bisection of a piece that no size resolves.  Then one walk
-    per side, in chain order, sets each panel's A0 and y0.  A side that fails
-    stores its failure, the one the walk meets first, and raises it on use.
+    points, and a bisection of a piece that no size resolves.  A piece that
+    is built or fails becomes a leaf of its side; then one walk per side
+    takes its leaves in chain order and sets each panel's A0 and y0.  A side
+    that fails stores its failure, the one the walk meets first, and raises
+    it on use.
     """
     a, g = requests[0][0].a, requests[0][0].g
     unknown = [s for s, _ in requests if s._zero_g is None]
@@ -460,34 +441,41 @@ def build_sides(requests: Sequence[Tuple[IntervalSeries, bool]]) -> None:
         _g_vanishes(unknown)
     const_a = a.value if isinstance(a, Const) else None
     a_arr, g_arr = a.ev_array, g.ev_array
-    sides = [_SideBuild(s, forward) for s, forward in requests]
-    level = [side.root for side in sides]
-    following: List[_Piece] = []  # the pieces of the next level
+    counts = [1] * len(requests)  # pieces of each side that are panels or still to be built
+    leaves: List[List[_Leaf]] = [[] for _ in requests]
+    level = [
+        _Panel(i, (), s.anchor, s.hi if forward else s.lo, 0)
+        for i, (s, forward) in enumerate(requests)
+    ]
+    following: List[_Panel] = []  # the pieces of the next level
 
-    def split(piece: _Piece, pieces: int, depth: int) -> None:
-        side = piece.side
-        side.count += pieces - 1
-        if side.count > MAX_PANELS:  # the walk raises the cap here at the latest
-            piece.failure = _cap_error(side.series)
-            return
+    def leaf(piece: _Panel, value: Union[_Panel, BaseException]) -> None:
+        leaves[piece.req].append((piece.key, value))
+
+    def split(piece: _Panel, pieces: int, depth: int) -> None:
+        counts[piece.req] += pieces - 1
+        if counts[piece.req] > MAX_PANELS:  # the walk raises the cap here at the latest
+            return leaf(piece, _cap_error(requests[piece.req][0]))
         start, stop = piece.start, piece.stop
         cuts = [start + (stop - start) * i / pieces for i in range(pieces)] + [stop]
-        piece.parts = [_Piece(side, cuts[i], cuts[i + 1], depth) for i in range(pieces)]
-        following.extend(piece.parts)
+        following.extend(
+            _Panel(piece.req, piece.key + (i,), cuts[i], cuts[i + 1], depth) for i in range(pieces)
+        )
 
-    def bisect(piece: _Piece) -> None:
+    def bisect(piece: _Panel) -> None:
         if piece.depth >= MAX_BISECTIONS:
-            piece.failure = QuadratureError(
-                f"Chebyshev coefficients do not decay on {piece.side.series._where} "
+            leaf(piece, QuadratureError(
+                f"Chebyshev coefficients do not decay on {requests[piece.req][0]._where} "
                 f"near [{piece.lo!r}, {piece.hi!r}] after {piece.depth} bisections"
-            )
+            ))
         else:
             split(piece, 2, piece.depth + 1)
 
-    def non_finite(piece: _Piece) -> None:
-        piece.failure = OverflowError(
-            f"non-finite values on {piece.side.series._where} near [{piece.lo!r}, {piece.hi!r}]"
-        )
+    def non_finite(piece: _Panel) -> None:
+        leaf(piece, OverflowError(
+            f"non-finite values on {requests[piece.req][0]._where} "
+            f"near [{piece.lo!r}, {piece.hi!r}]"
+        ))
 
     while level:
         lo = np.array([p.lo for p in level])
@@ -510,17 +498,18 @@ def build_sides(requests: Sequence[Tuple[IntervalSeries, bool]]) -> None:
                 p.A = np.array([-const_a * h * x0, const_a * h])
         integrand: List[int] = []
         for i, (p, b) in enumerate(zip(level, bound.tolist())):
-            if p.side.count > MAX_PANELS:
-                continue  # a side past the cap builds no more
-            if bad[i]:
+            if counts[p.req] > MAX_PANELS:  # a side past the cap builds no more
+                leaf(p, _cap_error(requests[p.req][0]))
+            elif bad[i]:
                 non_finite(p)
             elif math.isnan(b):  # a is not resolved: bisect
                 bisect(p)
             elif b > 1.0 + 1e-9:
-                if not p.side.series.g_vanishes():
+                if not requests[p.req][0].g_vanishes():
                     split(p, math.ceil(b), p.depth)
                 else:  # kept whole: y is 0, but exp of the local exponent must not overflow
                     p.C, p.top = np.zeros(1), p.A[0] + float(np.abs(p.A[1:]).sum())
+                    leaf(p, p)
             else:
                 integrand.append(i)
         if integrand:
@@ -540,6 +529,7 @@ def build_sides(requests: Sequence[Tuple[IntervalSeries, bool]]) -> None:
                 err = _EPS * h * np.abs(kept).sum(axis=1)
                 for i, row, length, e in zip(rows.tolist(), C, (keep + 1).tolist(), err.tolist()):
                     pieces[i].C, pieces[i].err = row[:length], e
+                    leaf(pieces[i], pieces[i])
                 resolved[rows] = True
             for p, failed, done in zip(pieces, bad.tolist(), resolved.tolist()):
                 if failed:
@@ -547,47 +537,36 @@ def build_sides(requests: Sequence[Tuple[IntervalSeries, bool]]) -> None:
                 elif not done:  # the integrand is not resolved: bisect
                     bisect(p)
         level, following = following, []
-    for side in sides:
-        side.series._sides[side.forward] = _walk(side)
+    for (series, forward), side in zip(requests, leaves):
+        series._sides[forward] = _walk(series, side)
 
 
-def _walk(side: _SideBuild) -> _Side:
-    """The side's panels sorted by ``lo`` with their start values set, their
-    ``lo`` ends and its error estimate; or the failure met first in chain
-    order: a piece's own, the flow's overflow, or the panel cap, which a
-    piece left unbuilt past the cap also raises."""
-    series = side.series
+def _walk(series: IntervalSeries, leaves: List[_Leaf]) -> _Side:
+    """The panels of a side, from its leaves taken in chain order (by key), with
+    their start values set and sorted by ``lo``, their ``lo`` ends and the side's
+    error estimate; or the failure met first in chain order, a leaf's own or the
+    flow's overflow, stored without a traceback."""
     panels: List[_Panel] = []
     A0 = y0 = err = 0.0
-    count = 1
-    stack = [side.root]
     try:
-        while stack:
-            piece = stack.pop()
-            if piece.failure is not None:
-                raise piece.failure
-            if piece.parts is not None:
-                count += len(piece.parts) - 1
-                if count > MAX_PANELS:
-                    raise _cap_error(series)
-                stack.extend(reversed(piece.parts))
-                continue
-            if piece.C is None:
-                raise _cap_error(series)
-            err += piece.err
-            p = _Panel(piece.lo, piece.hi, A0, y0, piece.A, piece.C)
+        for _, p in sorted(leaves, key=lambda leaf: leaf[0]):
+            if isinstance(p, BaseException):
+                raise p
+            err += p.err
+            p.A0, p.y0 = A0, y0
+            p.args = (p.mid, p.hw, A0, y0, p.A.tolist(), p.C.tolist())
             panels.append(p)
-            if piece.top > EXP_OVERFLOW:  # exp(A - A0) <= exp(top) overflows in the panel,
-                A0, y0 = A0 + piece.top, math.nan  # and y = exp(A - A0) * 0 is undefined
+            if p.top > EXP_OVERFLOW:  # exp(A - A0) <= exp(top) overflows in the panel,
+                A0, y0 = A0 + p.top, math.nan  # and y = exp(A - A0) * 0 is undefined
             else:
-                A0, y0 = _panel_terms(piece.stop, *p.args)
+                A0, y0 = _panel_terms(p.stop, *p.args)
             if not math.isfinite(y0) or (A0 > EXP_OVERFLOW and y0 != 0.0):
                 raise OverflowError(
-                    f"flow weight exp({A0:.3g}) overflows on {series._where} at t={piece.stop!r}"
+                    f"flow weight exp({A0:.3g}) overflows on {series._where} at t={p.stop!r}"
                 )
             err += _EPS * abs(y0)
     except (QuadratureError, OverflowError) as exc:
-        return exc
+        return exc.with_traceback(None)
     panels.sort(key=lambda p: p.lo)
     return [p.lo for p in panels], panels, err
 

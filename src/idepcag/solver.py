@@ -405,13 +405,3 @@ def solve_lagged(problem: Problem) -> Trajectory:
 def step(problem: Problem, k: int, z_k: float) -> float:
     """One skeleton step: z(t_{k+1}) = (1 + c_{k+1}) w(t_{k+1}, t_k) z(t_k)."""
     return problem.impulses.factor(k + 1) * KernelTable(problem).w_step(k) * z_k
-
-
-def eval_dense(traj: Trajectory, t: float, side: str = "right") -> float:
-    """Solution value at t; ``side='left'`` returns the pre-jump limit at knots."""
-    return traj.value(t, side)
-
-
-def zeros_in_interval(traj: Trajectory, k: int) -> List[float]:
-    """All solution zeros inside [t_k, t_{k+1}) assuming z(t_k) != 0."""
-    return traj.zeros_in_interval(k)

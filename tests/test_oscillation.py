@@ -13,7 +13,6 @@ from idepcag.oscillation import (
     aw_criterion,
     classify_continuous,
     classify_discrete,
-    gronwall_bound,
     nonosc_criterion,
     recurring_sign_changes,
     wn_sequence,
@@ -335,7 +334,7 @@ class TestCriterionSolverConsistency:
 class TestGronwall:
     def test_trivial_bound_is_z0(self):
         p = unit_problem(Const(0.0), Const(0.0), z0=-3.0, horizon=10.0)
-        assert gronwall_bound(p, 7.0) == pytest.approx(3.0, rel=1e-12)
+        assert GronwallBound(p).bound(7.0) == pytest.approx(3.0, rel=1e-12)
 
     def test_degenerate_advanced_part_exponential(self):
         p = unit_problem(Const(0.0), Const(0.5), horizon=10.0)

@@ -7,6 +7,7 @@ oracle or against the Gronwall envelope.
 
 import contextlib
 import dataclasses
+import gc
 import json
 import math
 from decimal import Decimal
@@ -602,6 +603,38 @@ def test_a_failing_side_raises_on_use(problem, error, message):
     with pytest.raises(error) as info:
         solve(problem)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("a", [-1e6, 800.0])
+def test_a_failed_side_stores_its_error_without_a_traceback(a):
+    # a stored traceback would hold the frames of the build, and through them
+    # the series that stores the error
+    traj = Trajectory(Problem(a=Const(a), b=Const(0.1), grid=_UNIT, horizon=3.0))
+    traj._build_series()
+    sides = traj._series[traj.k_start]._sides.values()
+    failed = [side for side in sides if isinstance(side, BaseException)]
+    assert failed and all(side.__traceback__ is None for side in failed)
+
+
+@pytest.mark.parametrize("config", sorted(SINE_FORCING.parent.glob("*.json")), ids=lambda c: c.name)
+def test_a_solve_leaves_no_reference_cycle(config):
+    # no panel points back at what built it, so dropping a trajectory frees its
+    # series, panels and arrays without the cyclic collector
+    p = build_problem(json.loads(config.read_text()))
+
+    def run():
+        traj = solve(p)
+        traj.values([p.tau + (p.horizon - p.tau) * i / 64 for i in range(65)])
+        traj.zero_list()
+
+    run()  # first-use imports and caches are not the solve's garbage
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_a_later_side_fails_only_when_used():

@@ -10,7 +10,7 @@ from idepcag.grid import LaggedUniformGrid, UniformGrid
 from idepcag.kernel import SingularKernel, j_value
 from idepcag.oscillation import classify_discrete
 from idepcag.problem import ImpulseDegenerate, ImpulseRule, Problem
-from idepcag.solver import bisect_root, eval_dense, solve, solve_lagged, step, zeros_in_interval
+from idepcag.solver import bisect_root, solve, solve_lagged, step
 
 
 def unit_problem(a, b, impulses=None, alpha=0.0, tau=0.0, z0=1.0, horizon=10.0):
@@ -125,21 +125,21 @@ class TestEvalDense:
     def test_knot_values_and_sides(self):
         p = unit_problem(Const(0.0), Const(0.0), ImpulseRule.multiplier(2.0), horizon=5.0)
         traj = solve(p)
-        assert eval_dense(traj, 3.0) == traj.knot_value(3)
-        assert eval_dense(traj, 3.0, "left") == traj.knot_value(3, "left")
-        assert eval_dense(traj, 3.0) == 2.0 * eval_dense(traj, 3.0, "left")
+        assert traj.value(3.0) == traj.knot_value(3)
+        assert traj.value(3.0, "left") == traj.knot_value(3, "left")
+        assert traj.value(3.0) == 2.0 * traj.value(3.0, "left")
 
     def test_linear_interior_value(self):
         p = unit_problem(Const(0.0), Const(-2.0))
         traj = solve(p)
-        assert eval_dense(traj, 0.75) == pytest.approx(-0.5, rel=1e-12)
+        assert traj.value(0.75) == pytest.approx(-0.5, rel=1e-12)
 
     def test_out_of_range(self):
         traj = solve(unit_problem(Const(0.0), Const(0.0), horizon=2.0))
         with pytest.raises(ValueError):
-            eval_dense(traj, 2.5)
+            traj.value(2.5)
         with pytest.raises(ValueError):
-            eval_dense(traj, -0.5)
+            traj.value(-0.5)
 
     def test_sign_matches_kernel_quotient(self):
         p = unit_problem(Const(0.0), Const(-2.0), horizon=4.0)
@@ -159,17 +159,17 @@ class TestEvalDense:
 class TestZeros:
     def test_linear_root(self):
         traj = solve(unit_problem(Const(0.0), Const(-2.0), horizon=4.0))
-        roots = zeros_in_interval(traj, 0)
+        roots = traj.zeros_in_interval(0)
         assert len(roots) == 1
         assert roots[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_steeper_root(self):
         traj = solve(unit_problem(Const(0.0), Const(-4.0), horizon=4.0))
-        assert zeros_in_interval(traj, 0)[0] == pytest.approx(0.25, abs=1e-12)
+        assert traj.zeros_in_interval(0)[0] == pytest.approx(0.25, abs=1e-12)
 
     def test_no_forcing_no_roots(self):
         traj = solve(unit_problem(Const(-1.0), Const(0.0), horizon=4.0))
-        assert zeros_in_interval(traj, 1) == []
+        assert traj.zeros_in_interval(1) == []
 
     def test_zero_list_spans_range(self):
         traj = solve(unit_problem(Const(0.0), Const(-2.0), horizon=4.0))
