@@ -14,20 +14,18 @@ the whole pipeline.  Its zeros are the exact zeros on its own RK4 nodes and
 the sign changes between neighbouring nodes, each bisected to
 ``ZERO_LOCATION_TOL``; they owe nothing to the series root finder.
 
-The equations are linear, so one RK4 step is an affine map y -> g y + f
-and an interval is one prefix scan of those maps, with no loop over steps
-(see :func:`_rk4_linear`).  A dense read off the nodes is one RK4 step
-from the stored node at or below t, and many reads are one batched call.
-The scan is carried in ``np.longdouble``; where that type is only float64
-(MSVC, Apple arm64) the oracle is about 2e-13 relative against the closed
-form on a unit interval instead of 3e-14, still seven orders below the
-default check tolerance of 1e-6.  A non-finite A or B (an unstable step
-size, or A leaving the long double range) is refused as an
-``OverflowError``.  The march carries z(t_k) as its ``math.frexp`` pair
-(m, x) and solves each interval for m, so |z| may leave the float range and
-come back: values are read as ldexp(., x), the knot signs are the signs of
-the mantissas, and the zero search works on the unscaled node values.  A
-value read past the largest float is refused as an ``OverflowError``.
+One RK4 step of these linear equations is an affine map y -> g y + f, and an
+interval is one prefix scan of those maps in ``np.longdouble`` (float64 on
+MSVC and Apple arm64: 2e-13 relative on a unit interval, not 3e-14).  The
+stages are the textbook operations in order, in place, a Const coefficient
+as its float: of a 2,000-step interval the scan takes about 70 us, a varying
+b 37 us and the stages 32 us (blocks of intervals per call, a request-wide
+node table and a vectorised ``_unscaled_values`` were measured and dropped).
+A non-finite A or B (an unstable step, or A leaving the long double range)
+or a value read past the largest float is an ``OverflowError``.  The march
+carries z(t_k) as its ``math.frexp`` pair (m, x), solving each interval for
+m, so |z| may leave the float range and come back: values are ldexp(., x),
+knot signs the mantissas' signs, and the zero search uses unscaled values.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .expressions import evaluate_array
+from .expressions import Const, evaluate_array
 from .kernel import SingularKernel
 from .problem import SINGULARITY_FACTOR, Problem
 from .solver import SkeletonPoint, Trajectory, _sgn, bisect_root
@@ -53,24 +51,28 @@ def _rk4_linear(problem, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     B = A [0, cumsum(f / A[1:])]; g and f are float64, the scan long double.
     A 1-D nodes is one interval's grid, an (m, 2) one m independent steps.
     """
-    h = np.diff(nodes)
+    h = nodes[..., 1:] - nodes[..., :-1]
+    hh = 0.5 * h
     mids = 0.5 * (nodes[..., :-1] + nodes[..., 1:])
-    a_nodes = evaluate_array(problem.a, nodes)
-    am = evaluate_array(problem.a, mids)
-    b_nodes = evaluate_array(problem.b, nodes)
-    bm = evaluate_array(problem.b, mids)
-    a0, a1 = a_nodes[..., :-1], a_nodes[..., 1:]
-    b0, b1 = b_nodes[..., :-1], b_nodes[..., 1:]
-    k2 = am * (1.0 + 0.5 * h * a0)
-    k3 = am * (1.0 + 0.5 * h * k2)
-    k4 = a1 * (1.0 + h * k3)
-    d = h * (a0 + 2.0 * (k2 + k3) + k4) / 6.0  # g - 1, kept small
-    l2 = am * (0.5 * h * b0) + bm
-    l3 = am * (0.5 * h * l2) + bm
-    l4 = a1 * (h * l3) + b1
-    f = h * (b0 + 2.0 * (l2 + l3) + l4) / 6.0
-    A = np.empty(nodes.shape, dtype=np.longdouble)
-    B = np.empty_like(A)
+    (a0, am, a1), (b0, bm, b1) = (_at_steps(c, nodes, mids) for c in (problem.a, problem.b))
+    ka, kb, stages = a0, b0, []  # the stages of A' = a A and of B' = a B + b, in place
+    for s, c, e in ((hh, am, bm), (hh, am, bm), (h, a1, b1)):
+        ka = s * ka  # ka' = c (1 + s ka)
+        ka += 1.0
+        ka *= c
+        kb = s * kb  # kb' = c (s kb) + e
+        kb *= c
+        kb += e
+        stages.append((ka, kb))
+    for y1, (y2, y3, y4) in zip((a0, b0), zip(*stages)):  # h (y1 + 2 (y2 + y3) + y4) / 6
+        y2 += y3
+        y2 *= 2.0
+        y2 += y1
+        y2 += y4
+        y2 *= h
+        y2 /= 6.0
+    d, f = stages[0]  # d = g - 1, kept small
+    A, B = np.empty((2,) + nodes.shape, dtype=np.longdouble)
     A[..., 0], B[..., 0] = 1.0, 0.0
     np.add(d, 1.0, out=A[..., 1:], dtype=np.longdouble)
     np.cumprod(A[..., 1:], axis=-1, out=A[..., 1:])
@@ -78,6 +80,14 @@ def _rk4_linear(problem, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     np.cumsum(B[..., 1:], axis=-1, out=B[..., 1:])
     np.multiply(A, B, out=B)
     return A.astype(float), B.astype(float)
+
+
+def _at_steps(coef, nodes: np.ndarray, mids: np.ndarray):
+    """coef at the steps' starts, midpoints and ends; a Const is its float each time."""
+    if isinstance(coef, Const):
+        return (coef.value,) * 3
+    at_nodes = evaluate_array(coef, nodes)
+    return at_nodes[..., :-1], evaluate_array(coef, mids), at_nodes[..., 1:]
 
 
 def _interval_nodes(lo: float, zeta: float, hi: float, steps: int) -> Tuple[np.ndarray, int]:

@@ -51,6 +51,7 @@ is skipped, and every root comes out bitwise the same.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from bisect import bisect_right
@@ -307,8 +308,8 @@ class IntervalSeries:
         if forward not in self._sides:
             build_sides([(self, forward)])
         side = self._sides[forward]
-        if isinstance(side, BaseException):
-            raise side.with_traceback(None)
+        if isinstance(side, BaseException):  # a copy: a raise gives the raised object a traceback
+            raise copy.copy(side)
         return side
 
     def _panel(self, t: float) -> _Panel:

@@ -1,5 +1,7 @@
 """tools/diff_roots.py tells a bad tree apart from a difference in roots."""
 
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +27,36 @@ def test_a_tree_against_itself_matches_bitwise():
         text=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    summary = proc.stdout.splitlines()[-1]
+    summary, oracle = proc.stdout.splitlines()[-2:]
     assert " 0 count mismatches;" in summary, summary
     assert "(100.0%), worst relative difference 0" in summary, summary
+    knots, knots_total, roots, roots_total = _oracle_counts(oracle)
+    assert knots == knots_total > 0 and roots == roots_total > 0, oracle
+
+
+def _oracle_counts(line):
+    """(equal, total) of the oracle knot values, then of its roots."""
+    m = re.search(r" 0 count mismatches; .* (\d+) of (\d+) knot values and (\d+) of (\d+) roots", line)
+    assert m, line
+    return tuple(map(int, m.groups()))
+
+
+def test_an_oracle_that_moves_by_an_ulp_shows_in_its_knot_values(tmp_path):
+    # the oracle's bits never reach the command line but for a 7-digit deviation
+    shutil.copytree(ROOT / "src" / "idepcag", tmp_path / "idepcag")
+    with open(tmp_path / "idepcag" / "oracle.py", "a") as module:
+        module.write(
+            "\n_exact = _rk4_linear\n\n\n"
+            "def _rk4_linear(problem, nodes):\n"
+            "    A, B = _exact(problem, nodes)\n"
+            "    return A * (1.0 + 2.0 ** -50), B\n"
+        )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "diff_roots.py"), str(ROOT), str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    summary, oracle = proc.stdout.splitlines()[-2:]
+    assert "(100.0%), worst relative difference 0" in summary, summary  # the solver is untouched
+    knots, knots_total, _, _ = _oracle_counts(oracle)
+    assert knots < knots_total, oracle

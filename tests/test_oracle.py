@@ -12,7 +12,9 @@ from idepcag.cli import build_problem
 from idepcag.expressions import Const, Cos, Prod, Sin, Sum, Var
 from idepcag.grid import ExplicitGrid, UniformGrid
 from idepcag.kernel import KernelTable, SingularKernel
-from idepcag.oracle import _rk4_linear, oracle_integrate
+from idepcag import oracle as oracle_module
+from idepcag.expressions import evaluate_array
+from idepcag.oracle import _interval_nodes, _rk4_linear, oracle_integrate
 from idepcag.problem import ImpulseRule, Problem
 from idepcag.solver import solve
 
@@ -325,3 +327,112 @@ def test_rk4_rows_march_like_one_dimensional_grids(m, widths, t0):
     for row, a_row, b_row in zip(rows, A, B):
         a_one, b_one = _rk4_linear(p, row)
         assert a_row.tobytes() == a_one.tobytes() and b_row.tobytes() == b_one.tobytes()
+
+
+def _rk4_linear_reference(problem, nodes):
+    """The stage arithmetic as first written: one fresh array per operation,
+    every coefficient evaluated on nodes and midpoints, constants included."""
+    h = np.diff(nodes)
+    mids = 0.5 * (nodes[..., :-1] + nodes[..., 1:])
+    a_nodes = evaluate_array(problem.a, nodes)
+    am = evaluate_array(problem.a, mids)
+    b_nodes = evaluate_array(problem.b, nodes)
+    bm = evaluate_array(problem.b, mids)
+    a0, a1 = a_nodes[..., :-1], a_nodes[..., 1:]
+    b0, b1 = b_nodes[..., :-1], b_nodes[..., 1:]
+    k2 = am * (1.0 + 0.5 * h * a0)
+    k3 = am * (1.0 + 0.5 * h * k2)
+    k4 = a1 * (1.0 + h * k3)
+    d = h * (a0 + 2.0 * (k2 + k3) + k4) / 6.0
+    l2 = am * (0.5 * h * b0) + bm
+    l3 = am * (0.5 * h * l2) + bm
+    l4 = a1 * (h * l3) + b1
+    f = h * (b0 + 2.0 * (l2 + l3) + l4) / 6.0
+    A = np.empty(nodes.shape, dtype=np.longdouble)
+    B = np.empty_like(A)
+    A[..., 0], B[..., 0] = 1.0, 0.0
+    np.add(d, 1.0, out=A[..., 1:], dtype=np.longdouble)
+    np.cumprod(A[..., 1:], axis=-1, out=A[..., 1:])
+    np.divide(f, A[..., 1:], out=B[..., 1:])
+    np.cumsum(B[..., 1:], axis=-1, out=B[..., 1:])
+    np.multiply(A, B, out=B)
+    return A.astype(float), B.astype(float)
+
+
+_small = st.floats(min_value=-3.0, max_value=3.0)
+# a Const (0 and -0 among them) or c0 + c1 sin(t) / c0 + c1 cos(t), which evaluate_array reads
+_coefficients = st.one_of(
+    st.sampled_from([0.0, -0.0]).map(Const),
+    _small.map(Const),
+    st.builds(
+        lambda c0, c1, f: Sum((Const(c0), Prod((Const(c1), f(Var("t")))))),
+        _small, _small, st.sampled_from([Sin, Cos]),
+    ),
+)
+
+
+@st.composite
+def _interval_grids(draw):
+    """One interval's grid from _interval_nodes, zeta inside it or on an end."""
+    lo = draw(st.floats(min_value=-5.0, max_value=5.0))
+    hi = lo + draw(st.floats(min_value=0.05, max_value=3.0))
+    zeta = draw(st.sampled_from([lo, hi]) | st.floats(min_value=lo, max_value=hi))
+    return _interval_nodes(lo, zeta, hi, draw(st.integers(min_value=2, max_value=300)))[0]
+
+
+@st.composite
+def _row_grids(draw):
+    """m rows of n increasing nodes: (node, t) step pairs for n = 2, else rows of a march."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(2, 8))
+    starts = draw(st.lists(st.floats(-5.0, 5.0), min_size=m, max_size=m))
+    widths = draw(st.lists(st.floats(1e-6, 0.5), min_size=m * (n - 1), max_size=m * (n - 1)))
+    offsets = np.cumsum(np.array(widths).reshape(m, n - 1), axis=1)
+    return np.array(starts)[:, None] + np.concatenate([np.zeros((m, 1)), offsets], axis=1)
+
+
+class TestInPlaceStages:
+    """``_rk4_linear`` computes its stages in place and a Const coefficient as
+    a float; its A and B must be bitwise those of one array per operation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_coefficients, _coefficients, _interval_grids() | _row_grids())
+    def test_bitwise_the_reference(self, a, b, nodes):
+        p = make(a, b)
+        A, B = _rk4_linear(p, nodes)
+        A_ref, B_ref = _rk4_linear_reference(p, nodes)
+        assert A.shape == B.shape == nodes.shape
+        assert A.tobytes() == A_ref.tobytes() and B.tobytes() == B_ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "a, b, evaluated",
+        [
+            (Const(-0.7), Sin(Var("t")), ["b", "b"]),
+            (Sin(Var("t")), Const(0.3), ["a", "a"]),
+            (Const(-0.7), Const(0.3), []),
+        ],
+    )
+    def test_a_const_coefficient_is_not_evaluated(self, monkeypatch, a, b, evaluated):
+        p = make(a, b)
+        calls = []
+
+        def spy(expr, points):
+            calls.append("a" if expr is p.a else "b")
+            return evaluate_array(expr, points)
+
+        monkeypatch.setattr(oracle_module, "evaluate_array", spy)
+        _rk4_linear(p, np.linspace(0.0, 1.0, 11))
+        assert calls == evaluated
+
+    @pytest.mark.parametrize("alpha, tau", [(0.0, 0.0), (0.4, 0.3), (1.0, 0.0)])
+    def test_one_call_per_interval_on_its_whole_grid(self, monkeypatch, alpha, tau):
+        calls = []
+
+        def spy(problem, nodes):
+            calls.append(nodes.shape)
+            return _rk4_linear(problem, nodes)
+
+        monkeypatch.setattr(oracle_module, "_rk4_linear", spy)
+        p = make(Const(-0.4), Sin(Var("t")), alpha=alpha, tau=tau, horizon=4.5)
+        traj = oracle_integrate(p, 37)
+        assert len(calls) == len(traj._grids) == 5
+        assert calls == [(38,)] * 5

@@ -616,6 +616,29 @@ def test_a_failed_side_stores_its_error_without_a_traceback(a):
     assert failed and all(side.__traceback__ is None for side in failed)
 
 
+def test_a_failing_solve_leaves_no_reference_cycle():
+    # the stored error is raised as a copy: raising the stored object itself
+    # would hang on it a traceback whose frames hold the series that stores it
+    p = Problem(a=Const(800.0), b=Const(0.1), grid=_UNIT, horizon=3.0)
+
+    def run():
+        try:
+            solve(p)
+        except OverflowError:
+            pass
+        else:
+            raise AssertionError("the solve did not fail")
+
+    run()  # first-use imports and caches are not the solve's garbage
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("config", sorted(SINE_FORCING.parent.glob("*.json")), ids=lambda c: c.name)
 def test_a_solve_leaves_no_reference_cycle(config):
     # no panel points back at what built it, so dropping a trajectory frees its
