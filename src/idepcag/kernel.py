@@ -36,7 +36,7 @@ import numpy as np
 from .expressions import Const, ScalarExpr
 from .problem import SINGULARITY_FACTOR, Problem
 from .quadrature import default_rel_tol, integrate
-from .series import EXP_OVERFLOW, IntervalSeries
+from .series import EXP_OVERFLOW, IntervalSeries, PanelTable
 
 
 class SingularKernel(RuntimeError):
@@ -191,8 +191,11 @@ class KernelTable:
         return found
 
     def e_value(self, k: int, t: float) -> float:
-        """e(t, zeta_k) = 1 + y(t) for t in the interval."""
-        return self.series(k).combination(t, 0.0, 1.0, 1.0)
+        """e(t, zeta_k) = 1 + y(t) for t in the interval, read through a table of
+        the one series."""
+        series = self.series(k)
+        series.require(t)
+        return float(PanelTable([series]).terms(np.array([t]), np.zeros(1, dtype=int))[1][0]) + 1.0
 
     def e_at_knots(self, k: int) -> Tuple[float, float, float]:
         """(e(t_k, zeta_k), e(t_{k+1}, zeta_k), error estimate)."""

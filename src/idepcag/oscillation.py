@@ -20,9 +20,9 @@ import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
-from .kernel import KernelTable, phi
+from .kernel import KernelTable
 from .problem import Problem
 from .quadrature import default_rel_tol, integrate
 from .series import EXP_OVERFLOW
@@ -83,14 +83,6 @@ class CriterionReport:
         if self.reason:
             lines.append(f"reason: {self.reason}")
         return "\n".join(lines) + "\n"
-
-
-def recurring_sign_changes(values: Sequence[float]) -> bool:
-    """True when the tail (final quarter) still takes both signs."""
-    if len(values) < 2:
-        return False
-    tail = list(values)[(3 * len(values)) // 4 :]  # nonempty: 3n // 4 < n
-    return max(tail) >= 0.0 and min(tail) <= 0.0
 
 
 def classify_discrete(
@@ -166,23 +158,6 @@ def classify_continuous(
         (),
         "kernel has no root inside any interval",
     )
-
-
-def wn_sequence(problem: Problem, k_range: Sequence[int]) -> List[float]:
-    """Step ratios w_n = (1 + c_n) j(t_{n+1}, zeta_n) / j(t_n, zeta_n).
-
-    The flow factor cancels out of the ratio, so for b = 0, c = 0 the
-    sequence is identically 1.  Recurring sign changes of this sequence
-    force oscillation; check with :func:`recurring_sign_changes`.
-    """
-    table = KernelTable(problem)
-    grid = problem.grid
-    out = []
-    for n in k_range:
-        w = table.w_step(n)
-        decay = phi(problem.a, grid.knot(n + 1), grid.knot(n), table.rel_tol)
-        out.append(problem.impulses.factor(n) * w * decay)
-    return out
 
 
 def _extremum(values, quantity: str) -> float:

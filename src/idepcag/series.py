@@ -21,11 +21,18 @@ precision; a panel whose coefficients do not level off is bisected.
 The fits are made in row batches: :func:`build_sides` fits the pieces of
 many sides level by level, one sample matrix, one values-to-coefficients
 product and one chop per batch; each piece built or failed is a leaf of
-its side, and one walk per side then takes the leaves in chain order to
-set the values its panels start from.  Every row is computed
-alike whatever the other rows of its batch, so a side comes out bitwise
-the same built alone or with others.  :class:`PanelTable` reads (A, y) of
-many points in one array pass over built sides laid out flat.
+its side.  One array pass sums every panel's local series at its far end,
+and one walk per side then takes the leaves in chain order and chains
+those sums, as floats, into the values its panels start from.  Every row
+is computed alike whatever the other rows of its batch, so a side comes
+out bitwise the same built alone or with others.
+
+:class:`PanelTable` is the one reader of built sides: it lays them out
+flat and reads (A, y) of many points in one array pass, each point on the
+last panel of its side that starts at or before it, so that a point at an
+interval's right knot is read on that interval.  A Clenshaw sum over an
+array performs the same IEEE operations as over one float, so a point
+comes out bitwise the same whatever else is read with it.
 
 Zeros are the real roots, from numpy's ``chebroots``, of the interpolant of
 the wanted combination on each panel: the eigenvalues of its colleague
@@ -54,7 +61,6 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from bisect import bisect_right
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -241,12 +247,12 @@ class _Panel:
     Fitted as a piece, it holds the Chebyshev coefficients ``A`` and ``C`` of the local
     antiderivatives int_c^t a and int_c^t exp(-A) g from its end c nearer the anchor,
     the integrand fit's error term ``err`` and, where int |a| exceeds 1, a bound ``top``
-    of its local exponent.  :func:`_walk` then enters it as a chain link with A(c) = A0
-    and y(c) = y0; ``args`` are the arguments of :func:`_panel_terms` after t, with
-    ``A`` and ``C`` as float lists for scalar evaluation."""
+    of its local exponent.  ``end`` holds the local exponent at ``stop``, its exp and
+    the value of C there; :func:`_walk` then enters the panel as a chain link with
+    A(c) = A0 and y(c) = y0."""
 
     __slots__ = ("req", "key", "start", "stop", "depth", "lo", "hi", "mid", "hw", "A0", "y0",
-                 "A", "C", "err", "top", "args")
+                 "A", "C", "err", "top", "end")
 
     def __init__(self, req: int, key: Tuple[int, ...], start: float, stop: float, depth: int):
         self.req, self.key, self.start, self.stop, self.depth = req, key, start, stop, depth
@@ -260,17 +266,17 @@ _Side = Union[Tuple[List[float], List[_Panel], float], BaseException]
 
 
 class IntervalSeries:
-    """Flow and forced response on one interval, built once and evaluated
-    anywhere in it.
+    """Flow and forced response on one interval, built once and read anywhere in it
+    through a :class:`PanelTable`.
 
-    ``combination`` is a fixed combination of y(t) above, exactly 0 at the anchor, with
-    the flow exp(int_anchor^t a) and a constant, and :func:`zero_search` finds the roots
-    of such a combination.  Each side of the anchor is built on first use unless
-    :func:`build_sides` built it before.  Raises :class:`QuadratureError` when the
+    A read gives the flow exponent A(t) = int_anchor^t a and y(t) above, both exactly 0
+    at the anchor, and :func:`zero_search` finds the roots of a fixed combination of y,
+    the flow exp(A) and a constant.  Each side of the anchor is built on first use
+    unless :func:`build_sides` built it before.  Raises :class:`QuadratureError` when the
     coefficients do not level off after ``MAX_BISECTIONS`` halvings or the chain needs
     more than ``MAX_PANELS`` panels, and ``OverflowError`` when exp(A) passes exp(709)
     where it multiplies a nonzero value or inside a panel kept whole; both name the
-    interval, and a side raises its failure each time it is used.  ``err`` sums a
+    interval, and a side raises its failure each time it is required.  ``err`` sums a
     rounding-level error estimate of y over the sides built so far.
     """
 
@@ -291,8 +297,6 @@ class IntervalSeries:
             s[2] for s in (self._sides.get(False), self._sides.get(True)) if isinstance(s, tuple)
         )
 
-    # -- construction ----------------------------------------------------------
-
     def g_vanishes(self) -> bool:
         """g is 0 at every node of the interval, as g = a + b is for b = -a;
         then y is exactly 0 and long panels need no splitting."""
@@ -300,49 +304,24 @@ class IntervalSeries:
             _g_vanishes([self])
         return self._zero_g
 
-    def _side(self, t: float) -> Tuple[List[float], List[_Panel], float]:
-        if self.lo < self.anchor < self.hi:
-            forward = t > self.anchor
-        else:
-            forward = self.anchor < self.hi
+    def require(self, t: float) -> None:
+        """Build the side that holds t on first use and raise its failure; the
+        anchor needs no side.  Refuses a t outside the interval."""
+        slack = 1e-9 * (self.hi - self.lo)
+        if not self.lo - slack <= t <= self.hi + slack:
+            raise ValueError(f"t={t!r} outside {self._where} [{self.lo!r}, {self.hi!r}]")
+        if t == self.anchor:
+            return
+        forward = t > self.anchor if self.lo < self.anchor < self.hi else self.anchor < self.hi
         if forward not in self._sides:
             build_sides([(self, forward)])
         side = self._sides[forward]
         if isinstance(side, BaseException):  # a copy: a raise gives the raised object a traceback
             raise copy.copy(side)
-        return side
 
-    def _panel(self, t: float) -> _Panel:
-        slack = 1e-9 * (self.hi - self.lo)
-        if not self.lo - slack <= t <= self.hi + slack:
-            raise ValueError(f"t={t!r} outside {self._where} [{self.lo!r}, {self.hi!r}]")
-        los, panels, _ = self._side(t)
-        i = min(max(bisect_right(los, t) - 1, 0), len(panels) - 1)
-        return panels[i]
-
-    # -- evaluation ------------------------------------------------------------
-
-    def _flow(self, A):
-        top = A if isinstance(A, float) else A.max(initial=-math.inf)
-        if top > EXP_OVERFLOW:
-            raise OverflowError(f"flow weight exp({top:.3g}) overflows on {self._where}")
-        return _exp(A)
-
-    def terms(self, t: float) -> Tuple[float, float]:
-        """(A(t), y(t)) from one panel lookup."""
-        return (0.0, 0.0) if t == self.anchor else _panel_terms(t, *self._panel(t).args)
-
-    def combination(self, t: float, flow_coef: float, forced_coef: float, const: float) -> float:
-        """:meth:`combine` of the terms at t."""
-        return self.combine(*self.terms(t), flow_coef, forced_coef, const)
-
-    def combine(self, A, y, flow_coef: float, forced_coef: float, const: float):
-        """forced_coef y + const + flow_coef exp(A) from the terms of one point, or
-        of many as arrays; the flow is not evaluated when flow_coef is 0."""
-        u = forced_coef * y + const
-        if flow_coef:
-            u = u + flow_coef * self._flow(A)
-        return u
+    def overflow(self, A: float) -> OverflowError:
+        """The refusal of a flow weight exp(A) past exp(709)."""
+        return OverflowError(f"flow weight exp({A:.3g}) overflows on {self._where}")
 
 
 def _exp(v):
@@ -351,27 +330,30 @@ def _exp(v):
 
 
 def _panel_terms(t, mid, hw, A0, y0, A, C):
-    """(A(t), y(t)) on the panel about mid, hw wide each way, entered with A0 and y0."""
+    """(A(t), y(t)) on the panels about mid, hw wide each way, entered with A0 and y0,
+    with the local series A and C given as coefficient columns, one per point."""
     x = (t - mid) / hw
     local = _clenshaw(A, x)
     return A0 + local, _exp(local) * (y0 + _clenshaw(C, x))
 
 
-class NoPanels(LookupError):
-    """A :class:`PanelTable` read met a point on a side that failed or was not built."""
-
-
 class PanelTable:
     """The built sides of many series, in interval order, laid out flat: panels, their
     ``lo`` and ``hi`` edges (sorted across the series), ``mid``, ``hw``, ``A0``, ``y0``
-    and zero-padded rows of ``A`` and ``C`` with their lengths."""
+    and zero-padded rows of ``A`` and ``C`` with their lengths, and the first and last
+    row of each side."""
 
     def __init__(self, series: Sequence[IntervalSeries]):
         self._anchor = np.array([s.anchor for s in series])
+        # the side of a point: past the anchor, or the one side of an anchor on an end
+        self._split = np.array([s.lo < s.anchor < s.hi for s in series], dtype=bool)
+        self._onward = np.array([s.anchor < s.hi for s in series], dtype=bool)
         sides = [s._sides.get(forward) for s in series for forward in (False, True)]
         sides = [side[1] if isinstance(side, tuple) else [] for side in sides]
         self._panels = panels = [p for side in sides for p in side]
-        self._side = np.repeat(np.arange(len(sides)), [len(side) for side in sides])  # of each row
+        count = np.array([len(side) for side in sides], dtype=int)
+        self._first = np.cumsum(count) - count
+        self._last = self._first + count - 1
         self._lo, self._hi, self._mid, self._hw, self._A0, self._y0 = np.array(
             [(p.lo, p.hi, p.mid, p.hw, p.A0, p.y0) for p in panels], dtype=float
         ).reshape(-1, 6).T
@@ -379,21 +361,29 @@ class PanelTable:
         self._C, self._nC = _padded([p.C for p in panels])
 
     def terms(self, t: np.ndarray, i: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(A, y) at each point t of series i, in [lo, hi) of that series, bitwise
-        as ``series[i].terms(t)``: its panel is the last that starts at or before
-        t, which must lie on its side, the forward one past the anchor; each
-        series is summed by one Clenshaw pass over all points."""
+        """(A, y) at each point t of series i: (0, 0) at the anchor, NaN on a side
+        that failed or was not built, and otherwise read on the panel of t's side
+        that starts last at or before t, or on the side's first or last panel for a
+        t just past its ends."""
+        forward = np.where(self._split[i], t > self._anchor[i], self._onward[i])
+        side = 2 * i + forward
+        first, last = self._first[side], self._last[side]
         at_anchor = t == self._anchor[i]
-        rows = np.searchsorted(self._lo, t, side="right") - 1
-        side = 2 * i + (t > self._anchor[i])
-        if not len(self._lo) or ((self._side[rows] != side) & ~at_anchor).any():
-            raise NoPanels("a point lies on a side that failed or was not built")
-        A, y = _panel_terms(
-            t, self._mid[rows], self._hw[rows], self._A0[rows], self._y0[rows],
-            self._A[rows, : self._nA[rows].max()].T, self._C[rows, : self._nC[rows].max()].T,
-        )
-        A[at_anchor] = y[at_anchor] = 0.0
+        A = np.where(at_anchor, 0.0, np.nan)
+        y = A.copy()
+        live = np.flatnonzero(~at_anchor & (first <= last))
+        rows = np.searchsorted(self._lo, t[live], side="right") - 1
+        A[live], y[live] = self.read(t[live], np.clip(rows, first[live], last[live]))
         return A, y
+
+    def read(self, t: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(A, y) at each point t on the panel of its row, from one Clenshaw pass per
+        series over all points, bitwise as each point summed alone."""
+        nA, nC = self._nA[rows].max(initial=1), self._nC[rows].max(initial=1)
+        return _panel_terms(
+            t, self._mid[rows], self._hw[rows], self._A0[rows], self._y0[rows],
+            self._A[rows, :nA].T, self._C[rows, :nC].T,
+        )
 
 
 def _padded(rows: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
@@ -538,6 +528,17 @@ def build_sides(requests: Sequence[Tuple[IntervalSeries, bool]]) -> None:
                 elif not done:  # the integrand is not resolved: bisect
                     bisect(p)
         level, following = following, []
+    # the local end terms of every panel in one pass; exp only where it stays finite
+    panels = [p for side in leaves for _, p in side if isinstance(p, _Panel)]
+    stop, mid, hw, top = np.array(
+        [(p.stop, p.mid, p.hw, p.top) for p in panels], dtype=float
+    ).reshape(-1, 4).T
+    x = (stop - mid) / hw
+    local = _clenshaw(_padded([p.A for p in panels])[0].T, x)
+    C = _clenshaw(_padded([p.C for p in panels])[0].T, x)
+    grow = _exp(np.where(top > EXP_OVERFLOW, 0.0, local))
+    for p, end in zip(panels, zip(local.tolist(), grow.tolist(), C.tolist())):
+        p.end = end
     for (series, forward), side in zip(requests, leaves):
         series._sides[forward] = _walk(series, side)
 
@@ -555,12 +556,12 @@ def _walk(series: IntervalSeries, leaves: List[_Leaf]) -> _Side:
                 raise p
             err += p.err
             p.A0, p.y0 = A0, y0
-            p.args = (p.mid, p.hw, A0, y0, p.A.tolist(), p.C.tolist())
             panels.append(p)
             if p.top > EXP_OVERFLOW:  # exp(A - A0) <= exp(top) overflows in the panel,
                 A0, y0 = A0 + p.top, math.nan  # and y = exp(A - A0) * 0 is undefined
             else:
-                A0, y0 = _panel_terms(p.stop, *p.args)
+                local, grow, C = p.end
+                A0, y0 = A0 + local, grow * (y0 + C)
             if not math.isfinite(y0) or (A0 > EXP_OVERFLOW and y0 != 0.0):
                 raise OverflowError(
                     f"flow weight exp({A0:.3g}) overflows on {series._where} at t={p.stop!r}"
@@ -622,10 +623,11 @@ def zero_search(table: PanelTable, jobs: Iterable[_Job]) -> Iterator[List[float]
     whose fit keeps one sign holds no root either.  A colleague root t is
     kept where u changes sign across t +- 1e-8 hw, and then moved by one
     secant step through those two values, within that bracket; or where u
-    touches 0: |u(t)| within the rounding of the terms that sum to it.
+    touches 0: |u(t)| within the rounding of the terms that sum to it.  u at
+    every root and bracket end of all jobs is one read of the table.
     ``jobs`` is read up to its first failure, which is raised after the roots
-    of the jobs before it, as a failure of a panel's fit is raised in its
-    job's turn.
+    of the jobs before it, as a failure of a panel's fit or a flow past
+    exp(709) is raised in its job's turn.
     """
     searched: List[_Job] = []
     failure: Optional[BaseException] = None
@@ -637,8 +639,7 @@ def zero_search(table: PanelTable, jobs: Iterable[_Job]) -> Iterator[List[float]
                 job = (series, math.inf, math.inf, 0.0, 0.0, 0.0)  # spans no panel
             else:
                 for t in (lo, hi):
-                    if t != series.anchor:
-                        series._side(t)  # a side that failed raises here
+                    series.require(t)  # a side that failed raises here
             searched.append(job)
     except Exception as exc:  # raised in its turn, below
         failure = exc
@@ -677,27 +678,20 @@ def zero_search(table: PanelTable, jobs: Iterable[_Job]) -> Iterator[List[float]
         i: (c[:n], c[n:]) for at, cs, ns in fits for i, c, n in zip(at.tolist(), cs, ns.tolist())
     }
     ends = np.searchsorted(of_job, np.arange(len(searched) + 1)).tolist()
-    for job, start, stop in zip(searched, ends, ends[1:]):
-        series, lo, hi, flow_coef, forced_coef, const = job
-
-        def u(p: _Panel, t: float) -> Tuple[float, float]:
-            """u(t) and the sum of the magnitudes of its terms."""
-            A, y = _panel_terms(t, *p.args)
-            y, flow = forced_coef * y, (flow_coef * series._flow(A) if flow_coef else 0.0)
-            return y + flow + const, abs(y) + abs(flow) + abs(const)
-
-        roots: List[float] = []
-        for i in range(start, stop):
+    # the colleague roots of each job's panels, up to the first panel whose fit failed
+    picks = []  # job, panel, root, bracket half-width, rounding of a value of u
+    stop = len(searched)  # the job whose turn raises failure
+    for j, (job, first, last) in enumerate(zip(searched, ends, ends[1:])):
+        for i in range(first, last):
             p = panels[i]
-            if bad[i]:
-                raise OverflowError(
-                    f"non-finite values on {series._where} near [{p.lo!r}, {p.hi!r}]"
-                )
-            if i not in found:
-                raise QuadratureError(
-                    f"zero search on {series._where}: {_SIZES[-1]} Chebyshev points "
+            if bad[i] or i not in found:
+                stop, failure = j, OverflowError(
+                    f"non-finite values on {job[0]._where} near [{p.lo!r}, {p.hi!r}]"
+                ) if bad[i] else QuadratureError(
+                    f"zero search on {job[0]._where}: {_SIZES[-1]} Chebyshev points "
                     f"do not resolve [{p.lo!r}, {p.hi!r}]"
                 )
+                break
             coefs, dropped = found[i]
             # |u - sum c_k T_k| <= the dropped tail, standing for the aliased one
             # too, plus per kept coefficient twice the rounding of a value of u (eps
@@ -709,17 +703,42 @@ def zero_search(table: PanelTable, jobs: Iterable[_Job]) -> Iterator[List[float]
             if _keeps_sign(coefs, float(np.abs(dropped).sum()) + err):
                 continue
             for r in _colleague_roots(coefs):
-                if abs(r.imag) > _ROOT_IMAG_TOL or abs(r.real) > 1.0 + _ROOT_IMAG_TOL:
-                    continue
-                t = min(max(p.mid + p.hw * float(r.real), p.lo), p.hi)
-                d, (value, size) = _ROOT_IMAG_TOL * p.hw, u(p, t)
-                below, above = u(p, t - d)[0], u(p, t + d)[0]
-                if np.sign(below) != np.sign(above):  # one secant step, kept in the bracket
-                    t += min(max(2.0 * d * value / (below - above), -d), d)
-                elif abs(value) > rounding * size:
-                    continue  # neither a crossing nor a touch
-                if lo <= t < hi:
-                    roots.append(t)
+                if abs(r.imag) <= _ROOT_IMAG_TOL and abs(r.real) <= 1.0 + _ROOT_IMAG_TOL:
+                    t = min(max(p.mid + p.hw * float(r.real), p.lo), p.hi)
+                    picks.append((j, i, t, _ROOT_IMAG_TOL * p.hw, rounding))
+        if stop == j:
+            break
+    # u, and the sum of the magnitudes of its terms, at every root and both ends of
+    # its bracket, from one read of the table
+    picked = np.array(picks, dtype=float).reshape(-1, 5)
+    job_of, at = picked[:, 0].astype(int), picked[:, 1].astype(int)
+    t, d = picked[:, 2], picked[:, 3]
+    A, y = table.read(np.stack([t, t - d, t + d], axis=1).ravel(), np.repeat(rows[at], 3))
+    flow_c, forced_c, const_c = np.repeat(spans[job_of, 2:], 3, axis=0).T
+    y = forced_c * y
+    over = (flow_c != 0.0) & (A > EXP_OVERFLOW)
+    flow = np.zeros(len(A))
+    w = np.flatnonzero((flow_c != 0.0) & ~over)
+    flow[w] = flow_c[w] * _exp(A[w])
+    u = (y + flow + const_c).tolist()
+    size = (np.abs(y) + np.abs(flow) + np.abs(const_c)).tolist()
+    bounds = np.searchsorted(job_of, np.arange(len(searched) + 1)).tolist()
+    overflows = np.flatnonzero(over)[:1].tolist()  # the first read whose flow overflows
+    for j, (job, first, last) in enumerate(zip(searched, bounds, bounds[1:])):
+        series, lo, hi = job[:3]
+        if overflows and overflows[0] < 3 * last:
+            raise series.overflow(float(A[overflows[0]]))
+        if j == stop:
+            raise failure
+        roots: List[float] = []
+        for c, (_, _, t, d, rounding) in enumerate(picks[first:last], first):
+            value, below, above = u[3 * c : 3 * c + 3]
+            if np.sign(below) != np.sign(above):  # one secant step, kept in the bracket
+                t += min(max(2.0 * d * value / (below - above), -d), d)
+            elif abs(value) > rounding * size[3 * c]:
+                continue  # neither a crossing nor a touch
+            if lo <= t < hi:
+                roots.append(t)
         roots.sort()
         merged: List[float] = []
         for t in roots:

@@ -12,11 +12,12 @@ series of e(., zeta_k) - 1, on lagged grids that of the flow and of
 y' = a y + b, y(t_k) = 0, so that z = exp(A) z(t_k) + y z(t_{k-lag}).  Both
 are one combination of flow and forced response (see :class:`Trajectory`),
 and one march serves both grid kinds.  Dense values, the knot march and
-the in-interval zeros all come from that series: the march and ``value``
-read one panel per point, ``values`` reads many points in one array pass
-over a flat panel table, with the same bits, and zeros are the real roots
-of its Chebyshev interpolant on each panel, from numpy's ``chebroots``,
-fitted on the panels of every searched interval in one batch.
+the in-interval zeros all come from that series, read through one flat
+panel table: the march reads the terms at every end knot and base in one
+pass before it steps, ``values`` reads many points in one array pass and
+``value`` one, and zeros are the real roots of its Chebyshev interpolant
+on each panel, from numpy's ``chebroots``, fitted on the panels of every
+searched interval in one batch.
 
 The march carries z at each interval base as its ``math.frexp`` pair, so
 |z| may leave the float range and come back; a lagged pure flow carries
@@ -47,8 +48,7 @@ from .kernel import KernelTable, SingularKernel, _require_invertible
 # bench/tracing.py rebinds solver.flow_weighted_integral by name.
 from .kernel import flow_weighted_integral  # noqa: F401
 from .problem import Problem
-from .quadrature import QuadratureError
-from .series import IntervalSeries, NoPanels, PanelTable, build_sides, zero_search
+from .series import EXP_OVERFLOW, IntervalSeries, PanelTable, _exp, build_sides, zero_search
 
 
 # ln 2 = _LN2_HI + _LN2_LO, the high part with 21 trailing zero bits so that
@@ -82,21 +82,27 @@ def bisect_root(f, a: float, b: float, fa: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _scaled(piece, A, y):
-    """(v, x) with z = v 2^x = (q y + r + p exp(A)) / e * m 2^x, for piece =
-    (series, p, q, r, e, m, x) and the terms (A, y) of one point, or of many as
-    arrays with e, m and x one per point.  A lagged pure flow p exp(A) below
-    the normal range carries exp(A)'s binary exponent n in x, with
-    A = n ln 2 + rest; many points of a pure flow are read one at a time."""
-    series, p, q, r, e, m, x = piece
-    if p and not q and not isinstance(A, float):
-        points = zip(e.tolist(), m.tolist(), x.tolist(), A.tolist(), y.tolist())
-        return tuple(map(np.array, zip(*(_scaled((*piece[:4], *o[:3]), *o[3:]) for o in points))))
-    v = series.combine(A, y, p, q, r) / e * m
-    if q or not p or abs(v) >= sys.float_info.min:
-        return v, x
-    n = round(A / math.log(2.0))
-    return p * math.exp(A - n * _LN2_HI - n * _LN2_LO), x + n
+def _scaled(p, q, r, e, m, x, A, y):
+    """(v, x) with z = v 2^x = (q y + r + p exp(A)) / e * m 2^x, from the terms (A, y)
+    of one point and its interval's coefficients as floats, or of many points as
+    arrays, one coefficient of each kind per point.  The flow term is added only where
+    p is not 0, by ``math.exp``, and its exp(709) bound is the caller's to check.  A
+    lagged pure flow p exp(A) below the normal range carries exp(A)'s binary exponent
+    n in x, with A = n ln 2 + rest."""
+    if isinstance(A, float):
+        v = (q * y + r + p * math.exp(A) if p else q * y + r) / e * m
+        if q or not p or abs(v) >= sys.float_info.min:
+            return v, x
+        n = round(A / math.log(2.0))
+        return p * math.exp(A - n * _LN2_HI - n * _LN2_LO), x + n
+    u = q * y + r
+    w = np.flatnonzero(p)
+    u[w] += p[w] * _exp(A[w])
+    v = u / e * m
+    c = np.flatnonzero((q == 0.0) & (p != 0.0) & (np.abs(v) < sys.float_info.min))
+    n = np.round(A[c] / math.log(2.0))
+    v[c], x[c] = p[c] * _exp(A[c] - n * _LN2_HI - n * _LN2_LO), x[c] + n
+    return v, x
 
 
 def _ldexp(m: float, x: int) -> float:
@@ -137,8 +143,8 @@ class Trajectory:
     t_k, or tau on the start interval.  On lagged grids y solves y' = a y + b,
     y(t_k) = 0, r = 0, e = m = 1, p 2^x = z(t_k) and q 2^x = z(t_{k-lag}).
 
-    :meth:`value` reads one point by one panel lookup, :meth:`values` many in
-    one array pass over a flat table of the panels, bitwise the same.
+    The march, :meth:`values` and :meth:`value` read (A, y) from one flat table
+    of the panels and apply the coefficients of each point's interval.
 
     Immutable after construction; dense queries are safe to issue
     concurrently.
@@ -155,7 +161,8 @@ class Trajectory:
         self._series: Dict[int, IntervalSeries] = {}
         self._pieces: Dict[int, Tuple[IntervalSeries, float, float, float, float, float, int]] = {}
         self._pairs: Dict[int, Tuple[float, int]] = {}  # math.frexp of z at each interval base
-        self._table: Optional[PanelTable] = None  # laid out on first use
+        self._e: Dict[int, float] = {}  # e(base, zeta_k) of each interval, on kernel grids
+        self._table: Optional[PanelTable] = None  # laid out once the sides are built
         if grid.lagged:
             self._g = problem.b
             self.metadata["start_argument"] = "lagged history"
@@ -190,9 +197,9 @@ class Trajectory:
         return pt.t, pt.z_right
 
     def _build_series(self) -> None:
-        """Create the series of every interval from k_start to the horizon's and
-        build, in one :func:`~idepcag.series.build_sides` batch, the sides of
-        their anchors that the solved range reaches."""
+        """Create the series of every interval from k_start to the horizon's, build,
+        in one :func:`~idepcag.series.build_sides` batch, the sides of their
+        anchors that the solved range reaches, and lay them out in one table."""
         problem, grid = self.problem, self.problem.grid
         sides = []
         for k in range(self.k_start, grid.interval_index(problem.horizon) + 1):
@@ -209,6 +216,7 @@ class Trajectory:
                 sides.append((series, True))
         if sides:
             build_sides(sides)
+        self._table = PanelTable([self._series[k] for k in sorted(self._series)])
 
     def _piece(self, k: int) -> Tuple[IntervalSeries, float, float, float, float, float, int]:
         """(series, p, q, r, e, m, x) of interval k, built on first use."""
@@ -226,7 +234,8 @@ class Trajectory:
                 p, q = math.ldexp(m, x - top), math.ldexp(n, y - top)
                 piece = (series, p, q, 0.0, 1.0, 1.0, top)
             else:
-                e = series.combination(self._interval_base(k)[0], 0.0, 1.0, 1.0)
+                series.require(self._interval_base(k)[0])  # a failed side raises here
+                e = self._e[k]
                 _require_invertible(e, e - 1.0, k)
                 piece = (series, 0.0, 1.0, 1.0, e, m, x)
             self._pieces[k] = piece
@@ -241,67 +250,48 @@ class Trajectory:
         pt = self._by_time.get(t)
         if pt is not None:
             return pt.z_left if side == "left" else pt.z_right
-        return self._interval_values([t], [self._interval_of(t)])[0]
+        return self.values([t])[0]
 
     def values(self, ts: Sequence[float]) -> List[float]:
-        """[self.value(t) for t in ts], bitwise: knots from the skeleton, the rest,
-        once none lies outside [tau, horizon], by one :meth:`_interval_values` call."""
+        """z at each t of ts: knots from the skeleton, the rest, once none lies
+        outside [tau, horizon], by one :meth:`_interval_values` call."""
         out = [None if pt is None else pt.z_right for pt in map(self._by_time.get, ts)]
         rest = [i for i, z in enumerate(out) if z is None]
         t = np.array([ts[i] for i in rest], dtype=float)
         for i in np.flatnonzero(~((self.problem.tau <= t) & (t <= self.problem.horizon)))[:1]:
-            self._interval_of(ts[rest[i]])  # raises
+            raise ValueError(
+                f"t={ts[rest[i]]} outside solved range [{self.problem.tau}, {self.problem.horizon}]"
+            )
         knots = [pt.t for pt in self.points if pt.k > self.k_start]
         ks = (np.searchsorted(knots, t, side="right") + self.k_start).tolist()
         for i, z in zip(rest, self._interval_values(t.tolist(), ks)):
             out[i] = z
         return out
 
-    def _interval_of(self, t: float) -> int:
-        """The interval holding t, refused outside [tau, horizon]."""
-        if not (self.problem.tau <= t <= self.problem.horizon):
-            raise ValueError(
-                f"t={t} outside solved range [{self.problem.tau}, {self.problem.horizon}]"
-            )
-        return self.problem.grid.interval_index(t)
-
     def _interval_values(self, ts: Sequence[float], ks: Sequence[int]) -> List[float]:
-        """z at each t of ts, none a knot, on its interval of ks.  Many points take
-        one array pass: the terms from the panel table, then one :func:`_scaled`
-        per p, q and r (one on a kernel grid).  One point, or many where a side,
-        a piece or a flow fails, is read one panel lookup at a time, so that the
-        first failing point raises as ``value`` does."""
-        if len(ts) > 1:
-            try:
-                with np.errstate(all="ignore"):  # inf and nan arise as on floats
-                    t, k = np.array(ts, dtype=float), np.array(ks, dtype=int)
-                    A, y = self._panel_table().terms(t, k - self.k_start)
-                    intervals, of = np.unique(k, return_inverse=True)
-                    pieces = [self._piece(j) for j in intervals.tolist()]
-                    e, m, x = (np.array([piece[i] for piece in pieces])[of] for i in (4, 5, 6))
-                    first: Dict[Tuple[float, ...], int] = {}  # the first interval with each p, q, r
-                    group = [first.setdefault(piece[1:4], i) for i, piece in enumerate(pieces)]
-                    group = np.array(group)[of]
-                    v = np.empty_like(t)
-                    for i in first.values():
-                        at = np.flatnonzero(group == i)
-                        piece = (*pieces[i][:4], e[at], m[at], x[at])
-                        v[at], x[at] = _scaled(piece, A[at], y[at])
-                    return np.ldexp(v, x).tolist()
-            except (NoPanels, OverflowError, QuadratureError, SingularKernel):
-                pass  # read one at a time below
-        return [_ldexp(*self._scaled_value(t, k)) for t, k in zip(ts, ks)]
-
-    def _panel_table(self) -> PanelTable:
-        """The panels of every built side, laid out flat on first use."""
-        if self._table is None:
-            self._table = PanelTable([self._series[j] for j in sorted(self._series)])
-        return self._table
-
-    def _scaled_value(self, t: float, k: int) -> Tuple[float, int]:
-        """:func:`_scaled` at t on interval k, from one panel read."""
-        piece = self._piece(k)
-        return _scaled(piece, *piece[0].terms(t))
+        """z at each t of ts, none a knot, on its interval of ks, in one array pass:
+        the terms from the panel table, then the coefficients of each point's
+        interval.  The first point that fails raises as it would alone: first its
+        interval's base, then its side, then its flow past exp(709)."""
+        t, i = np.array(ts, dtype=float), np.array(ks, dtype=int) - self.k_start
+        with np.errstate(all="ignore"):  # inf and nan arise as on floats
+            A, y = self._table.terms(t, i)
+            # in point order, at each point that is the first of its interval or of
+            # its side (the anchor needs none), or whose flow may pass exp(709): the
+            # interval's base, the point's side, then its flow
+            anchor = self._table._anchor[i]
+            keys = 3 * i + np.where(t == anchor, 0, 1 + (t > anchor))
+            over = np.flatnonzero(A > EXP_OVERFLOW).tolist()
+            for at in sorted({*np.unique(keys, return_index=True)[1].tolist(), *over}):
+                series, p = self._piece(ks[at])[:2]
+                series.require(ts[at])
+                if p and A[at] > EXP_OVERFLOW:
+                    raise series.overflow(float(A[at]))
+            intervals, of = np.unique(i, return_inverse=True)
+            coefs = [self._piece(k)[1:] for k in (intervals + self.k_start).tolist()]
+            p, q, r, e, m, x = np.array(coefs, dtype=float).reshape(-1, 6)[of].T
+            v, x = _scaled(p, q, r, e, m, x.astype(int), A, y)
+            return np.ldexp(v, x).tolist()
 
     def zeros_in_interval(self, k: int) -> List[float]:
         """Roots of z in the solved part of interval k; on kernel-backed
@@ -319,7 +309,7 @@ class Trajectory:
                 series, p, q, r = self._piece(k)[:4] if lo < hi else (None, 0.0, 0.0, 0.0)
                 yield series, lo, hi, p, q, r
 
-        return zero_search(self._panel_table(), jobs())
+        return zero_search(self._table, jobs())
 
     def _window(self, k: int) -> Tuple[float, float]:
         """The solved part [lo, hi] of interval k."""
@@ -378,12 +368,23 @@ def solve(problem: Problem) -> Trajectory:
     traj = Trajectory(problem)
     traj._build_series()
     traj._pairs.update(enumerate(map(math.frexp, start), k + 1 - len(start)))
+    # one table read of the terms at every interval's end knot and, on kernel grids,
+    # at every base: none depends on z
+    ks = range(k, grid.interval_index(problem.horizon) + 1)
+    ends = [grid.knot(j + 1) for j in ks if grid.knot(j + 1) <= problem.horizon]
+    bases = [] if grid.lagged else [problem.tau if j == k else grid.knot(j) for j in ks]
+    i = np.array([*range(len(ends)), *range(len(bases))], dtype=int)
+    A, y = traj._table.terms(np.array(ends + bases, dtype=float), i)
+    traj._e.update(zip(ks, (y[len(ends):] + 1.0).tolist()))  # e = 1 + y
     z = problem.z0
     if problem.tau == grid.knot(k):
         traj._append(SkeletonPoint(k, problem.tau, z, z, _sgn(z), _sgn(z)))
-    while grid.knot(k + 1) <= problem.horizon:
-        t_next = grid.knot(k + 1)
-        value, x = traj._scaled_value(t_next, k)
+    for t_next, A_end, y_end in zip(ends, A.tolist(), y.tolist()):
+        series, *coefs = traj._piece(k)
+        series.require(t_next)  # a failed side raises here
+        if coefs[0] and A_end > EXP_OVERFLOW:
+            raise series.overflow(A_end)
+        value, x = _scaled(*coefs, A_end, y_end)
         left, x_left = math.frexp(value)
         right, x_right = math.frexp(problem.impulses.factor(k + 1) * left)
         x_left += x  # z(t_{k+1}^-) = left 2^x_left

@@ -27,6 +27,7 @@ from idepcag.expressions import Const, Pow, Prod, Sum, Var, affine_split
 from idepcag.kernel import KernelTable
 from idepcag.oscillation import _extrema
 from idepcag.quadrature import QuadratureError
+from idepcag.solver import Trajectory
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -222,6 +223,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "flow weight exp(" in err and "overflows on interval k=0 at t=1.0" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["solve", "classify", "oracle-check"])
+    def test_the_first_failing_side_in_interval_order_is_refused(self, tmp_path, capsys, command):
+        # a = 400 t, alpha = 0.5: the forward sides of k = 3 and k = 4 both fail,
+        # and the march reads the terms at every knot before it steps; it refuses
+        # the side of k = 3, in its turn
+        cfg = base_config()
+        cfg["problem"].update({"a": "400*t", "b": "0.1", "params": {}, "horizon": 5.0})
+        cfg["problem"]["grid"]["alpha"] = 0.5
+        traj = Trajectory(build_problem(cfg))
+        traj._build_series()
+        failed = [k for k, s in traj._series.items() if isinstance(s._sides.get(True), Exception)]
+        assert failed == [3, 4]
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_RANGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "range error: flow weight exp(709) overflows on interval k=3 at t=3.9744069912609237\n"
+        )
 
     def test_oracle_overflow_exit_names_interval(self, tmp_path, capsys):
         # h a = -15 per RK4 step is far outside the stability region: the

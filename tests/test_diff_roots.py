@@ -27,11 +27,20 @@ def test_a_tree_against_itself_matches_bitwise():
         text=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    summary, oracle = proc.stdout.splitlines()[-2:]
+    summary, solver, oracle = proc.stdout.splitlines()[-3:]
     assert " 0 count mismatches;" in summary, summary
     assert "(100.0%), worst relative difference 0" in summary, summary
+    knots, knots_total, values, values_total = _solver_counts(solver)
+    assert knots == knots_total > 0 and values == values_total > 0, solver
     knots, knots_total, roots, roots_total = _oracle_counts(oracle)
     assert knots == knots_total > 0 and roots == roots_total > 0, oracle
+
+
+def _solver_counts(line):
+    """(equal, total) of the solver's knot values, then of its dense values."""
+    m = re.search(r": (\d+) of (\d+) knot values and (\d+) of (\d+) dense values", line)
+    assert m, line
+    return tuple(map(int, m.groups()))
 
 
 def _oracle_counts(line):
@@ -56,7 +65,27 @@ def test_an_oracle_that_moves_by_an_ulp_shows_in_its_knot_values(tmp_path):
         capture_output=True,
         text=True,
     )
-    summary, oracle = proc.stdout.splitlines()[-2:]
+    summary, solver, oracle = proc.stdout.splitlines()[-3:]
     assert "(100.0%), worst relative difference 0" in summary, summary  # the solver is untouched
     knots, knots_total, _, _ = _oracle_counts(oracle)
     assert knots < knots_total, oracle
+
+
+def test_a_solver_that_moves_by_an_ulp_shows_in_its_knot_values(tmp_path):
+    # tools/diff_cli.py sees the solver's values only on the configs it is given;
+    # this compares them on every config, the benchmark's too
+    shutil.copytree(ROOT / "src" / "idepcag", tmp_path / "idepcag")
+    with open(tmp_path / "idepcag" / "solver.py", "a") as module:
+        module.write(
+            "\n_exact = _scaled\n\n\n"
+            "def _scaled(*args):\n"
+            "    v, x = _exact(*args)\n"
+            "    return v * (1.0 + 2.0 ** -50), x\n"
+        )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "diff_roots.py"), str(ROOT), str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    knots, knots_total, values, values_total = _solver_counts(proc.stdout.splitlines()[-2])
+    assert knots < knots_total and values < values_total, proc.stdout

@@ -14,8 +14,6 @@ from idepcag.oscillation import (
     classify_continuous,
     classify_discrete,
     nonosc_criterion,
-    recurring_sign_changes,
-    wn_sequence,
 )
 from idepcag.problem import ImpulseDegenerate, ImpulseRule, Problem
 from idepcag.solver import solve
@@ -71,36 +69,16 @@ class TestClassifyDiscrete:
         with pytest.raises(ValueError, match="too short"):
             classify_discrete(traj, window=(0, 5))
 
+    def test_a_sign_flipping_multiplier_oscillates(self):
+        # the multiplier -1 flips the sign of z at every knot; b = 0 keeps e one-signed
+        p = unit_problem(Const(-0.5), Const(0.0), ImpulseRule.multiplier(-1.0), horizon=40.0)
+        assert classify_discrete(solve(p)).status == "oscillatory"
+
     def test_windowed_classification(self):
         p = unit_problem(Const(0.0), Const(1.0), ImpulseRule.multiplier(-0.5), horizon=50.0)
         verdict = classify_discrete(solve(p), window=(10, 40))
         assert verdict.status == "oscillatory"
         assert verdict.window == (10, 40)
-
-
-class TestWnSequence:
-    def test_growth_times_multiplier(self):
-        p = unit_problem(Const(0.0), Const(1.0), ImpulseRule.multiplier(-0.5), horizon=30.0)
-        values = wn_sequence(p, range(1, 10))
-        assert values == pytest.approx([-1.0] * 9, rel=1e-12)
-
-    def test_flow_factor_removed(self):
-        p = unit_problem(Const(-2.3), Const(0.0), horizon=30.0)
-        values = wn_sequence(p, range(0, 6))
-        assert values == pytest.approx([1.0] * 6, rel=1e-10)
-
-    def test_eventually_negative_sequence_gives_no_conclusion(self):
-        # w_n < 0 for all n is sign-definite, yet the solution alternates
-        p = unit_problem(Const(-0.5), Const(0.0), ImpulseRule.multiplier(-1.0), horizon=40.0)
-        values = wn_sequence(p, range(0, 20))
-        assert all(v < 0 for v in values)
-        assert not recurring_sign_changes(values)
-        assert classify_discrete(solve(p)).status == "oscillatory"
-
-    def test_recurring_predicate(self):
-        assert recurring_sign_changes([1.0, -1.0] * 10)
-        assert not recurring_sign_changes([1.0] * 20)
-        assert not recurring_sign_changes([-1.0, 1.0] + [1.0] * 20)
 
 
 class TestClassifyContinuous:

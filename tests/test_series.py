@@ -5,11 +5,11 @@ Each property is compared against the definitional adaptive quadrature of
 oracle or against the Gronwall envelope.
 """
 
-import contextlib
 import dataclasses
 import gc
 import json
 import math
+from bisect import bisect_right
 from decimal import Decimal
 from itertools import accumulate
 from pathlib import Path
@@ -29,7 +29,7 @@ from idepcag.oracle import oracle_integrate
 from idepcag.oscillation import GronwallBound
 from idepcag.problem import ImpulseRule, Problem
 from idepcag.quadrature import QuadratureError
-from idepcag.series import IntervalSeries, build_sides
+from idepcag.series import IntervalSeries, PanelTable, build_sides
 from idepcag.solver import Trajectory, solve
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -40,6 +40,44 @@ _freq = st.floats(min_value=0.5, max_value=4.0, allow_nan=False)
 
 def _wave(c0, c1, omega, fn=Sin):
     return Sum((Const(c0), Prod((Const(c1), fn(Prod((Const(omega), Var("t"))))))))
+
+
+# -- a scalar reference: one point read alone, on one panel, summed on floats ---------
+
+
+def _clenshaw_reference(c, x):
+    b1 = b2 = 0.0
+    for ck in reversed(c[1:]):
+        b1, b2 = ck + 2.0 * x * b1 - b2, b1
+    return c[0] + x * b1 - b2
+
+
+def _reference_panel(series, t):
+    """The panel a point t off the anchor is read on: the last panel of its side
+    that starts at or before t, or the side's first or last one past its ends."""
+    series.require(t)  # builds the side on first use, and raises its failure
+    lo, anchor, hi = series.lo, series.anchor, series.hi
+    los, panels, _ = series._sides[t > anchor if lo < anchor < hi else anchor < hi]
+    return panels[min(max(bisect_right(los, t) - 1, 0), len(panels) - 1)]
+
+
+def _reference_read(panel, t):
+    """(A(t), y(t)) on ``panel``, entered with its A0 and y0."""
+    x = (t - panel.mid) / panel.hw
+    local = _clenshaw_reference(panel.A.tolist(), x)
+    return panel.A0 + local, math.exp(local) * (panel.y0 + _clenshaw_reference(panel.C.tolist(), x))
+
+
+def _reference_terms(series, t):
+    """(A(t), y(t)): exactly 0 at the anchor, else read on :func:`_reference_panel`."""
+    return (0.0, 0.0) if t == series.anchor else _reference_read(_reference_panel(series, t), t)
+
+
+def _reference_u(series, t, flow, forced, const):
+    """forced y + const + flow exp(A) at t, the flow term only where flow is not 0."""
+    A, y = _reference_terms(series, t)
+    u = forced * y + const
+    return u + flow * math.exp(A) if flow else u
 
 
 @st.composite
@@ -420,7 +458,7 @@ def test_a_skipped_panel_holds_no_root(p):
             for r in series_module._colleague_roots(trimmed):
                 assert abs(r.imag) > tol or abs(r.real) > 1.0 + tol, (lo, hi, r)
         for t in np.linspace(lo, hi, 257):
-            assert np.sign(series.combination(float(t), *coefs)) == np.sign(c[0]), (lo, hi, t)
+            assert np.sign(_reference_u(series, float(t), *coefs)) == np.sign(c[0]), (lo, hi, t)
 
 
 @PROPERTY
@@ -435,12 +473,12 @@ def test_a_panel_the_screen_clears_holds_no_root(p):
     for series, (flow, forced, const), (lo, hi), c, _ in visits:
         if c is not None:
             continue
-        panel = series._panel(0.5 * (lo + hi))
+        panel = _reference_panel(series, 0.5 * (lo + hi))
         d = series_module._ROOT_IMAG_TOL * panel.hw
         rounding = 2 * (len(panel.A) + len(panel.C)) * np.finfo(float).eps
         signs = set()
         for t in [lo - d, *np.linspace(lo, hi, 257).tolist(), hi + d]:
-            A, y = series_module._panel_terms(t, *panel.args)
+            A, y = _reference_read(panel, t)
             terms = (forced * y, flow * math.exp(A) if flow else 0.0, const)
             u, size = sum(terms), sum(map(abs, terms))
             assert abs(u) > rounding * size, (lo, hi, t)
@@ -458,8 +496,12 @@ def test_a_screen_that_clears_nothing_finds_the_same_zeros(p):
         assert [(k, t.hex()) for k, t in traj.zero_list()] == zeros
 
 
+def _sine_forcing():
+    return build_problem(json.loads(SINE_FORCING.read_text()))
+
+
 def _sine_forcing_zeros():
-    return solve(build_problem(json.loads(SINE_FORCING.read_text()))).zero_list()
+    return solve(_sine_forcing()).zero_list()
 
 
 def test_skipped_panels_save_colleague_solves_and_keep_the_roots():
@@ -598,7 +640,7 @@ def test_a_failing_side_raises_on_use(problem, error, message):
     series = traj._series[traj.k_start]
     for _ in range(2):
         with pytest.raises(error) as info:
-            series.terms(series.hi)
+            _reference_terms(series, series.hi)
         assert str(info.value) == message
     with pytest.raises(error) as info:
         solve(problem)
@@ -708,16 +750,6 @@ def _read_times(traj, data):
     return ts + ts[: len(ts) // 2]
 
 
-@contextlib.contextmanager
-def _array_pass(traj, ts):
-    """Within it ``traj.values(ts)`` reads by the array pass alone: the
-    one-point read, which serves a lone point or a failed pass, is gone."""
-    with pytest.MonkeyPatch.context() as mp:
-        if sum(t not in traj._by_time for t in ts) > 1:
-            mp.setattr(Trajectory, "_scaled_value", None)
-        yield
-
-
 @PROPERTY
 @given(knot_start_problems(), st.data())
 def test_values_are_kernel_table_steps(p, data):
@@ -731,8 +763,7 @@ def test_values_are_kernel_table_steps(p, data):
         except SingularKernel:  # e(t_k) vanished on the unsolved last interval
             continue
         ts.append(t)
-    with _array_pass(traj, ts):
-        values = traj.values(ts)
+    values = traj.values(ts)
     assert [z.hex() for z in values] == [z.hex() for z in expected]
     assert values == [traj.value(t) for t in ts]
 
@@ -741,6 +772,7 @@ def test_values_are_kernel_table_steps(p, data):
 @given(lagged_problems(), st.data())
 def test_values_are_scalar_combinations_on_lagged_grids(p, data):
     # z = (q y + r + p exp(A)) / e * m 2^x, with each point's terms read alone
+    # by the scalar reference
     traj = solve(p)
     ts = _read_times(traj, data)
     expected = []
@@ -750,22 +782,28 @@ def test_values_are_scalar_combinations_on_lagged_grids(p, data):
             expected.append(knot.z_right)
             continue
         series, flow, forced, const, e, m, x = traj._piece(p.grid.interval_index(t))
-        expected.append(math.ldexp(series.combination(t, flow, forced, const) / e * m, x))
-    with _array_pass(traj, ts):
-        values = traj.values(ts)
+        expected.append(math.ldexp(_reference_u(series, t, flow, forced, const) / e * m, x))
+    values = traj.values(ts)
     assert [z.hex() for z in values] == [z.hex() for z in expected]
 
 
 @pytest.mark.parametrize("a", [-745.0, -2000.0])
 def test_values_of_a_pure_flow_carry_the_exponent(a):
     # z = 1e300 e^{a t} on [0, 1): the array pass carries exp(A)'s binary
-    # exponent point by point, as the one-point read of the march does
+    # exponent point by point, as the march does on the floats of one point
     p = dataclasses.replace(_pure_flow(a), z0=1e300, history=(1e300,))
     traj = solve(p)
     ts = [i / 64 for i in range(193)] + [0.99, 0.999, 0.5, 0.5]
-    one_at_a_time = [traj.value(t) for t in ts]
-    with _array_pass(traj, ts):
-        values = traj.values(ts)
+    one_at_a_time = []
+    for t in ts:
+        knot = traj._by_time.get(t)
+        if knot is not None:
+            one_at_a_time.append(knot.z_right)
+            continue
+        series, *coefs = traj._piece(p.grid.interval_index(t))
+        v, x = solver_module._scaled(*coefs, *_reference_terms(series, t))
+        one_at_a_time.append(math.ldexp(v, x))
+    values = traj.values(ts)
     assert [z.hex() for z in values] == [z.hex() for z in one_at_a_time]
     for t, z in zip(ts, values):
         if t < 1.0 and abs(z) >= 2.0 ** -1022:  # a normal value: within 1e-12 of exact
@@ -773,13 +811,69 @@ def test_values_of_a_pure_flow_carry_the_exponent(a):
             assert abs(Decimal(z) / exact - 1) <= Decimal("1e-12"), t
 
 
-def test_one_point_is_read_without_laying_out_the_panel_table():
-    traj = solve(_pure_flow(-1.0))
-    # one point that is not a knot, the knot t = 1 from the skeleton
-    assert traj.values([0.5, 1.0]) == [traj.value(0.5), traj.knot_value(1)]
-    assert traj._table is None
-    assert traj.values([0.5, 1.5]) == [traj.value(0.5), traj.value(1.5)]
-    assert traj._table is not None
+def _hex(pairs):
+    return [(a.hex(), b.hex()) for a, b in pairs]
+
+
+@PROPERTY
+@given(
+    st.one_of(kernel_problems(), lagged_problems(), small_problems(), knot_start_problems()),
+    st.lists(st.floats(0.0, 1.0), max_size=17),
+)
+def test_table_reads_are_the_scalar_reads(p, fractions):
+    # one table read of the anchors, bases, knot ends and drawn points of every
+    # interval reads each point bitwise as the scalar reference does alone, a
+    # right knot on its own interval; and each panel starts where the scalar
+    # read of the panel before it in its chain ends
+    traj = Trajectory(p)
+    traj._build_series()
+    series = [traj._series[k] for k in sorted(traj._series)]
+    at, ts = [], []
+    for i, s in enumerate(series):
+        lo, anchor, hi = s.lo, s.anchor, s.hi
+        for t in [anchor, max(lo, p.tau), lo, hi, *(lo + f * (hi - lo) for f in fractions)]:
+            side = s._sides.get(t > anchor if lo < anchor < hi else anchor < hi)
+            if t == anchor or isinstance(side, tuple):
+                at.append(i)
+                ts.append(t)
+    A, y = traj._table.terms(np.array(ts, dtype=float), np.array(at, dtype=int))
+    expected = [_reference_terms(series[i], t) for i, t in zip(at, ts)]
+    assert _hex(zip(A.tolist(), y.tolist())) == _hex(expected)
+    for s in series:
+        for side in s._sides.values():
+            if isinstance(side, tuple):
+                chain = sorted(side[1], key=lambda panel: abs(panel.start - s.anchor))
+                ends = [_reference_read(panel, panel.stop) for panel in chain[:-1]]
+                assert _hex((panel.A0, panel.y0) for panel in chain[1:]) == _hex(ends)
+
+
+@pytest.mark.parametrize("config", ["sine_forcing.json", "lagged_unit_delay.json"])
+def test_the_march_reads_the_table_once(config, monkeypatch):
+    # the terms at every end knot, and on kernel grids at every base, in one call
+    calls, real = [], PanelTable.terms
+    monkeypatch.setattr(PanelTable, "terms", lambda *args: calls.append(args[1]) or real(*args))
+    traj = solve(build_problem(json.loads((SINE_FORCING.parent / config).read_text())))
+    ends = [pt.t for pt in traj.skeleton() if pt.k > traj.k_start]
+    bases = [] if traj.problem.grid.lagged else [traj._interval_base(k)[0] for k in traj._series]
+    assert [t.tolist() for t in calls] == [ends + bases]
+
+
+def test_the_walk_reads_no_point_alone(monkeypatch):
+    scalar, real = [], series_module._panel_terms
+    monkeypatch.setattr(
+        series_module, "_panel_terms", lambda t, *args: scalar.append(t) or real(t, *args)
+    )
+    traj = Trajectory(_sine_forcing())
+    traj._build_series()
+    assert len(traj._table._panels) > 60 and scalar == []
+
+
+def test_a_zero_search_reads_every_bracket_at_once(monkeypatch):
+    traj = solve(_sine_forcing())
+    calls, real = [], PanelTable.read
+    monkeypatch.setattr(PanelTable, "read", lambda *args: calls.append(len(args[1])) or real(*args))
+    # one candidate root per interval, read at itself and both ends of its bracket
+    assert len(traj.zero_list()) == 60 and calls == [3 * 60]
 
 
 @pytest.mark.parametrize("t", [-0.5, 10.5, math.nan])

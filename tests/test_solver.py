@@ -56,6 +56,13 @@ class TestSolve:
         for k in range(0, 20):
             assert traj.knot_value(k) == pytest.approx((-0.9) ** k * (-19.0), rel=1e-12)
 
+    def test_knot_ratios_of_a_pure_flow_are_its_flow_factor(self):
+        # b = 0, no impulses: z(t_{n+1}) / z(t_n) = exp(int_n^{n+1} a), whatever the
+        # kernel, so the flow factor divides out to exactly 1
+        traj = solve(unit_problem(Const(-2.3), Const(0.0), horizon=30.0))
+        ratios = [traj.knot_value(n + 1) / traj.knot_value(n) * math.exp(2.3) for n in range(6)]
+        assert ratios == pytest.approx([1.0] * 6, rel=1e-10)
+
     def test_constant_solution(self):
         p = unit_problem(Const(0.0), Const(0.0), ImpulseRule.multiplier(1.0))
         traj = solve(p)
