@@ -25,20 +25,7 @@ from .grid import (
     LaggedUniformGrid,
     UniformGrid,
 )
-from .kernel import (
-    H3Report,
-    IntervalKernel,
-    KernelTable,
-    SingularKernel,
-    criterion_integrals,
-    flow_weighted_integral,
-    gl2_lagged_integral,
-    gl2_oscillation_bound,
-    h3_check,
-    j_value,
-    phi,
-    w_intra,
-)
+from .kernel import KernelTable, SingularKernel, flow_weighted_integral
 from .oracle import oracle_integrate
 from .oscillation import (
     CriterionReport,
@@ -51,13 +38,7 @@ from .oscillation import (
 )
 from .problem import ImpulseDegenerate, ImpulseRule, Problem
 from .quadrature import QuadratureError, integrate
-from .solver import (
-    SkeletonPoint,
-    Trajectory,
-    solve,
-    solve_lagged,
-    step,
-)
+from .solver import SkeletonPoint, Trajectory, solve
 
 __version__ = "0.1.0"
 
@@ -71,10 +52,8 @@ __all__ = [
     "ExpressionError",
     "GridRangeError",
     "GronwallBound",
-    "H3Report",
     "ImpulseDegenerate",
     "ImpulseRule",
-    "IntervalKernel",
     "KernelTable",
     "LaggedUniformGrid",
     "Neg",
@@ -94,22 +73,13 @@ __all__ = [
     "aw_criterion",
     "classify_continuous",
     "classify_discrete",
-    "criterion_integrals",
     "evaluate",
     "evaluate_array",
     "flow_weighted_integral",
-    "gl2_lagged_integral",
-    "gl2_oscillation_bound",
-    "h3_check",
     "integrate",
-    "j_value",
     "nonosc_criterion",
     "oracle_integrate",
     "parse_expression",
-    "phi",
     "serialize_expression",
     "solve",
-    "solve_lagged",
-    "step",
-    "w_intra",
 ]

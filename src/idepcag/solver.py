@@ -1,9 +1,10 @@
 """Forward solver: discrete skeleton, dense in-interval evaluation, zeros.
 
-The solution is piecewise continuous: on each interval it follows the
-kernel factors of :mod:`idepcag.kernel`, and at each knot the jump
-z(t_k) = (1 + c_k) z(t_k^-) applies.  The skeleton stores both one-sided
-values; dense evaluation reconstructs z anywhere in [tau, horizon].
+The solution is piecewise continuous: on kernel-backed grids it follows,
+on each interval, the kernel e(., zeta_k) of :mod:`idepcag.kernel`, and at
+each knot the jump z(t_k) = (1 + c_k) z(t_k^-) applies.  The skeleton
+stores both one-sided values; dense evaluation reconstructs z anywhere in
+[tau, horizon].
 
 Every interval carries one :class:`~idepcag.series.IntervalSeries`; the
 solve creates those of all intervals up to the horizon and builds their
@@ -43,7 +44,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernel import KernelTable, SingularKernel, _require_invertible
+from .kernel import _require_invertible
 # flow_weighted_integral is unused here but stays bound in this module:
 # bench/tracing.py rebinds solver.flow_weighted_integral by name.
 from .kernel import flow_weighted_integral  # noqa: F401
@@ -103,6 +104,11 @@ def _scaled(p, q, r, e, m, x, A, y):
     n = np.round(A[c] / math.log(2.0))
     v[c], x[c] = p[c] * _exp(A[c] - n * _LN2_HI - n * _LN2_LO), x[c] + n
     return v, x
+
+
+def _require_side(side: str) -> None:
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
 
 
 def _ldexp(m: float, x: int) -> float:
@@ -182,6 +188,8 @@ class Trajectory:
         return list(self.points)
 
     def knot_value(self, k: int, side: str = "right") -> float:
+        """z(t_k); ``side='left'`` gives the pre-jump limit."""
+        _require_side(side)
         pt = self._by_k.get(k)
         if pt is None:
             raise ValueError(f"knot k={k} not in solved range")
@@ -245,8 +253,7 @@ class Trajectory:
 
     def value(self, t: float, side: str = "right") -> float:
         """z(t); ``side='left'`` gives the pre-jump limit at a knot."""
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
+        _require_side(side)
         pt = self._by_time.get(t)
         if pt is not None:
             return pt.z_left if side == "left" else pt.z_right
@@ -395,14 +402,3 @@ def solve(problem: Problem) -> Trajectory:
         k += 1
     return traj
 
-
-def solve_lagged(problem: Problem) -> Trajectory:
-    """:func:`solve` restricted to lagged grids."""
-    if not problem.grid.lagged:
-        raise ValueError("solve_lagged requires a lagged grid")
-    return solve(problem)
-
-
-def step(problem: Problem, k: int, z_k: float) -> float:
-    """One skeleton step: z(t_{k+1}) = (1 + c_{k+1}) w(t_{k+1}, t_k) z(t_k)."""
-    return problem.impulses.factor(k + 1) * KernelTable(problem).w_step(k) * z_k

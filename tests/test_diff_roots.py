@@ -1,9 +1,11 @@
 """tools/diff_roots.py tells a bad tree apart from a difference in roots."""
 
+import json
 import re
 import shutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,7 +52,26 @@ def _oracle_counts(line):
     return tuple(map(int, m.groups()))
 
 
-def test_an_oracle_that_moves_by_an_ulp_shows_in_its_knot_values(tmp_path):
+def test_the_config_list_annotation_resolves(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import diff_roots
+
+    want = typing.List[typing.Tuple[str, dict]]
+    assert typing.get_type_hints(diff_roots._configs)["return"] == want
+
+
+def _one_config(monkeypatch):
+    """tools/diff_roots.py as a module, its configs cut down to one shipped config:
+    a non-lagged one with roots, whose oracle and solver values both move."""
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import diff_roots
+
+    config = json.loads((ROOT / "configs" / "sine_forcing.json").read_text())
+    monkeypatch.setattr(diff_roots, "_configs", lambda: [("sine_forcing.json", config)])
+    return diff_roots
+
+
+def test_an_oracle_that_moves_by_an_ulp_shows_in_its_knot_values(tmp_path, monkeypatch, capsys):
     # the oracle's bits never reach the command line but for a 7-digit deviation
     shutil.copytree(ROOT / "src" / "idepcag", tmp_path / "idepcag")
     with open(tmp_path / "idepcag" / "oracle.py", "a") as module:
@@ -60,20 +81,16 @@ def test_an_oracle_that_moves_by_an_ulp_shows_in_its_knot_values(tmp_path):
             "    A, B = _exact(problem, nodes)\n"
             "    return A * (1.0 + 2.0 ** -50), B\n"
         )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "diff_roots.py"), str(ROOT), str(tmp_path)],
-        capture_output=True,
-        text=True,
-    )
-    summary, solver, oracle = proc.stdout.splitlines()[-3:]
+    _one_config(monkeypatch).main([str(ROOT), str(tmp_path)])
+    summary, solver, oracle = capsys.readouterr().out.splitlines()[-3:]
     assert "(100.0%), worst relative difference 0" in summary, summary  # the solver is untouched
     knots, knots_total, _, _ = _oracle_counts(oracle)
     assert knots < knots_total, oracle
 
 
-def test_a_solver_that_moves_by_an_ulp_shows_in_its_knot_values(tmp_path):
+def test_a_solver_that_moves_by_an_ulp_shows_in_its_knot_values(tmp_path, monkeypatch, capsys):
     # tools/diff_cli.py sees the solver's values only on the configs it is given;
-    # this compares them on every config, the benchmark's too
+    # this tool compares them on every config, the benchmark's too
     shutil.copytree(ROOT / "src" / "idepcag", tmp_path / "idepcag")
     with open(tmp_path / "idepcag" / "solver.py", "a") as module:
         module.write(
@@ -82,10 +99,7 @@ def test_a_solver_that_moves_by_an_ulp_shows_in_its_knot_values(tmp_path):
             "    v, x = _exact(*args)\n"
             "    return v * (1.0 + 2.0 ** -50), x\n"
         )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "diff_roots.py"), str(ROOT), str(tmp_path)],
-        capture_output=True,
-        text=True,
-    )
-    knots, knots_total, values, values_total = _solver_counts(proc.stdout.splitlines()[-2])
-    assert knots < knots_total and values < values_total, proc.stdout
+    _one_config(monkeypatch).main([str(ROOT), str(tmp_path)])
+    out = capsys.readouterr().out
+    knots, knots_total, values, values_total = _solver_counts(out.splitlines()[-2])
+    assert knots < knots_total and values < values_total, out

@@ -10,18 +10,7 @@ import idepcag.kernel as kernel_module
 import idepcag.quadrature as quadrature_module
 from idepcag.expressions import Const, Cos, Neg, Pow, Prod, Sin, Sum, Var, parse_expression
 from idepcag.grid import ExplicitGrid, GridRangeError, UniformGrid
-from idepcag.kernel import (
-    KernelTable,
-    SingularKernel,
-    criterion_integrals,
-    flow_weighted_integral,
-    gl2_lagged_integral,
-    gl2_oscillation_bound,
-    h3_check,
-    j_value,
-    phi,
-    w_intra,
-)
+from idepcag.kernel import KernelTable, flow_weighted_integral
 from idepcag.oscillation import EXTREMA, _window_extrema
 from idepcag.problem import ImpulseRule, Problem
 from idepcag.quadrature import default_rel_tol, integrate
@@ -40,119 +29,71 @@ def make_problem(a, b, alpha=0.0, h=1.0, t0=0.0, horizon=20.0, impulses=None):
     )
 
 
-class TestPhi:
-    def test_unit_decay(self):
-        assert phi(Const(-1.0), 0.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+def _j(table, k, t):
+    """j(t, zeta_k) = e(t, zeta_k) exp(int_t^zeta_k a), the flow from the scalar quadrature."""
+    p = table.problem
+    return table.e_value(k, t) * math.exp(integrate(p.a.ev, t, p.grid.zeta(k))[0])
 
-    def test_same_point(self):
-        assert phi(Sin(Var("t")), 2.5, 2.5) == 1.0
 
-    def test_zero_coefficient(self):
-        assert phi(Const(0.0), 0.0, 5.0) == 1.0
+def _step(table, k, t, s):
+    """w(t, s) = e(t, zeta_k) / e(s, zeta_k), the factor carrying z(s) to z(t)."""
+    return table.e_value(k, t) / table.e_value(k, s)
 
-    def test_cocycle(self):
-        rng = random.Random(11)
-        a = Sum((Const(0.3), Prod((Const(0.7), Sin(Var("t"))))))
-        for _ in range(10):
-            t, s, r = (rng.uniform(-2, 4) for _ in range(3))
-            assert phi(a, s, t) * phi(a, r, s) == pytest.approx(phi(a, r, t), rel=1e-9)
 
-    def test_inverse_pair(self):
-        a = Cos(Var("t"))
-        assert phi(a, 0.0, 2.0) * phi(a, 2.0, 0.0) == pytest.approx(1.0, rel=1e-11)
+def _criterion(problem, k):
+    """(i_plus, i_minus) of interval k, from the window pass over it alone."""
+    i_plus, i_minus, _ = KernelTable(problem).criterion(k, k + 1)
+    return float(i_plus[0]), float(i_minus[0])
 
 
 class TestJValue:
     def test_one_at_zeta(self):
         p = make_problem(Sin(Var("t")), Cos(Var("t")), alpha=0.5)
-        assert j_value(p, 3, p.grid.zeta(3)) == 1.0
+        assert KernelTable(p).e_value(3, p.grid.zeta(3)) == 1.0
 
     def test_constant_decay_pair(self):
-        # a = -1, b = -1 over the unit interval: j(1, 0) = 2 - e
+        # a = -1, b = -1 over the unit interval: j(1, 0) = e(1, 0) e^1 = 2 - e
         p = make_problem(Const(-1.0), Const(-1.0))
-        assert j_value(p, 0, 1.0) == pytest.approx(2.0 - math.e, rel=1e-11)
+        assert KernelTable(p).e_value(0, 1.0) * math.e == pytest.approx(2.0 - math.e, rel=1e-11)
 
     def test_linear_zero(self):
         p = make_problem(Const(0.0), Const(-2.0))
-        assert j_value(p, 0, 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert KernelTable(p).e_value(0, 0.5) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestWIntra:
     def test_identity_at_equal_times(self):
-        p = make_problem(Const(-0.3), Const(0.4), alpha=0.3)
-        assert w_intra(p, 2, 2.7, 2.7) == 1.0
+        table = KernelTable(make_problem(Const(-0.3), Const(0.4), alpha=0.3))
+        assert _step(table, 2, 2.7, 2.7) == 1.0
 
     def test_structural_family_is_one(self):
-        # b = -a makes every in-interval factor exactly 1
+        # b = -a makes e, and so every in-interval factor, exactly 1
         for a in (Sin(Var("t")), Pow(Var("t"), 2), Const(-3.0)):
-            p = make_problem(a, Neg(a), alpha=0.0)
-            assert w_intra(p, 5, 6.0, 5.0) == 1.0
-            assert w_intra(p, 5, 5.4, 5.9) == pytest.approx(1.0, abs=1e-12)
+            table = KernelTable(make_problem(a, Neg(a), alpha=0.0))
+            assert _step(table, 5, 6.0, 5.0) == 1.0
+            assert _step(table, 5, 5.4, 5.9) == pytest.approx(1.0, abs=1e-12)
 
     def test_doubling_step(self):
-        p = make_problem(Const(0.0), Const(1.0))
-        assert w_intra(p, 4, 5.0, 4.0) == pytest.approx(2.0, rel=1e-12)
+        table = KernelTable(make_problem(Const(0.0), Const(1.0)))
+        assert _step(table, 4, 5.0, 4.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_cocycle_within_interval(self):
-        p = make_problem(Const(-0.5), Cos(Var("t")), alpha=0.4)
+        table = KernelTable(make_problem(Const(-0.5), Cos(Var("t")), alpha=0.4))
         rng = random.Random(3)
         for _ in range(8):
             t, s, r = sorted(rng.uniform(2.0, 3.0) for _ in range(3))
-            lhs = w_intra(p, 2, t, s) * w_intra(p, 2, s, r)
-            assert lhs == pytest.approx(w_intra(p, 2, t, r), rel=1e-9)
-
-    def test_singular_denominator(self):
-        p = make_problem(Const(0.0), Const(-2.0))
-        with pytest.raises(SingularKernel):
-            w_intra(p, 0, 0.75, 0.5)
+            lhs = _step(table, 2, t, s) * _step(table, 2, s, r)
+            assert lhs == pytest.approx(_step(table, 2, t, r), rel=1e-9)
 
     def test_outside_interval_rejected(self):
-        p = make_problem(Const(0.0), Const(0.5))
+        table = KernelTable(make_problem(Const(0.0), Const(0.5)))
         with pytest.raises(ValueError, match="outside"):
-            w_intra(p, 2, 4.5, 2.5)
+            _step(table, 2, 4.5, 2.5)
 
     def test_outside_interval_rejected_at_equal_times(self):
-        # the series makes the range check, so e(t) is read before t == s returns 1
-        p = make_problem(Const(0.0), Const(0.5))
+        table = KernelTable(make_problem(Const(0.0), Const(0.5)))
         with pytest.raises(ValueError, match="outside"):
-            w_intra(p, 2, 4.5, 4.5)
-
-
-class TestH3Check:
-    def test_trivial(self):
-        p = make_problem(Const(0.0), Const(0.0), alpha=0.5)
-        rep = h3_check(p, range(0, 5))
-        assert rep.passed
-        assert rep.sup_nu_plus == 0.0 and rep.sup_nu_minus == 0.0
-
-    def test_constant_b_threshold(self):
-        ok = h3_check(make_problem(Const(0.0), Const(0.5)), range(0, 4))
-        assert ok.passed and ok.sup_nu_minus == pytest.approx(0.5, rel=1e-12)
-        assert ok.sup_nu_plus == 0.0
-        bad = h3_check(make_problem(Const(0.0), Const(1.5)), range(0, 4))
-        assert not bad.passed
-
-    def test_exponential_weight_fails(self):
-        rep = h3_check(make_problem(Const(-1.0), Const(-1.0)), range(0, 3))
-        assert rep.rho_minus[0] == pytest.approx(math.e, rel=1e-12)
-        assert rep.sup_nu_minus == pytest.approx(math.e, rel=1e-12)
-        assert not rep.passed
-
-    def test_inverse_bounds_hold(self):
-        rng = random.Random(21)
-        for _ in range(5):
-            a = Sum((Const(rng.uniform(-0.3, 0.3)), Prod((Const(rng.uniform(-0.3, 0.3)), Sin(Var("t"))))))
-            b = Prod((Const(rng.uniform(-0.5, 0.5)), Cos(Var("t"))))
-            p = make_problem(a, b, alpha=rng.random())
-            rep = h3_check(p, range(0, 8))
-            if not rep.passed:
-                continue
-            table = KernelTable(p)
-            for k in range(0, 8):
-                ik = table.interval_kernel(k)
-                assert abs(1.0 / ik.j_at_tk) <= rep.inverse_bound_plus * (1 + 1e-9)
-                assert abs(1.0 / ik.j_at_tk1) <= rep.inverse_bound_minus * (1 + 1e-9)
-                assert abs(ik.j_at_tk1) <= (1.0 + rep.sup_nu_minus) * (1 + 1e-9)
+            _step(table, 2, 4.5, 4.5)
 
 
 class TestCriterionIntegrals:
@@ -160,7 +101,7 @@ class TestCriterionIntegrals:
         # a = -a0, b = sin(2 pi t): delayed integral 2 pi (1 - e^a0)/(a0^2 + 4 pi^2)
         for a0 in (1.9, 2.07553, 2.2):
             p = make_problem(Const(-a0), Sin(Prod((Const(2 * math.pi), Var("t")))))
-            ip, im = criterion_integrals(p, 3)
+            ip, im = _criterion(p, 3)
             assert ip == 0.0
             expected = 2 * math.pi * (1 - math.exp(a0)) / (a0**2 + 4 * math.pi**2)
             assert im == pytest.approx(expected, rel=1e-10)
@@ -169,12 +110,12 @@ class TestCriterionIntegrals:
         for p_coef in (0.5, 1.0, 2.0):
             q0 = 0.7
             prob = make_problem(Const(-p_coef), Const(-q0))
-            _, im = criterion_integrals(prob, 2)
+            _, im = _criterion(prob, 2)
             assert im == pytest.approx(-q0 * (math.exp(p_coef) - 1) / p_coef, rel=1e-10)
 
     def test_no_forcing(self):
         p = make_problem(Sin(Var("t")), Const(0.0), alpha=0.3)
-        assert criterion_integrals(p, 1) == (0.0, 0.0)
+        assert _criterion(p, 1) == (0.0, 0.0)
 
     def test_j_i_consistency(self):
         rng = random.Random(5)
@@ -184,54 +125,12 @@ class TestCriterionIntegrals:
             p = make_problem(a, b, alpha=rng.random(), h=rng.uniform(0.5, 1.5))
             table = KernelTable(p)
             for k in range(0, 6):
-                ip, im, _ = table.criterion(k)
-                assert abs(table.j_value(k, p.grid.knot(k)) - (1.0 - ip)) <= 1e-10
-                assert abs(table.j_value(k, p.grid.knot(k + 1)) - (1.0 + im)) <= 1e-10
-
-
-class TestLaggedIntegral:
-    def test_closed_form(self):
-        expected = 2.0 * (math.exp(2.0) - math.e)  # p = 1
-        assert gl2_lagged_integral(1.0) == pytest.approx(expected, abs=1e-8)
-
-    def test_translation_invariance(self):
-        assert gl2_lagged_integral(0.7, k=3) == pytest.approx(
-            gl2_lagged_integral(0.7, k=10), rel=1e-12
-        )
-
-    def test_bound_value(self):
-        assert gl2_oscillation_bound(1.0) == pytest.approx(0.10704863284894205, rel=1e-12)
-        with pytest.raises(ValueError):
-            gl2_oscillation_bound(0.0)
-        with pytest.raises(ValueError):
-            gl2_lagged_integral(0.0)
-
-    def test_bound_matches_integral(self):
-        for p in (0.5, 1.0, 1.7):
-            assert gl2_oscillation_bound(p) == pytest.approx(
-                1.0 / gl2_lagged_integral(p), rel=1e-9
-            )
+                ip, im = _criterion(p, k)
+                assert abs(_j(table, k, p.grid.knot(k)) - (1.0 - ip)) <= 1e-10
+                assert abs(_j(table, k, p.grid.knot(k + 1)) - (1.0 + im)) <= 1e-10
 
 
 class TestIntervalKernel:
-    def test_fields_cohere(self):
-        p = make_problem(
-            parse_expression("0.2*sin(2*pi*t)"),
-            parse_expression("0.4*cos(2*pi*t)-0.1"),
-            alpha=0.6,
-        )
-        table = KernelTable(p)
-        ik = table.interval_kernel(2)
-        assert ik.k == 2
-        assert ik.j_at_tk == pytest.approx(1.0 - ik.i_plus, abs=1e-10)
-        assert ik.j_at_tk1 == pytest.approx(1.0 + ik.i_minus, abs=1e-10)
-        assert ik.w_step == pytest.approx(
-            phi(p.a, p.grid.knot(2), p.grid.knot(3)) * ik.j_at_tk1 / ik.j_at_tk,
-            rel=1e-9,
-        )
-        assert ik.quadrature_error_estimate >= 0.0
-        assert ik.nu_plus >= 0.0 and ik.nu_minus >= 0.0
-
     def test_lagged_grid_rejected(self):
         from idepcag.grid import LaggedUniformGrid
 
@@ -322,7 +221,8 @@ class TestCriterionWindowPass:
         p = make_problem(a, parse_expression(b), alpha=alpha, horizon=200.0)
         i_plus, i_minus, err = KernelTable(p).criterion(2, k_end)
         for n, k in enumerate(range(2, k_end)):
-            assert KernelTable(p).criterion(k) == (i_plus[n], i_minus[n], err[n])
+            row = tuple(float(x[0]) for x in KernelTable(p).criterion(k, k + 1))
+            assert row == (i_plus[n], i_minus[n], err[n])
 
     @settings(max_examples=30, deadline=None)
     @given(_window_problems(), st.integers(0, 4))
@@ -336,9 +236,9 @@ class TestCriterionWindowPass:
         for i, quantity in enumerate(EXTREMA):
             assert _window_extrema(problem, (k_lo, 5), quantity).hex() == both[i].hex()
         table = KernelTable(problem)
-        i_plus, i_minus, _ = table.criterion(k_lo)
-        assert table.criterion(k_lo, None, "plus")[0].hex() == i_plus.hex()
-        assert table.criterion(k_lo, None, "minus")[0].hex() == i_minus.hex()
+        i_plus, i_minus, _ = table.criterion(k_lo, k_lo + 1)
+        assert table.criterion(k_lo, k_lo + 1, "plus")[0].tobytes() == i_plus.tobytes()
+        assert table.criterion(k_lo, k_lo + 1, "minus")[0].tobytes() == i_minus.tobytes()
 
     def test_unknown_quantity_is_refused(self):
         p = make_problem(Const(-1.0), Const(0.5))

@@ -8,7 +8,6 @@ import pytest
 
 import idepcag.quadrature as quadrature_module
 from idepcag.cli import EXIT_CONFIG, build_problem, main
-from idepcag.kernel import h3_check
 from idepcag.oscillation import GronwallBound
 from idepcag.quadrature import QuadratureError, default_rel_tol, integrate
 
@@ -92,11 +91,6 @@ class TestOneToleranceSetting:
         code = main(["criterion", "--config", str(SINE_FORCING), "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "quadrature failure" in capsys.readouterr().err
-
-    def test_h3_check(self):
-        problem = build_problem(json.loads(SINE_FORCING.read_text()))
-        with pytest.raises(QuadratureError):
-            h3_check(problem, range(0, 3))
 
     def test_envelope(self):
         problem = build_problem(json.loads(SINE_FORCING.read_text()))

@@ -24,11 +24,11 @@ from idepcag import solver as solver_module
 from idepcag.cli import build_problem
 from idepcag.expressions import Const, Cos, Neg, Prod, Sin, Sum, Var, parse_expression
 from idepcag.grid import ExplicitGrid, LaggedUniformGrid, UniformGrid
-from idepcag.kernel import KernelTable, SingularKernel, w_intra
+from idepcag.kernel import KernelTable, SingularKernel, _require_invertible
 from idepcag.oracle import oracle_integrate
 from idepcag.oscillation import GronwallBound
 from idepcag.problem import ImpulseRule, Problem
-from idepcag.quadrature import QuadratureError
+from idepcag.quadrature import QuadratureError, integrate
 from idepcag.series import IntervalSeries, PanelTable, build_sides
 from idepcag.solver import Trajectory, solve
 
@@ -110,15 +110,29 @@ def lagged_problems(draw):
     )
 
 
+def _step(table, k, t, s):
+    """w(t, s) = e(t, zeta_k) / e(s, zeta_k), 1 at t = s; otherwise refused where the
+    solver refuses e(s, zeta_k) as the base of interval k."""
+    et = table.e_value(k, t)
+    if t == s:
+        return 1.0
+    es = table.e_value(k, s)
+    _require_invertible(es, es - 1.0, k)
+    return et / es
+
+
 @PROPERTY
 @given(kernel_problems())
 def test_knot_values_match_criterion_integrals(p):
-    # j(t_k) = 1 - i_plus and j(t_{k+1}) = 1 + i_minus (definitional quadrature)
+    # j(t_k) = 1 - i_plus and j(t_{k+1}) = 1 + i_minus (definitional quadrature),
+    # with j(t, zeta_k) = e(t, zeta_k) exp(int_t^zeta_k a)
     table = KernelTable(p)
     for k in range(0, p.grid.interval_index(p.horizon)):
-        i_plus, i_minus, _ = table.criterion(k)
-        assert abs(table.j_value(k, p.grid.knot(k)) - (1.0 - i_plus)) <= 1e-10
-        assert abs(table.j_value(k, p.grid.knot(k + 1)) - (1.0 + i_minus)) <= 1e-10
+        i_plus, i_minus, _ = table.criterion(k, k + 1)
+        zeta = p.grid.zeta(k)
+        for t, want in ((p.grid.knot(k), 1.0 - i_plus[0]), (p.grid.knot(k + 1), 1.0 + i_minus[0])):
+            j = table.e_value(k, t) * math.exp(integrate(p.a.ev, t, zeta)[0])
+            assert abs(j - want) <= 1e-10
 
 
 @PROPERTY
@@ -148,7 +162,7 @@ def test_structural_family_is_exactly_one(c0, c1, omega, alpha, f):
     table = KernelTable(p)
     t = 2.0 + f
     assert table.e_value(2, t) == 1.0
-    assert w_intra(p, 2, t, 2.0) == 1.0
+    assert _step(table, 2, t, 2.0) == 1.0
 
 
 def _solved(p):
@@ -347,7 +361,7 @@ def test_dense_values_are_kernel_table_steps(p, f):
         t_k = grid.knot(k)
         t = t_k + f * (min(grid.knot(k + 1), p.horizon) - t_k)
         try:
-            expected = table.w_intra(k, t, t_k) * traj.knot_value(k)
+            expected = _step(table, k, t, t_k) * traj.knot_value(k)
         except SingularKernel:  # e(t_k) vanished on the unsolved last interval
             with pytest.raises(SingularKernel):
                 traj.value(t)
@@ -759,7 +773,7 @@ def test_values_are_kernel_table_steps(p, data):
     for t in _read_times(traj, data):
         k = grid.interval_index(t)
         try:
-            expected.append(table.w_intra(k, t, grid.knot(k)) * traj.knot_value(k))
+            expected.append(_step(table, k, t, grid.knot(k)) * traj.knot_value(k))
         except SingularKernel:  # e(t_k) vanished on the unsolved last interval
             continue
         ts.append(t)

@@ -7,10 +7,10 @@ import pytest
 
 from idepcag.expressions import Const, Cos, Exp, Neg, Pow, Prod, Sin, Sum, Var
 from idepcag.grid import LaggedUniformGrid, UniformGrid
-from idepcag.kernel import SingularKernel, j_value
+from idepcag.kernel import KernelTable, SingularKernel
 from idepcag.oscillation import classify_discrete
 from idepcag.problem import ImpulseDegenerate, ImpulseRule, Problem
-from idepcag.solver import bisect_root, solve, solve_lagged, step
+from idepcag.solver import bisect_root, solve
 
 
 def unit_problem(a, b, impulses=None, alpha=0.0, tau=0.0, z0=1.0, horizon=10.0):
@@ -25,25 +25,31 @@ def unit_problem(a, b, impulses=None, alpha=0.0, tau=0.0, z0=1.0, horizon=10.0):
     )
 
 
+def knot_ratio(p, k):
+    """z(t_{k+1}) / z(t_k) of the solve: the one-step factor (1 + c_{k+1}) w(t_{k+1}, t_k)."""
+    traj = solve(p)
+    return traj.knot_value(k + 1) / traj.knot_value(k)
+
+
 class TestStep:
     def test_growth_times_multiplier(self):
         # b = alpha - 1 with alpha = 2 and multiplier beta = -0.5: step = -z
         p = unit_problem(Const(0.0), Const(1.0), ImpulseRule.multiplier(-0.5))
-        assert step(p, 3, 2.0) == pytest.approx(-2.0, rel=1e-12)
+        assert knot_ratio(p, 3) * 2.0 == pytest.approx(-2.0, rel=1e-12)
 
     def test_pure_flow(self):
         p = unit_problem(Const(-0.7), Const(0.0))
-        assert step(p, 1, 3.0) == pytest.approx(3.0 * math.exp(-0.7), rel=1e-11)
+        assert knot_ratio(p, 1) * 3.0 == pytest.approx(3.0 * math.exp(-0.7), rel=1e-11)
 
     def test_structural_family_reduces_to_multiplier(self):
         a = Exp(Prod((Const(0.1), Var("t"))))
         p = unit_problem(a, Neg(a), ImpulseRule.multiplier(-0.9))
-        assert step(p, 2, 5.0) == pytest.approx(-4.5, rel=1e-12)
+        assert knot_ratio(p, 2) * 5.0 == pytest.approx(-4.5, rel=1e-12)
 
     def test_degenerate_impulse(self):
         p = unit_problem(Const(0.0), Const(0.0), ImpulseRule.multiplier(0.0))
         with pytest.raises(ImpulseDegenerate):
-            step(p, 0, 1.0)
+            solve(p)
 
 
 class TestSolve:
@@ -141,6 +147,14 @@ class TestEvalDense:
         traj = solve(p)
         assert traj.value(0.75) == pytest.approx(-0.5, rel=1e-12)
 
+    def test_knot_value_refuses_an_unknown_side(self):
+        # at a knot with multiplier -0.5 the two sides differ in sign
+        traj = solve(unit_problem(Const(0.0), Const(1.0), ImpulseRule.multiplier(-0.5)))
+        assert traj.knot_value(2, "left") == -2.0 * traj.knot_value(2)
+        for side in ("Left", "post", ""):
+            with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+                traj.knot_value(2, side)
+
     def test_out_of_range(self):
         traj = solve(unit_problem(Const(0.0), Const(0.0), horizon=2.0))
         with pytest.raises(ValueError):
@@ -150,13 +164,13 @@ class TestEvalDense:
 
     def test_sign_matches_kernel_quotient(self):
         p = unit_problem(Const(0.0), Const(-2.0), horizon=4.0)
-        traj = solve(p)
+        traj, table = solve(p), KernelTable(p)
         rng = random.Random(9)
         for _ in range(20):
             t = rng.uniform(0.0, 4.0)
             k = p.grid.interval_index(t)
             zk = traj.knot_value(k)
-            quotient = j_value(p, k, t) / j_value(p, k, p.grid.knot(k))
+            quotient = table.e_value(k, t) / table.e_value(k, p.grid.knot(k))  # j = e for a = 0
             predicted = math.copysign(1.0, zk) * math.copysign(1.0, quotient)
             value = traj.value(t)
             if value != 0.0 and quotient != 0.0:
@@ -250,13 +264,13 @@ class TestLagged:
         )
 
     def test_trivial_constant(self):
-        traj = solve_lagged(self.lagged_problem(0.0, 0.0, horizon=10.0))
+        traj = solve(self.lagged_problem(0.0, 0.0, horizon=10.0))
         for t in (0.0, 2.5, 7.75):
             assert traj.value(t) == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_two_term_recurrence(self):
         p_coef, q_coef = 1.0, 0.3
-        traj = solve_lagged(self.lagged_problem(p_coef, q_coef, horizon=30.0))
+        traj = solve(self.lagged_problem(p_coef, q_coef, horizon=30.0))
         decay = math.exp(-p_coef)
         forced = -q_coef * (1.0 - math.exp(-p_coef)) / p_coef
         z_prev, z_cur = 1.0, 1.0
@@ -270,7 +284,7 @@ class TestLagged:
             self.lagged_problem(0.8, 0.0, horizon=10.0),
             impulses=ImpulseRule.multiplier(-0.5),
         )
-        traj = solve_lagged(p)
+        traj = solve(p)
         for k in range(0, 10):
             expected = (-0.5 * math.exp(-0.8)) ** k
             assert traj.knot_value(k) == pytest.approx(expected, rel=1e-10)
@@ -284,16 +298,12 @@ class TestLagged:
     def test_missing_history(self):
         p = dataclasses.replace(self.lagged_problem(1.0, 0.3), history=None)
         with pytest.raises(ValueError, match="history"):
-            solve_lagged(p)
+            solve(p)
 
     def test_off_knot_start_rejected(self):
         p = dataclasses.replace(self.lagged_problem(1.0, 0.3), tau=0.5)
         with pytest.raises(ValueError, match="knot"):
-            solve_lagged(p)
-
-    def test_solve_lagged_rejects_a_non_lagged_grid(self):
-        with pytest.raises(ValueError, match="lagged grid"):
-            solve_lagged(unit_problem(Const(-1.0), Const(0.3)))
+            solve(p)
 
     @pytest.mark.parametrize("lag", [2, 3])
     def test_longer_lag_from_a_later_knot(self, lag):
@@ -317,7 +327,7 @@ class TestLagged:
             assert traj.knot_value(k + 1) == pytest.approx(z[-1], rel=1e-12, abs=1e-14)
 
     def test_lagged_zero_scan(self):
-        traj = solve_lagged(self.lagged_problem(1.0, 0.3, horizon=20.0))
+        traj = solve(self.lagged_problem(1.0, 0.3, horizon=20.0))
         skeleton = [pt.z_right for pt in traj.skeleton()]
         changes = [
             i for i in range(len(skeleton) - 1) if skeleton[i] * skeleton[i + 1] <= 0

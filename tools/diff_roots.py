@@ -36,7 +36,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import List
+from typing import List, Tuple
 
 from diff_cli import ROOT, _source_path
 
