@@ -60,6 +60,15 @@ class TestJValue:
         p = make_problem(Const(0.0), Const(-2.0))
         assert KernelTable(p).e_value(0, 0.5) == pytest.approx(0.0, abs=1e-12)
 
+    def test_no_forcing_is_the_flow(self):
+        # b = 0 leaves j = 1, so e(t, zeta_k) = exp(int_zeta_k^t a)
+        a = Sin(Var("t"))
+        table = KernelTable(make_problem(a, Const(0.0), alpha=0.3))
+        for k in range(0, 4):
+            for t in (k, k + 0.3, k + 0.71, k + 1):
+                flow = math.exp(integrate(a.ev, k + 0.3, t)[0])
+                assert table.e_value(k, t) == pytest.approx(flow, rel=1e-12)
+
 
 class TestWIntra:
     def test_identity_at_equal_times(self):
@@ -128,6 +137,50 @@ class TestCriterionIntegrals:
                 ip, im = _criterion(p, k)
                 assert abs(_j(table, k, p.grid.knot(k)) - (1.0 - ip)) <= 1e-10
                 assert abs(_j(table, k, p.grid.knot(k + 1)) - (1.0 + im)) <= 1e-10
+
+
+class TestConstantCoefficients:
+    """a = A, b = B: i_plus = B (e^{A (zeta - t_k)} - 1) / A and
+    i_minus = B (1 - e^{-A (t_{k+1} - zeta)}) / A on every interval."""
+
+    A, B, H = -0.8, 0.6, 1.25
+
+    def closed_forms(self, alpha):
+        A, B, H = self.A, self.B, self.H
+        i_plus = B * math.expm1(A * alpha * H) / A
+        i_minus = -B * math.expm1(-A * (1.0 - alpha) * H) / A
+        return i_plus, i_minus
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    def test_both_sides_closed_form(self, alpha):
+        p = make_problem(Const(self.A), Const(self.B), alpha=alpha, h=self.H)
+        i_plus, i_minus, _ = KernelTable(p).criterion(0, 8)
+        want_plus, want_minus = self.closed_forms(alpha)
+        for n in range(8):
+            assert i_plus[n] == pytest.approx(want_plus, rel=1e-12)
+            assert i_minus[n] == pytest.approx(want_minus, rel=1e-12)
+
+    def test_rows_are_shift_invariant(self):
+        p = make_problem(Const(self.A), Const(self.B), alpha=0.4, h=self.H, t0=-3.0, horizon=40.0)
+        i_plus, i_minus, _ = KernelTable(p).criterion(0, 20)
+        assert i_plus == pytest.approx(np.full(20, i_plus[0]), rel=1e-12)
+        assert i_minus == pytest.approx(np.full(20, i_minus[0]), rel=1e-12)
+
+    def test_e_at_knots_closed_form(self):
+        # e(t, zeta_k) = j(t, zeta_k) exp(-A (zeta_k - t)), with j = 1 - i_plus at t_k
+        # and 1 + i_minus at t_{k+1}
+        alpha, A, H = 0.6, self.A, self.H
+        table = KernelTable(make_problem(Const(A), Const(self.B), alpha=alpha, h=H))
+        i_plus, i_minus = self.closed_forms(alpha)
+        for k in range(0, 5):
+            e_k, e_k1, _ = table.e_at_knots(k)
+            assert e_k == pytest.approx((1.0 - i_plus) * math.exp(-A * alpha * H), rel=1e-12)
+            assert e_k1 == pytest.approx((1.0 + i_minus) * math.exp(A * (1.0 - alpha) * H), rel=1e-12)
+
+    def test_no_forcing_window_is_zero(self):
+        p = make_problem(Cos(Var("t")), Const(0.0), alpha=0.5)
+        i_plus, i_minus, err = KernelTable(p).criterion(0, 6)
+        assert not i_plus.any() and not i_minus.any() and not err.any()
 
 
 class TestIntervalKernel:

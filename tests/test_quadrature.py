@@ -8,6 +8,7 @@ import pytest
 
 import idepcag.quadrature as quadrature_module
 from idepcag.cli import EXIT_CONFIG, build_problem, main
+from idepcag.kernel import KernelTable
 from idepcag.oscillation import GronwallBound
 from idepcag.quadrature import QuadratureError, default_rel_tol, integrate
 
@@ -96,6 +97,11 @@ class TestOneToleranceSetting:
         problem = build_problem(json.loads(SINE_FORCING.read_text()))
         with pytest.raises(QuadratureError):
             GronwallBound(problem)
+
+    def test_kernel_criterion(self):
+        problem = build_problem(json.loads(SINE_FORCING.read_text()))
+        with pytest.raises(QuadratureError):
+            KernelTable(problem).criterion(0, 3)
 
 
 class TestRowPassRefinement:

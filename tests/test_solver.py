@@ -10,6 +10,7 @@ from idepcag.grid import LaggedUniformGrid, UniformGrid
 from idepcag.kernel import KernelTable, SingularKernel
 from idepcag.oscillation import classify_discrete
 from idepcag.problem import ImpulseDegenerate, ImpulseRule, Problem
+from idepcag.quadrature import integrate
 from idepcag.solver import bisect_root, solve
 
 
@@ -50,6 +51,46 @@ class TestStep:
         p = unit_problem(Const(0.0), Const(0.0), ImpulseRule.multiplier(0.0))
         with pytest.raises(ImpulseDegenerate):
             solve(p)
+
+
+class TestFlow:
+    """b = 0: between impulses z follows the flow exp(int_s^t a)."""
+
+    def test_unit_decay(self):
+        traj = solve(unit_problem(Const(-1.0), Const(0.0)))
+        assert traj.value(1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+    def test_zero_coefficient(self):
+        traj = solve(unit_problem(Const(0.0), Const(0.0)))
+        for t in (0.0, 2.5, 5.0, 9.75):
+            assert traj.value(t) == 1.0
+
+    def test_cocycle_across_knots(self):
+        a = Sum((Const(0.3), Prod((Const(0.7), Sin(Var("t"))))))
+        traj = solve(unit_problem(a, Const(0.0), alpha=0.4))
+        rng = random.Random(11)
+        for _ in range(10):
+            r, t = sorted(rng.uniform(0.0, 6.0) for _ in range(2))
+            flow = math.exp(integrate(a.ev, r, t)[0])
+            assert traj.value(t) / traj.value(r) == pytest.approx(flow, rel=1e-9)
+
+    def test_multipliers_scale_the_flow(self):
+        traj = solve(unit_problem(Const(-0.7), Const(0.0), ImpulseRule.multiplier(0.5)))
+        for t in (0.4, 1.5, 3.4, 7.9):
+            want = math.exp(-0.7 * t) * 0.5 ** math.floor(t)
+            assert traj.value(t) == pytest.approx(want, rel=1e-12)
+
+    def test_knot_ratio_is_flow_times_e_ratio(self):
+        # z(t_{k+1}) / z(t_k) = exp(int_{t_k}^{t_{k+1}} a) j(t_{k+1}) / j(t_k), and
+        # j = e exp(int_t^zeta a), so the flow cancels to e(t_{k+1}) / e(t_k)
+        a = Prod((Const(0.2), Sin(Prod((Const(2 * math.pi), Var("t"))))))
+        b = Sum((Prod((Const(0.4), Cos(Prod((Const(2 * math.pi), Var("t")))))), Const(-0.1)))
+        p = unit_problem(a, b, alpha=0.6)
+        traj, table = solve(p), KernelTable(p)
+        for k in range(0, 6):
+            e_k, e_k1, _ = table.e_at_knots(k)
+            ratio = traj.knot_value(k + 1) / traj.knot_value(k)
+            assert ratio == pytest.approx(e_k1 / e_k, rel=1e-12)
 
 
 class TestSolve:
@@ -325,6 +366,19 @@ class TestLagged:
         for k in range(k0, k0 + 12):
             z.append(growth * z[-1] + (b / a) * (growth - 1.0) * z[-1 - lag])
             assert traj.knot_value(k + 1) == pytest.approx(z[-1], rel=1e-12, abs=1e-14)
+
+    def test_constant_coefficients_are_shift_invariant(self):
+        # the same history and z0 from a later knot give the same knot values, shifted
+        def from_knot(k0):
+            return dataclasses.replace(
+                self.lagged_problem(1.0, 0.3), tau=float(k0), horizon=k0 + 15.0
+            )
+
+        early, late = solve(from_knot(0)), solve(from_knot(4))
+        for n in range(16):
+            assert late.knot_value(4 + n) == pytest.approx(early.knot_value(n), rel=1e-12)
+        for n in range(15):
+            assert late.value(4.37 + n) == pytest.approx(early.value(0.37 + n), rel=1e-12)
 
     def test_lagged_zero_scan(self):
         traj = solve(self.lagged_problem(1.0, 0.3, horizon=20.0))
