@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from .kernel import KernelTable
+import numpy as np
+
+from .kernel import KernelTable, _in_range
 from .problem import Problem
 from .quadrature import default_rel_tol, integrate
 from .series import EXP_OVERFLOW
@@ -33,6 +34,8 @@ DEFAULT_BURN_IN = 8
 DEFAULT_WIDTH = 64
 DEFAULT_CRITERION_TOL = 1e-9
 EXTREMA = ("sup_i_plus", "inf_i_plus", "sup_i_minus", "inf_i_minus")
+# equal parts per piece of the envelope's exponent table
+_TABLE_PARTS = 16
 
 
 @dataclass(frozen=True)
@@ -304,7 +307,14 @@ class GronwallBound:
         |z(t)| <= prod_{tau < t_k <= t} (1 + |c_k|)
                   * exp(int_tau^t (|a| + |b| / (1 - theta_hat))) * |z0|.
 
-    The quadrature tolerance is read once, at construction.
+    Construction takes two row passes: every theta_k, then the exponent over
+    ``_TABLE_PARTS`` equal parts of each piece between tau, the knots and
+    the horizon, summed in order into a table.  :meth:`bound` integrates
+    from the last table point at or before t as one row, which seldom
+    bisects; so short a part also lets the error estimate see a kink of
+    |a| or |b| that one panel over a piece can miss (see the README).  A
+    coefficient past the float range raises OverflowError naming t.  The
+    quadrature tolerance is read once, at construction.
     """
 
     def __init__(self, problem: Problem):
@@ -313,50 +323,38 @@ class GronwallBound:
         self.problem = problem
         self.rel_tol = default_rel_tol()
         grid = problem.grid
-        abs_a = lambda s: abs(problem.a.ev(s))
-        abs_b = lambda s: abs(problem.b.ev(s))
-        self._abs_a, self._abs_b = abs_a, abs_b
         k0 = grid.interval_index(problem.tau)
-        k_end = grid.interval_index(problem.horizon)
-        thetas = []
-        for k in range(k0, k_end + 1):
-            tk, zk = grid.knot(k), grid.zeta(k)
-            va, _ = integrate(abs_a, tk, zk, self.rel_tol)
-            vb, _ = integrate(abs_b, tk, zk, self.rel_tol)
-            thetas.append(va + vb)
-        self.theta_hat = max(thetas)
+        knots, zetas = grid.window(k0, grid.interval_index(problem.horizon) + 1)
+        thetas, _ = integrate(self._rate(1.0), knots[:-1], zetas, self.rel_tol)
+        self.theta_hat = float(thetas.max())
         if self.theta_hat >= 1.0:
             raise ValueError(
                 f"theta_hat = {self.theta_hat:.6g} >= 1; envelope unavailable"
             )
-        self._weight = 1.0 / (1.0 - self.theta_hat)
-        # cumulative exponent and jump product at the piece boundaries
-        # pieces: [tau, t_{k0+1}], [t_{k0+1}, t_{k0+2}], ...
-        self._piece_starts = [problem.tau]
-        self._cum_exponent = [0.0]
-        self._cum_jump = [1.0]
-        cum_e, cum_j = 0.0, 1.0
-        k = k0
-        while grid.knot(k + 1) <= problem.horizon:
-            lo = self._piece_starts[-1]
-            hi = grid.knot(k + 1)
-            cum_e += self._exponent_piece(lo, hi)
-            cum_j *= 1.0 + abs(problem.impulses.c(k + 1))
-            self._piece_starts.append(hi)
-            self._cum_exponent.append(cum_e)
-            self._cum_jump.append(cum_j)
-            k += 1
+        self._weighted_rate = self._rate(1.0 / (1.0 - self.theta_hat))
+        ends = knots[1:][knots[1:] <= problem.horizon]  # the knots that jump
+        edges = np.unique(np.concatenate([[problem.tau], ends, [problem.horizon]]))
+        lo, hi = edges[:-1, None], edges[1:, None]
+        points = np.append(lo + (hi - lo) * np.arange(_TABLE_PARTS) / _TABLE_PARTS, edges[-1])
+        parts, _ = integrate(self._weighted_rate, points[:-1], points[1:], self.rel_tol)
+        jumps = [1.0 + abs(problem.impulses.c(k)) for k in range(k0 + 1, k0 + 1 + len(ends))]
+        # the table points, and the cumulative exponent and jump product at each
+        self._points = points
+        self._cum_exponent = np.cumsum(np.insert(parts, 0, 0.0))
+        self._cum_jump = np.cumprod([1.0] + jumps)[np.searchsorted(ends, points, side="right")]
 
-    def _exponent_piece(self, lo: float, hi: float) -> float:
-        va, _ = integrate(self._abs_a, lo, hi, self.rel_tol)
-        vb, _ = integrate(self._abs_b, lo, hi, self.rel_tol)
-        return va + self._weight * vb
+    def _rate(self, w: float) -> Callable[[np.ndarray], np.ndarray]:
+        """|a| + w |b| as a function of a node array."""
+        a, b = self.problem.a.ev_array, self.problem.b.ev_array
+        return lambda s: _in_range(np.abs(a(s)) + w * np.abs(b(s)), s)
 
     def bound(self, t: float) -> float:
         if not (self.problem.tau <= t <= self.problem.horizon):
             raise ValueError("t outside [tau, horizon]")
-        i = bisect_right(self._piece_starts, t) - 1
-        exponent = self._cum_exponent[i] + self._exponent_piece(self._piece_starts[i], t)
+        i = int(np.searchsorted(self._points, t, side="right")) - 1
+        start = self._points[i : i + 1]
+        (rest,), _ = integrate(self._weighted_rate, start, np.array([t]), self.rel_tol)
+        exponent = self._cum_exponent[i] + rest
         if exponent > EXP_OVERFLOW:  # an infinite envelope is still a bound
             return math.inf
-        return self._cum_jump[i] * math.exp(exponent) * abs(self.problem.z0)
+        return float(self._cum_jump[i] * math.exp(exponent) * abs(self.problem.z0))

@@ -1,13 +1,13 @@
 """Adaptive Gauss-Kronrod quadrature for signed one-dimensional integrals.
 
-:func:`integrate` takes one integral of a function of a float, or, given
-arrays of limits, many at once, one row each, of a function of a float
-array, with the same rule, acceptance test and errors per row.
+:func:`integrate` takes many integrals at once, one row each, of a function
+of a float array, given arrays of limits.  One integral of a function of a
+float, given float limits, is the one-row case of the same pass, with the
+same rule and acceptance test.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
 from typing import Callable, Tuple
@@ -17,42 +17,23 @@ import numpy as np
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_MAX_PANELS = 4096
 
-# 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1].
-# Positive abscissae; the rule is symmetric about 0.
-_XGK = (
-    0.9914553711208126,
-    0.9491079123427585,
-    0.8648644233597691,
-    0.7415311855993944,
-    0.5860872354676911,
-    0.4058451513773972,
-    0.2077849550078985,
-)
-_WGK = (
-    0.0229353220105292,
-    0.0630920926299786,
-    0.1047900103222502,
-    0.1406532597155259,
-    0.1690047266392679,
-    0.1903505780647854,
-    0.2044329400752989,
-)
-_WGK_CENTER = 0.2094821410847278
-# Gauss-7 weights, paired with _XGK indices 1, 3, 5 and the centre point.
-_WG = (
-    0.1294849661688697,
-    0.2797053914892767,
-    0.3818300505051189,
-)
-_WG_CENTER = 0.4179591836734694
+# 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1], symmetric
+# about 0: the abscissae from the outermost in to the centre, their weights
+_XGK = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993944,
+        0.5860872354676911, 0.4058451513773972, 0.2077849550078985, 0.0)
+_WGK = (0.0229353220105292, 0.0630920926299786, 0.1047900103222502, 0.1406532597155259,
+        0.1690047266392679, 0.1903505780647854, 0.2044329400752989, 0.2094821410847278)
+# Gauss-7 weights at the abscissae 1, 3, 5 and 7, the centre
+_WG = (0.1294849661688697, 0.2797053914892767, 0.3818300505051189, 0.4179591836734694)
 # the rule over all 15 nodes in ascending order
-_NODES = np.array([-x for x in _XGK] + [0.0] + list(_XGK[::-1]))
-_KRONROD = np.array(_WGK + (_WGK_CENTER,) + _WGK[::-1])
+_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+_KRONROD = np.array(_WGK + _WGK[-2::-1])
 _GAUSS = np.zeros(15)
-_GAUSS[1::2] = _WG + (_WG_CENTER,) + _WG[::-1]
+_GAUSS[1::2] = _WG + _WG[-2::-1]
 _ROWS_PER_GROUP = 64  # rows that the row pass refines together
 # An error estimate at most this many eps of the summed |panel values| is
-# rounding, which more panels cannot lower: a target below it is unreachable.
+# rounding, which more panels cannot lower: a target below it is unreachable,
+# so a row with such a target is never accepted, even on an estimate of 0.0.
 _ROUNDING_FLOOR = 50 * float(np.finfo(float).eps)
 
 
@@ -80,23 +61,6 @@ def default_rel_tol() -> float:
     raise ValueError(f"IDEPCAG_QUAD_TOL must be a finite, non-negative number, got {text!r}")
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> Tuple[float, float]:
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fc = f(c)
-    resk = _WGK_CENTER * fc
-    resg = _WG_CENTER * fc
-    for i in range(7):
-        dx = h * _XGK[i]
-        s = f(c - dx) + f(c + dx)
-        resk += _WGK[i] * s
-        if i % 2 == 1:
-            resg += _WG[i // 2] * s
-    value = resk * h
-    err = abs((resk - resg) * h)
-    return value, err
-
-
 def integrate(
     f: Callable,
     lo: float | np.ndarray,
@@ -108,58 +72,30 @@ def integrate(
 
     Limits may come in either order; the result is antisymmetric under a
     swap.  Returns ``(value, err)`` where ``err`` is the internal estimate.
-    The target is ``err <= max(rel_tol * |value|, rel_tol)``; failure to get
-    there within ``max_panels``, or an estimate that has reached its
-    rounding floor, 50 eps times the sum of |panel values|, above the
-    target, raises :class:`QuadratureError` carrying the best estimate.
+    The target is ``err <= max(rel_tol * |value|, rel_tol)``, never met
+    where it lies below the rounding floor, 50 eps times the sum of |panel
+    values|.  Missing it at ``max_panels``, or once the estimate has reached
+    that floor, raises :class:`QuadratureError` carrying the best estimate.
 
     With ``lo`` and ``hi`` arrays, row ``i`` is the integral from ``lo[i]``
     to ``hi[i]`` and ``f`` takes a 2-D array, one line of nodes per panel,
     each panel inside one row.  A row that misses its target bisects its
-    panel of largest error, as a single integral would; such rows do so
-    together, up to 64 at a time, one panel each per step.  Zero-length
-    rows are exactly 0.0 and never evaluate ``f``.  Returns arrays.
+    panel of largest error; such rows do so together, up to 64 at a time,
+    one panel each per step.  Zero-length rows are exactly 0.0 and never
+    evaluate ``f``.  Returns arrays.  With float limits, ``f`` is a
+    function of a float, read at each node in turn, and the integral is
+    one such row; returns floats.
     """
     tol = default_rel_tol() if rel_tol is None else rel_tol
     if isinstance(lo, np.ndarray):
         return _integrate_rows(f, lo, hi, tol, max_panels)
-    if lo == hi:
-        return 0.0, 0.0
-    if lo > hi:
-        value, err = integrate(f, hi, lo, rel_tol=tol, max_panels=max_panels)
-        return -value, err
+    value, err = _integrate_rows(_by_float(f), np.array([lo]), np.array([hi]), tol, max_panels)
+    return float(value[0]), float(err[0])
 
-    value, err = _gk15(f, lo, hi)
-    if not math.isfinite(value):
-        raise QuadratureError(f"non-finite integrand on [{lo}, {hi}]", value, err)
-    panels = [(-err, lo, hi, value, err)]
-    total_v, total_e, total_abs = value, err, abs(value)
-    while total_e > max(tol * abs(total_v), tol):
-        if len(panels) >= max_panels or total_e <= _ROUNDING_FLOOR * total_abs:
-            raise QuadratureError(
-                f"quadrature did not converge on [{lo}, {hi}] "
-                f"(panels={len(panels)}, err={total_e:.3e})",
-                total_v,
-                total_e,
-            )
-        _, a, b, pv, pe = heapq.heappop(panels)
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:
-            raise QuadratureError(
-                f"panel collapsed near t={a!r}", total_v, total_e
-            )
-        v1, e1 = _gk15(f, a, m)
-        v2, e2 = _gk15(f, m, b)
-        if not (math.isfinite(v1) and math.isfinite(v2)):
-            raise QuadratureError(
-                f"non-finite integrand near [{a}, {b}]", total_v, total_e
-            )
-        total_v += v1 + v2 - pv
-        total_e += e1 + e2 - pe
-        total_abs += abs(v1) + abs(v2) - abs(pv)
-        heapq.heappush(panels, (-e1, a, m, v1, e1))
-        heapq.heappush(panels, (-e2, m, b, v2, e2))
-    return total_v, total_e
+
+def _by_float(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """``f``, a function of a float, as a function of a node array, read one float at a time."""
+    return lambda x: np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _gk15_rows(f, a: np.ndarray, b: np.ndarray):
@@ -181,16 +117,23 @@ def _integrate_rows(f, lo: np.ndarray, hi: np.ndarray, tol: float, max_panels: i
     value, err = np.zeros(a.shape), np.zeros(a.shape)
     rows = np.flatnonzero(a != b)
     value[rows], err[rows] = _gk15_rows(f, a[rows], b[rows])
-    failing = rows[err[rows] > np.maximum(tol * np.abs(value[rows]), tol)]
+    failing = rows[_unmet(value[rows], err[rows], np.abs(value[rows]), tol)]
     # in groups, so that the panel store and the cost of a failure stay bounded
     for start in range(0, failing.size, _ROWS_PER_GROUP):
         _refine(f, failing[start : start + _ROWS_PER_GROUP], a, b, value, err, tol, max_panels)
     return np.where(lo > hi, -value, value), err
 
 
+def _unmet(value, err, mag, tol: float):
+    """Rows that miss their target, an estimate below the rounding floor of
+    ``mag``, their sum of |panel values|, counting as that floor."""
+    return np.maximum(err, _ROUNDING_FLOOR * mag) > np.maximum(tol * np.abs(value), tol)
+
+
 def _refine(f, rows, a, b, value, err, tol: float, max_panels: int) -> None:
     """Bisect the worst panel of every row in ``rows`` until each meets its
-    target; a row whose estimate reaches its rounding floor fails at once."""
+    target; a row not yet accepted whose estimate reaches its rounding floor
+    fails at once."""
     # (lo, hi, value, err) of every panel of the rows still refining; each has n
     panels = np.stack([a, b, value, err])[:, rows, None]
     mag = np.abs(value[rows])  # sum of |panel values| of each row still refining
@@ -218,6 +161,6 @@ def _refine(f, rows, a, b, value, err, tol: float, max_panels: int) -> None:
         panels[:, m, j] = pa, mid, v1, e1
         panels[:, :, n] = mid, pb, v2, e2
         n += 1
-        fail = err[rows] > np.maximum(tol * np.abs(value[rows]), tol)
+        fail = _unmet(value[rows], err[rows], mag, tol)
         if not fail.all():
             rows, panels, mag = rows[fail], panels[:, fail], mag[fail]

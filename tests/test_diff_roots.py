@@ -103,3 +103,21 @@ def test_a_solver_that_moves_by_an_ulp_shows_in_its_knot_values(tmp_path, monkey
     out = capsys.readouterr().out
     knots, knots_total, values, values_total = _solver_counts(out.splitlines()[-2])
     assert knots < knots_total and values < values_total, out
+
+
+def test_the_envelope_line_counts_equal_bounds_and_signs_the_worst_move(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import diff_roots
+
+    one, up, inf = (1.0).hex(), (1.0 + 2.0 ** -40).hex(), float("inf").hex()
+    pairs = [
+        ([one, one], [one, up]),  # one bound moves up by 2^-40
+        ([inf], [inf]),
+        (None, None),  # theta_hat >= 1 in both trees
+        (None, [one]),  # an envelope in the new tree only
+        ("OverflowError: x", "OverflowError: x"),
+    ]
+    line = diff_roots._envelope_line(pairs)
+    assert line.startswith("envelope on 2 configs with theta_hat < 1 in both trees (1 with"), line
+    assert "2 of 3 bounds bitwise equal, worst relative difference +9.1e-13" in line, line
+    assert diff_roots._relative(one, inf) == 1.0 and diff_roots._relative(up, one) < 0.0

@@ -329,8 +329,9 @@ class TestCriterionWindowPass:
         def refuse(*args, **kwargs):
             raise AssertionError("scalar integrate called")
 
-        # every scalar integral, whichever module calls it, starts with _gk15
-        monkeypatch.setattr(quadrature_module, "_gk15", refuse)
+        # every scalar integral, whichever module calls it, reads its integrand
+        # one float at a time through _by_float
+        monkeypatch.setattr(quadrature_module, "_by_float", refuse)
         for a in (Const(-0.9), Sin(Var("t"))):
             p = make_problem(a, parse_expression("sin(2*pi*t)"), alpha=0.3)
             assert len(_window_extrema(p, (0, 12))) == 4

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from idepcag.expressions import Const, Cos, Prod, Sin, Sum, Var
+import idepcag.oscillation as oscillation_module
+from idepcag.expressions import Const, Cos, Prod, Sin, Sum, Var, parse_expression
 from idepcag.grid import LaggedUniformGrid, UniformGrid
 from idepcag.oracle import oracle_integrate
 from idepcag.oscillation import (
@@ -354,3 +355,32 @@ class TestGronwall:
         p = unit_problem(Const(-2.0), Const(0.0), alpha=1.0, horizon=8.0)
         with pytest.raises(ValueError, match="unavailable"):
             GronwallBound(p)
+
+    def test_exponent_resolves_the_kinks_of_abs_b(self):
+        # |b| has kinks at t = k + c and k + 1 - c, c = arccos(0.005) / (2 pi); one
+        # GK15 panel over [k, k + 1] took int |b| 3.2e-6 low with an estimate of 1e-17
+        b0, b1 = 0.4, -0.002
+        p = unit_problem(Const(0.0), parse_expression(f"{b0}*cos(2*pi*t) + {b1}"), horizon=10.0)
+        c = math.acos(-b1 / b0) / (2 * math.pi)
+        per_interval = 2 * b0 * math.sin(2 * math.pi * c) / math.pi + b1 * (4 * c - 1)
+        envelope = GronwallBound(p)
+        assert envelope.theta_hat == 0.0
+        for t in (1.0, 10.0):
+            assert envelope.bound(t) == pytest.approx(math.exp(per_interval * t), rel=1e-9)
+
+    def test_coefficient_past_the_float_range_is_an_overflow_error(self):
+        # exp(t*t) leaves the float range past t = 26.6, inside theta_27's integral
+        p = unit_problem(Const(0.01), parse_expression("0.001*exp(t*t)"), alpha=0.5, horizon=40.0)
+        with pytest.raises(OverflowError):
+            GronwallBound(p)
+
+    def test_construction_takes_two_row_passes_whatever_the_interval_count(self, monkeypatch):
+        calls = []
+        integrate = oscillation_module.integrate
+        monkeypatch.setattr(
+            oscillation_module, "integrate", lambda *args: calls.append(args) or integrate(*args)
+        )
+        for horizon in (3.0, 40.5):
+            calls.clear()
+            GronwallBound(unit_problem(Const(-0.3), Sin(Var("t")), alpha=0.5, horizon=horizon))
+            assert len(calls) == 2, horizon

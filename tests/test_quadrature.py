@@ -165,6 +165,13 @@ class TestUnreachableToleranceFailsEarly:
             integrate(np.exp, lo, hi, rel_tol=1e-30)
         assert self._panels(str(info.value)) <= 16
 
+    def test_an_estimate_of_zero_does_not_meet_an_unreachable_target(self):
+        # refining [0, 3] once leaves an error estimate of exactly 0.0
+        with pytest.raises(QuadratureError) as info:
+            integrate(np.exp, np.zeros(1), np.array([3.0]), rel_tol=1e-30)
+        assert info.value.value == pytest.approx(math.exp(3.0) - 1.0, rel=1e-14)
+        assert info.value.err == 0.0
+
 
 class TestToleranceVariableIsChecked:
     """IDEPCAG_QUAD_TOL follows the rule of the config tolerances: a finite,

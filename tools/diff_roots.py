@@ -14,7 +14,9 @@ and post-jump value at each knot), the dense values at the rows of the
 ``solve`` command with 16 samples per interval (``cli._sample_times``) and
 ``Trajectory.zero_list()``.  For every config on a non-lagged grid it also
 runs the oracle route, ``oracle_integrate`` at the config's
-``oracle_steps``, and reports its knot values and its ``zero_list()``.
+``oracle_steps``, and reports its knot values and its ``zero_list()``, and,
+where theta_hat < 1, the Gronwall envelope ``GronwallBound.bound`` at 16
+times evenly spaced from tau to the horizon.
 Root digits never reach the command line's output, and of the oracle only
 ``max_rel_dev``, to 7 digits, does, so ``tools/diff_cli.py`` cannot see
 them; it sees knot and dense values only on the configs it is given.
@@ -24,6 +26,10 @@ interval differs (or whose run raised a different error), the same for the
 oracle route, then the share of bitwise-equal roots and the worst relative
 difference among the rest, the shares of bitwise-equal solver knot values
 and dense values, and those of the oracle's knot values and roots.  The
+envelope line before them counts the configs with an envelope in both
+trees (and those with one in a single tree, or different errors), the
+bitwise-equal bounds and the worst signed relative difference, new minus
+old; it is a report, as the roots line is, and sets no exit status.  The
 exit status is 1 on any count mismatch, of either route, and 2, before
 any tree runs, on a usage error or a tree without the package.
 """
@@ -31,6 +37,7 @@ any tree runs, on a usage error or a tree without the package.
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -43,11 +50,13 @@ from diff_cli import ROOT, _source_path
 SEEDS = {"varcoef_solve": range(1, 11), "oracle_check": range(1, 6)}
 
 # run in each tree: configs as JSON on stdin; out, per config, the solver's knot
-# values, dense values and zero list, and the oracle's knot values and zero list
-# (None on a lagged grid), each or a part of it the error it raised instead
+# values, dense values and zero list, the oracle's knot values and zero list, and
+# the envelope's bounds (both None on a lagged grid, the bounds also where
+# theta_hat >= 1), each or a part of it the error it raised instead
 _CHILD = """
 import json, sys
-from idepcag import oracle_integrate, solve
+import numpy as np
+from idepcag import GronwallBound, oracle_integrate, solve
 from idepcag.cli import _sample_times, build_problem
 from idepcag.oracle import DEFAULT_STEPS_PER_INTERVAL
 
@@ -68,6 +77,13 @@ def solver(p):
     values = run(lambda: [z.hex() for z in traj.values(_sample_times(traj, 16)[0])])
     return {"knots": knots(traj), "values": values, "zeros": run(lambda: zeros(traj))}
 
+def envelope(p):
+    try:
+        env = GronwallBound(p)
+    except ValueError:  # theta_hat >= 1: no envelope
+        return None
+    return [env.bound(t).hex() for t in np.linspace(p.tau, p.horizon, 16).tolist()]
+
 def oracle(p, steps):
     traj = oracle_integrate(p, steps)
     return {"knots": knots(traj), "values": [], "zeros": zeros(traj)}
@@ -77,10 +93,11 @@ for cfg in json.load(sys.stdin):
     steps = int(cfg.get("analysis", {}).get("oracle_steps", DEFAULT_STEPS_PER_INTERVAL))
     p = run(lambda: build_problem(cfg))
     if isinstance(p, str):
-        out.append([p, None])
+        out.append([p, None, None])
         continue
-    oracle_run = None if p.grid.lagged else run(lambda: oracle(p, steps))
-    out.append([run(lambda: solver(p)), oracle_run])
+    lagged = p.grid.lagged
+    routes = [None, None] if lagged else [run(lambda: oracle(p, steps)), run(lambda: envelope(p))]
+    out.append([run(lambda: solver(p)), *routes])
 json.dump(out, sys.stdout)
 """
 
@@ -141,8 +158,25 @@ def _bits(run) -> List[List[str]]:
 
 
 def _relative(old: str, new: str) -> float:
+    """(new - old) / max(|old|, |new|), signed; +-1 where one side is infinite."""
     x, y = float.fromhex(old), float.fromhex(new)
-    return abs(y - x) / max(abs(x), abs(y), sys.float_info.min)
+    if x == y:
+        return 0.0
+    scale = max(abs(x), abs(y), sys.float_info.min)
+    return (y - x) / scale if scale < math.inf else math.copysign(1.0, y - x)
+
+
+def _envelope_line(pairs) -> str:
+    """How the envelope moved, from the (old, new) bounds of each config: each a
+    list of hex floats, None where there is no envelope, or the error raised."""
+    listed = [isinstance(x, list) and isinstance(y, list) for x, y in pairs]
+    moves = [_relative(a, b) for (x, y), ok in zip(pairs, listed) if ok for a, b in zip(x, y)]
+    apart = sum(x != y for (x, y), ok in zip(pairs, listed) if not ok)
+    return (
+        f"envelope on {sum(listed)} configs with theta_hat < 1 in both trees ({apart} with it in "
+        f"one tree only or with different errors): {moves.count(0.0)} of {len(moves)} bounds "
+        f"bitwise equal, worst relative difference {max(moves, key=abs, default=0.0):+.2g}"
+    )
 
 
 def main(argv: List[str]) -> int:
@@ -152,8 +186,9 @@ def main(argv: List[str]) -> int:
     old_src, new_src = _source_path(argv[0]), _source_path(argv[1])
     names, configs = zip(*_configs())
     solver, oracle = Counter(), Counter()
-    worst = 0.0
+    worst, envelopes = 0.0, []
     for name, olds, news in zip(names, _runs(old_src, configs), _runs(new_src, configs)):
+        envelopes.append((olds[2], news[2]))
         for route, counts, old, new in zip(("", "oracle "), (solver, oracle), olds, news):
             if old is None and new is None:
                 continue
@@ -168,7 +203,9 @@ def main(argv: List[str]) -> int:
                     counts[part] += len(x)
                     counts[part + " equal"] += sum(a == b for a, b in zip(x, y))
                 if not route:
-                    worst = max([worst, *map(_relative, bits[0][2], bits[1][2])])
+                    roots = zip(bits[0][2], bits[1][2])
+                    worst = max([worst, *(abs(_relative(a, b)) for a, b in roots)])
+    print(_envelope_line(envelopes))
     share = f"{solver['roots equal'] / solver['roots']:.1%}" if solver["roots"] else "-"
     print(
         f"{len(configs)} configs, {solver['mismatches']} count mismatches; of {solver['roots']} "
