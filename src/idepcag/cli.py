@@ -83,7 +83,8 @@ def _build_grid(cfg: dict) -> ArgumentGrid:
     if kind == "uniform":
         return UniformGrid(float(cfg["t0"]), float(cfg["h"]), float(cfg.get("alpha", 0.0)))
     if kind == "lagged":
-        return LaggedUniformGrid(float(cfg["t0"]), float(cfg["h"]), int(cfg.get("lag", 1)))
+        lag = _integer("grid.lag", cfg.get("lag", 1))
+        return LaggedUniformGrid(float(cfg["t0"]), float(cfg["h"]), lag)
     if kind == "explicit":
         return ExplicitGrid(tuple(cfg["knots"]), tuple(cfg["zetas"]))
     raise ConfigError(f"grid.type must be uniform|explicit|lagged, got {kind!r}")
@@ -105,7 +106,8 @@ def _build_impulse(cfg: Optional[dict], expr: Optional[ScalarExpr]) -> ImpulseRu
         make = getattr(ImpulseRule, kind)
         return make(float(cfg[_IMPULSE_VALUE_KEYS[kind]]) if expr is None else expr.ev(0.0))
     if kind == "explicit":
-        return ImpulseRule.explicit(cfg["values"], int(cfg.get("start_k", 0)))
+        start_k = _integer("impulse.start_k", cfg.get("start_k", 0))
+        return ImpulseRule.explicit(cfg["values"], start_k)
     if kind == "expr":
         return ImpulseRule.from_expression(expr)
     raise ConfigError(f"unknown impulse type {kind!r}")
@@ -165,8 +167,8 @@ def _analysis_window(cfg: dict, args, problem: Problem) -> Tuple[int, int]:
     with _reading("analysis"):
         wcfg = cfg.get("analysis", {}).get("window")
         if wcfg:
-            burn = int(wcfg.get("burn_in", burn))
-            width = int(wcfg.get("width", width))
+            burn = _integer("analysis.window.burn_in", wcfg.get("burn_in", burn))
+            width = _integer("analysis.window.width", wcfg.get("width", width))
     if args.window:
         burn, width = args.window
     return default_window(problem, burn, width)
@@ -177,6 +179,13 @@ def _finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; a float is refused unless it is whole: 4.0 passes, 2.5 does not."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _tolerance(name: str, value: float) -> float:
@@ -227,7 +236,8 @@ def _sample_times(traj, n_samples: int) -> Tuple[List[float], List[int]]:
 def cmd_solve(cfg: dict, args) -> int:
     problem = build_problem(cfg)
     with _reading("output"):
-        n_samples = int(cfg.get("output", {}).get("samples_per_interval", 64))
+        n_samples = cfg.get("output", {}).get("samples_per_interval", 64)
+        n_samples = _integer("output.samples_per_interval", n_samples)
         if n_samples < 1:
             raise ConfigError("output.samples_per_interval must be at least 1")
     traj = solve(problem)
@@ -367,7 +377,7 @@ def cmd_sweep(cfg: dict, args) -> int:
         if pname not in params:
             raise ConfigError(f"sweep parameter {pname!r} not in problem params")
         lo, hi = (_finite(f"sweep.{key}", float(sweep[key])) for key in ("lo", "hi"))
-        steps = int(sweep.get("steps", 11))
+        steps = _integer("sweep.steps", sweep.get("steps", 11))
         if steps < 2:
             raise ConfigError("sweep needs steps >= 2")
         target = sweep.get("target")
@@ -437,8 +447,9 @@ def cmd_oracle_check(cfg: dict, args) -> int:
         raise ConfigError("oracle check supports non-lagged grids only")
     with _reading("analysis"):
         acfg = cfg.get("analysis", {})
-        steps = int(acfg.get("oracle_steps", DEFAULT_STEPS_PER_INTERVAL))
-        n_samples = int(acfg.get("check_samples", 100))
+        steps = acfg.get("oracle_steps", DEFAULT_STEPS_PER_INTERVAL)
+        steps = _integer("analysis.oracle_steps", steps)
+        n_samples = _integer("analysis.check_samples", acfg.get("check_samples", 100))
         check_tol = _tolerance("analysis.check_tol", float(acfg.get("check_tol", 1e-6)))
         if steps < 2 or n_samples < 1:
             raise ConfigError("analysis needs oracle_steps >= 2 and check_samples >= 1")

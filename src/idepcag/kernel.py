@@ -7,10 +7,10 @@ the solution of
 
 that is e = 1 + y with y' = a y + (a + b), y(zeta_k) = 0, and the solution
 z is z(t_k) e(t, zeta_k) / e(t_k, zeta_k).  :class:`KernelTable` builds,
-per interval, one :class:`~idepcag.series.IntervalSeries` of y, a chain
-of Chebyshev panels, and reads e from it through a
-:class:`~idepcag.series.PanelTable`, as the solver does.  The forcing
-a + b vanishes pointwise for the family b = -a, so e is exactly 1 there.
+per interval, the chains of Chebyshev panels of y on both sides of zeta_k
+into one :class:`~idepcag.series.PanelTable`, and reads e from it, as the
+solver does.  The forcing a + b vanishes pointwise for the family b = -a,
+so e is exactly 1 there.
 
 The oscillation criteria read the advanced and delayed kernel integrals
 
@@ -32,7 +32,7 @@ import numpy as np
 from .expressions import Const, ScalarExpr
 from .problem import SINGULARITY_FACTOR, Problem
 from .quadrature import default_rel_tol, integrate
-from .series import EXP_OVERFLOW, IntervalSeries, PanelTable
+from .series import EXP_OVERFLOW, PanelTable, build_sides
 
 
 class SingularKernel(RuntimeError):
@@ -101,11 +101,11 @@ def _require_invertible(e_value: float, r_value: float, k: int) -> None:
 
 class KernelTable:
     """The kernel e and the criterion integrals of one problem, with a lazy
-    per-interval series cache.
+    per-interval cache of panel tables.
 
     The quadrature tolerance is read once, at construction.  Construction
-    is single-writer: building a series mutates only the private dict, and
-    every stored series is immutable afterwards.
+    is single-writer: building a table mutates only the private dict, and
+    every stored table is immutable afterwards.
     """
 
     def __init__(self, problem: Problem):
@@ -113,33 +113,34 @@ class KernelTable:
             raise ValueError("kernel table requires a non-lagged grid")
         self.problem = problem
         self.rel_tol = default_rel_tol()
-        self._series: Dict[int, IntervalSeries] = {}
+        self._tables: Dict[int, PanelTable] = {}
 
     # -- e route -------------------------------------------------------------
 
-    def series(self, k: int) -> IntervalSeries:
-        """Series of e(., zeta_k) - 1 on interval k, built once per k."""
-        found = self._series.get(k)
-        if found is None:
-            problem = self.problem
-            grid = problem.grid
-            found = IntervalSeries(
-                problem.a, problem.forcing, grid.knot(k), grid.knot(k + 1), grid.zeta(k), k
+    def _table(self, k: int) -> PanelTable:
+        """The one-interval table of e(., zeta_k) - 1 on interval k, with the sides of
+        zeta_k that have a nonzero length, built once per k."""
+        table = self._tables.get(k)
+        if table is None:
+            problem, grid = self.problem, self.problem.grid
+            lo, hi, zeta = grid.knot(k), grid.knot(k + 1), grid.zeta(k)
+            sides = [(0, False)] * (lo < zeta) + [(0, True)] * (zeta < hi)
+            table = self._tables[k] = build_sides(
+                problem.a, problem.forcing, [(lo, hi, zeta)], [f"interval k={k}"], sides
             )
-            self._series[k] = found
-        return found
+        return table
 
     def e_value(self, k: int, t: float) -> float:
-        """e(t, zeta_k) = 1 + y(t) for t in the interval, read through a table of
-        the one series."""
-        series = self.series(k)
-        series.require(t)
-        return float(PanelTable([series]).terms(np.array([t]), np.zeros(1, dtype=int))[1][0]) + 1.0
+        """e(t, zeta_k) = 1 + y(t) for t in the interval."""
+        table = self._table(k)
+        table.require(0, t)
+        return float(table.terms(np.array([t]), np.zeros(1, dtype=int))[1][0]) + 1.0
 
     def e_at_knots(self, k: int) -> Tuple[float, float, float]:
         """(e(t_k, zeta_k), e(t_{k+1}, zeta_k), error estimate)."""
         grid = self.problem.grid
-        return self.e_value(k, grid.knot(k)), self.e_value(k, grid.knot(k + 1)), self.series(k).err
+        e_lo, e_hi = self.e_value(k, grid.knot(k)), self.e_value(k, grid.knot(k + 1))
+        return e_lo, e_hi, self._table(k).err(0)
 
     # -- definitional integrals ----------------------------------------------
 

@@ -134,7 +134,7 @@ def classify_continuous(
     """Refine a nonoscillatory skeleton using the in-interval kernel sign.
 
     With a sign-definite skeleton the solution is nonoscillatory exactly
-    when j(t, zeta_k) keeps one strict sign across each interval; a root
+    when e(t, zeta_k) keeps one strict sign across each interval; a root
     inside any interval produces in-interval zeros and hence oscillation.
     Uses the roots of :meth:`Trajectory.zeros_in_intervals`; requires a
     kernel-backed trajectory.

@@ -27,9 +27,11 @@ those sums, as floats, into the values its panels start from.  Every row
 is computed alike whatever the other rows of its batch, so a side comes
 out bitwise the same built alone or with others.
 
-:class:`PanelTable` is the one reader of built sides: it lays them out
-flat and reads (A, y) of many points in one array pass, each point on the
-last panel of its side that starts at or before it, so that a point at an
+It returns them in a :class:`PanelTable`, the one holder and reader of
+built sides, which no side is added to later: it keeps each side's panels
+and error estimate, or the failure its build met, lays the panels out flat
+and reads (A, y) of many points in one array pass, each point on the last
+panel of its side that starts at or before it, so that a point at an
 interval's right knot is read on that interval.  A Clenshaw sum over an
 array performs the same IEEE operations as over one float, so a point
 comes out bitwise the same whatever else is read with it.
@@ -262,68 +264,6 @@ class _Panel:
         self.err, self.top = 0.0, -math.inf
 
 
-_Side = Union[Tuple[List[float], List[_Panel], float], BaseException]
-
-
-class IntervalSeries:
-    """Flow and forced response on one interval, built once and read anywhere in it
-    through a :class:`PanelTable`.
-
-    A read gives the flow exponent A(t) = int_anchor^t a and y(t) above, both exactly 0
-    at the anchor, and :func:`zero_search` finds the roots of a fixed combination of y,
-    the flow exp(A) and a constant.  Each side of the anchor is built on first use
-    unless :func:`build_sides` built it before.  Raises :class:`QuadratureError` when the
-    coefficients do not level off after ``MAX_BISECTIONS`` halvings or the chain needs
-    more than ``MAX_PANELS`` panels, and ``OverflowError`` when exp(A) passes exp(709)
-    where it multiplies a nonzero value or inside a panel kept whole; both name the
-    interval, and a side raises its failure each time it is required.  ``err`` sums a
-    rounding-level error estimate of y over the sides built so far.
-    """
-
-    def __init__(
-        self, a: ScalarExpr, g: ScalarExpr, lo: float, hi: float, anchor: float, k: int
-    ):
-        if not lo <= anchor <= hi:
-            raise ValueError(f"anchor {anchor!r} outside [{lo!r}, {hi!r}]")
-        self.a, self.g = a, g
-        self.lo, self.hi, self.anchor = lo, hi, anchor
-        self._where = f"interval k={k}"
-        self._zero_g: Optional[bool] = None
-        self._sides: Dict[bool, _Side] = {}
-
-    @property
-    def err(self) -> float:
-        return sum(
-            s[2] for s in (self._sides.get(False), self._sides.get(True)) if isinstance(s, tuple)
-        )
-
-    def g_vanishes(self) -> bool:
-        """g is 0 at every node of the interval, as g = a + b is for b = -a;
-        then y is exactly 0 and long panels need no splitting."""
-        if self._zero_g is None:
-            _g_vanishes([self])
-        return self._zero_g
-
-    def require(self, t: float) -> None:
-        """Build the side that holds t on first use and raise its failure; the
-        anchor needs no side.  Refuses a t outside the interval."""
-        slack = 1e-9 * (self.hi - self.lo)
-        if not self.lo - slack <= t <= self.hi + slack:
-            raise ValueError(f"t={t!r} outside {self._where} [{self.lo!r}, {self.hi!r}]")
-        if t == self.anchor:
-            return
-        forward = t > self.anchor if self.lo < self.anchor < self.hi else self.anchor < self.hi
-        if forward not in self._sides:
-            build_sides([(self, forward)])
-        side = self._sides[forward]
-        if isinstance(side, BaseException):  # a copy: a raise gives the raised object a traceback
-            raise copy.copy(side)
-
-    def overflow(self, A: float) -> OverflowError:
-        """The refusal of a flow weight exp(A) past exp(709)."""
-        return OverflowError(f"flow weight exp({A:.3g}) overflows on {self._where}")
-
-
 def _exp(v):
     """exp of a float or of an array by ``math.exp``, which numpy's exp does not match."""
     return math.exp(v) if isinstance(v, float) else np.array(list(map(math.exp, v.tolist())))
@@ -338,20 +278,34 @@ def _panel_terms(t, mid, hw, A0, y0, A, C):
 
 
 class PanelTable:
-    """The built sides of many series, in interval order, laid out flat: panels, their
-    ``lo`` and ``hi`` edges (sorted across the series), ``mid``, ``hw``, ``A0``, ``y0``
-    and zero-padded rows of ``A`` and ``C`` with their lengths, and the first and last
-    row of each side."""
+    """The sides :func:`build_sides` built on many intervals, in interval order, laid
+    out flat: panels, their ``lo`` and ``hi`` edges (sorted across the intervals),
+    ``mid``, ``hw``, ``A0``, ``y0`` and zero-padded rows of ``A`` and ``C`` with their
+    lengths, and the first and last row of each side.
 
-    def __init__(self, series: Sequence[IntervalSeries]):
-        self._anchor = np.array([s.anchor for s in series])
+    A read gives the flow exponent A(t) = int_anchor^t a and y(t) above, both exactly 0
+    at the anchor, and :func:`zero_search` finds the roots of a fixed combination of y,
+    the flow exp(A) and a constant.  Each built side keeps its error estimate, or the
+    failure its build met: :class:`QuadratureError` when the coefficients do not level
+    off after ``MAX_BISECTIONS`` halvings or the chain needs more than ``MAX_PANELS``
+    panels, ``OverflowError`` when exp(A) passes exp(709) where it multiplies a nonzero
+    value or inside a panel kept whole; both name the interval, and :meth:`require`
+    raises the failure each time.  ``g_zero[i]``: g is 0 at every node of interval i,
+    as g = a + b is for b = -a; then y is exactly 0 and long panels need no splitting.
+    """
+
+    def __init__(self, spans, names, g_zero, sides):
+        """``sides`` holds (panels sorted by ``lo``, state) of the backward, then the
+        forward side of each interval; the state is None where the side was not
+        built, its failure, or its error estimate."""
+        self._spans, self._names, self.g_zero = spans, names, g_zero
+        lo, hi, self._anchor = np.array(spans, dtype=float).reshape(-1, 3).T
         # the side of a point: past the anchor, or the one side of an anchor on an end
-        self._split = np.array([s.lo < s.anchor < s.hi for s in series], dtype=bool)
-        self._onward = np.array([s.anchor < s.hi for s in series], dtype=bool)
-        sides = [s._sides.get(forward) for s in series for forward in (False, True)]
-        sides = [side[1] if isinstance(side, tuple) else [] for side in sides]
-        self._panels = panels = [p for side in sides for p in side]
-        count = np.array([len(side) for side in sides], dtype=int)
+        self._split = (lo < self._anchor) & (self._anchor < hi)
+        self._onward = self._anchor < hi
+        self._sides = [state for _, state in sides]
+        self._panels = panels = [p for side, _ in sides for p in side]
+        count = np.array([len(side) for side, _ in sides], dtype=int)
         self._first = np.cumsum(count) - count
         self._last = self._first + count - 1
         self._lo, self._hi, self._mid, self._hw, self._A0, self._y0 = np.array(
@@ -360,8 +314,31 @@ class PanelTable:
         self._A, self._nA = _padded([p.A for p in panels])
         self._C, self._nC = _padded([p.C for p in panels])
 
+    def err(self, i: int) -> float:
+        """A rounding-level error estimate of y, summed over the built sides of interval i."""
+        return sum(e for e in self._sides[2 * i : 2 * i + 2] if isinstance(e, float))
+
+    def require(self, i: int, t: float) -> None:
+        """Raise the failure of the side of interval i that holds t; the anchor needs no
+        side.  Refuses a t outside the interval, or on a side that was not built."""
+        lo, hi, anchor = self._spans[i]
+        slack = 1e-9 * (hi - lo)
+        if not lo - slack <= t <= hi + slack:
+            raise ValueError(f"t={t!r} outside {self._names[i]} [{lo!r}, {hi!r}]")
+        if t == anchor:
+            return
+        side = self._sides[2 * i + (t > anchor if lo < anchor < hi else anchor < hi)]
+        if side is None:
+            raise ValueError(f"t={t!r} lies on a side of {self._names[i]} that was not built")
+        if isinstance(side, BaseException):  # a copy: a raise gives the raised object a traceback
+            raise copy.copy(side)
+
+    def overflow(self, i: int, A: float) -> OverflowError:
+        """The refusal of a flow weight exp(A) past exp(709) on interval i."""
+        return OverflowError(f"flow weight exp({A:.3g}) overflows on {self._names[i]}")
+
     def terms(self, t: np.ndarray, i: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(A, y) at each point t of series i: (0, 0) at the anchor, NaN on a side
+        """(A, y) at each point t of interval i: (0, 0) at the anchor, NaN on a side
         that failed or was not built, and otherwise read on the panel of t's side
         that starts last at or before t, or on the side's first or last panel for a
         t just past its ends."""
@@ -394,28 +371,22 @@ def _padded(rows: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     return out, lengths
 
 
-def _g_vanishes(series: Sequence[IntervalSeries]) -> None:
-    """Set ``g_vanishes`` of every series, sharing one g, from one sample matrix."""
-    x = _cheb_basis(_SIZES[0])[0]
-    lo, hi = np.array([s.lo for s in series]), np.array([s.hi for s in series])
-    with np.errstate(over="ignore", invalid="ignore"):
-        nodes = series[0].g.ev_array(0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * x)
-    for s, zero in zip(series, ~np.any(nodes, axis=1)):
-        s._zero_g = bool(zero)
-
-
 # -- building sides in row batches -------------------------------------------------
-
-def _cap_error(series: IntervalSeries) -> QuadratureError:
-    return QuadratureError(f"series on {series._where} needs more than {MAX_PANELS} panels")
-
 
 _Leaf = Tuple[Tuple[int, ...], Union[_Panel, BaseException]]  # a piece's key, and it or its failure
 
 
-def build_sides(requests: Sequence[Tuple[IntervalSeries, bool]]) -> None:
-    """Build the side of each (series, forward) pair, forward meaning from
-    the anchor to ``hi``; all the series share one a and one g.
+def build_sides(
+    a: ScalarExpr,
+    g: ScalarExpr,
+    spans: Sequence[Tuple[float, float, float]],
+    names: Sequence[str],
+    requests: Sequence[Tuple[int, bool]],
+) -> PanelTable:
+    """The :class:`PanelTable` of the intervals ``spans``, each given as (lo, hi,
+    anchor) and named in messages by ``names``, with the side of each (interval
+    index, forward) pair of ``requests`` built, forward meaning from the anchor
+    to ``hi``.
 
     All pieces of one level are fitted as one row batch: the fits of a, the
     split of a piece whose int |a| exceeds 1 into pieces where it does not,
@@ -424,19 +395,22 @@ def build_sides(requests: Sequence[Tuple[IntervalSeries, bool]]) -> None:
     is built or fails becomes a leaf of its side; then one walk per side
     takes its leaves in chain order and sets each panel's A0 and y0.  A side
     that fails stores its failure, the one the walk meets first, and raises
-    it on use.
+    it on use.  Whether g vanishes on each interval comes from one sample
+    matrix over all spans.
     """
-    a, g = requests[0][0].a, requests[0][0].g
-    unknown = [s for s, _ in requests if s._zero_g is None]
-    if unknown:
-        _g_vanishes(unknown)
+    lo, hi, _ = np.array(spans, dtype=float).reshape(-1, 3).T
+    x = _cheb_basis(_SIZES[0])[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        nodes = g.ev_array(0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * x)
+    g_zero = (~np.any(nodes, axis=1)).tolist()
+    where = [names[i] for i, _ in requests]
     const_a = a.value if isinstance(a, Const) else None
     a_arr, g_arr = a.ev_array, g.ev_array
     counts = [1] * len(requests)  # pieces of each side that are panels or still to be built
     leaves: List[List[_Leaf]] = [[] for _ in requests]
     level = [
-        _Panel(i, (), s.anchor, s.hi if forward else s.lo, 0)
-        for i, (s, forward) in enumerate(requests)
+        _Panel(r, (), spans[i][2], spans[i][1] if forward else spans[i][0], 0)
+        for r, (i, forward) in enumerate(requests)
     ]
     following: List[_Panel] = []  # the pieces of the next level
 
@@ -446,7 +420,7 @@ def build_sides(requests: Sequence[Tuple[IntervalSeries, bool]]) -> None:
     def split(piece: _Panel, pieces: int, depth: int) -> None:
         counts[piece.req] += pieces - 1
         if counts[piece.req] > MAX_PANELS:  # the walk raises the cap here at the latest
-            return leaf(piece, _cap_error(requests[piece.req][0]))
+            return leaf(piece, _cap_error(where[piece.req]))
         start, stop = piece.start, piece.stop
         cuts = [start + (stop - start) * i / pieces for i in range(pieces)] + [stop]
         following.extend(
@@ -456,7 +430,7 @@ def build_sides(requests: Sequence[Tuple[IntervalSeries, bool]]) -> None:
     def bisect(piece: _Panel) -> None:
         if piece.depth >= MAX_BISECTIONS:
             leaf(piece, QuadratureError(
-                f"Chebyshev coefficients do not decay on {requests[piece.req][0]._where} "
+                f"Chebyshev coefficients do not decay on {where[piece.req]} "
                 f"near [{piece.lo!r}, {piece.hi!r}] after {piece.depth} bisections"
             ))
         else:
@@ -464,8 +438,7 @@ def build_sides(requests: Sequence[Tuple[IntervalSeries, bool]]) -> None:
 
     def non_finite(piece: _Panel) -> None:
         leaf(piece, OverflowError(
-            f"non-finite values on {requests[piece.req][0]._where} "
-            f"near [{piece.lo!r}, {piece.hi!r}]"
+            f"non-finite values on {where[piece.req]} near [{piece.lo!r}, {piece.hi!r}]"
         ))
 
     while level:
@@ -490,13 +463,13 @@ def build_sides(requests: Sequence[Tuple[IntervalSeries, bool]]) -> None:
         integrand: List[int] = []
         for i, (p, b) in enumerate(zip(level, bound.tolist())):
             if counts[p.req] > MAX_PANELS:  # a side past the cap builds no more
-                leaf(p, _cap_error(requests[p.req][0]))
+                leaf(p, _cap_error(where[p.req]))
             elif bad[i]:
                 non_finite(p)
             elif math.isnan(b):  # a is not resolved: bisect
                 bisect(p)
             elif b > 1.0 + 1e-9:
-                if not requests[p.req][0].g_vanishes():
+                if not g_zero[requests[p.req][0]]:
                     split(p, math.ceil(b), p.depth)
                 else:  # kept whole: y is 0, but exp of the local exponent must not overflow
                     p.C, p.top = np.zeros(1), p.A[0] + float(np.abs(p.A[1:]).sum())
@@ -539,15 +512,21 @@ def build_sides(requests: Sequence[Tuple[IntervalSeries, bool]]) -> None:
     grow = _exp(np.where(top > EXP_OVERFLOW, 0.0, local))
     for p, end in zip(panels, zip(local.tolist(), grow.tolist(), C.tolist())):
         p.end = end
-    for (series, forward), side in zip(requests, leaves):
-        series._sides[forward] = _walk(series, side)
+    sides: List[Tuple[List[_Panel], object]] = [([], None)] * (2 * len(spans))
+    for (i, forward), side, name in zip(requests, leaves, where):
+        sides[2 * i + forward] = _walk(name, side)
+    return PanelTable(spans, names, g_zero, sides)
 
 
-def _walk(series: IntervalSeries, leaves: List[_Leaf]) -> _Side:
-    """The panels of a side, from its leaves taken in chain order (by key), with
-    their start values set and sorted by ``lo``, their ``lo`` ends and the side's
-    error estimate; or the failure met first in chain order, a leaf's own or the
-    flow's overflow, stored without a traceback."""
+def _cap_error(where: str) -> QuadratureError:
+    return QuadratureError(f"series on {where} needs more than {MAX_PANELS} panels")
+
+
+def _walk(where: str, leaves: List[_Leaf]) -> Tuple[List[_Panel], object]:
+    """The panels of a side on interval ``where``, from its leaves taken in chain
+    order (by key), with their start values set and sorted by ``lo``, and the
+    side's error estimate; or no panels and the failure met first in chain order,
+    a leaf's own or the flow's overflow, stored without a traceback."""
     panels: List[_Panel] = []
     A0 = y0 = err = 0.0
     try:
@@ -564,18 +543,18 @@ def _walk(series: IntervalSeries, leaves: List[_Leaf]) -> _Side:
                 A0, y0 = A0 + local, grow * (y0 + C)
             if not math.isfinite(y0) or (A0 > EXP_OVERFLOW and y0 != 0.0):
                 raise OverflowError(
-                    f"flow weight exp({A0:.3g}) overflows on {series._where} at t={p.stop!r}"
+                    f"flow weight exp({A0:.3g}) overflows on {where} at t={p.stop!r}"
                 )
             err += _EPS * abs(y0)
     except (QuadratureError, OverflowError) as exc:
-        return exc.with_traceback(None)
+        return [], exc.with_traceback(None)
     panels.sort(key=lambda p: p.lo)
-    return [p.lo for p in panels], panels, err
+    return panels, err
 
 
 # -- zeros ---------------------------------------------------------------------------
 
-_Job = Tuple[Optional[IntervalSeries], float, float, float, float, float]
+_Job = Tuple[int, float, float, float, float, float]
 
 # |T_k(x)| and |T_k'(x)| / k^2 for k < 130 where the search reads u: |x| <= 1 + 1e-8
 _BRACKET_T = math.cosh(_SIZES[-1] * math.acosh(1.0 + 2.0 * _ROOT_IMAG_TOL))
@@ -612,10 +591,9 @@ def _one_signed(table: PanelTable, rows: np.ndarray, flow, forced, const) -> np.
 
 
 def zero_search(table: PanelTable, jobs: Iterable[_Job]) -> Iterator[List[float]]:
-    """For each job (series, lo, hi, flow_coef, forced_coef, const), in order,
-    the sorted roots in [lo, hi) of u = flow_coef exp(A) + forced_coef y +
-    const; a job with hi <= lo has none and needs no series.  ``table`` lays
-    out the built sides of the jobs' series.
+    """For each job (i, lo, hi, flow_coef, forced_coef, const), in order, the
+    sorted roots in [lo, hi) of u = flow_coef exp(A) + forced_coef y + const
+    on interval i of ``table``; a job with hi <= lo has none and needs no side.
 
     The panels that overlap [lo, hi) are one row range of the table.  A panel
     where a bound of u from its coefficients clears 0 (:func:`_one_signed`)
@@ -633,13 +611,13 @@ def zero_search(table: PanelTable, jobs: Iterable[_Job]) -> Iterator[List[float]
     failure: Optional[BaseException] = None
     try:
         for job in jobs:
-            series, lo, hi, flow_coef, forced_coef, const = job
-            if hi <= lo or (not const and (not forced_coef or series.g_vanishes())):
+            i, lo, hi, flow_coef, forced_coef, const = job
+            if hi <= lo or (not const and (not forced_coef or table.g_zero[i])):
                 # nothing to search, or u = flow_coef exp(A) with that sign throughout
-                job = (series, math.inf, math.inf, 0.0, 0.0, 0.0)  # spans no panel
+                job = (i, math.inf, math.inf, 0.0, 0.0, 0.0)  # spans no panel
             else:
                 for t in (lo, hi):
-                    series.require(t)  # a side that failed raises here
+                    table.require(i, t)  # a side that failed raises here
             searched.append(job)
     except Exception as exc:  # raised in its turn, below
         failure = exc
@@ -686,9 +664,9 @@ def zero_search(table: PanelTable, jobs: Iterable[_Job]) -> Iterator[List[float]
             p = panels[i]
             if bad[i] or i not in found:
                 stop, failure = j, OverflowError(
-                    f"non-finite values on {job[0]._where} near [{p.lo!r}, {p.hi!r}]"
+                    f"non-finite values on {table._names[job[0]]} near [{p.lo!r}, {p.hi!r}]"
                 ) if bad[i] else QuadratureError(
-                    f"zero search on {job[0]._where}: {_SIZES[-1]} Chebyshev points "
+                    f"zero search on {table._names[job[0]]}: {_SIZES[-1]} Chebyshev points "
                     f"do not resolve [{p.lo!r}, {p.hi!r}]"
                 )
                 break
@@ -725,9 +703,9 @@ def zero_search(table: PanelTable, jobs: Iterable[_Job]) -> Iterator[List[float]
     bounds = np.searchsorted(job_of, np.arange(len(searched) + 1)).tolist()
     overflows = np.flatnonzero(over)[:1].tolist()  # the first read whose flow overflows
     for j, (job, first, last) in enumerate(zip(searched, bounds, bounds[1:])):
-        series, lo, hi = job[:3]
+        i, lo, hi = job[:3]
         if overflows and overflows[0] < 3 * last:
-            raise series.overflow(float(A[overflows[0]]))
+            raise table.overflow(i, float(A[overflows[0]]))
         if j == stop:
             raise failure
         roots: List[float] = []

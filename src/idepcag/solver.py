@@ -6,19 +6,18 @@ each knot the jump z(t_k) = (1 + c_k) z(t_k^-) applies.  The skeleton
 stores both one-sided values; dense evaluation reconstructs z anywhere in
 [tau, horizon].
 
-Every interval carries one :class:`~idepcag.series.IntervalSeries`; the
-solve creates those of all intervals up to the horizon and builds their
-sides in one row batch before it marches: on kernel-backed grids the
-series of e(., zeta_k) - 1, on lagged grids that of the flow and of
+Before it marches, the solve builds, in one row batch, the sides that its
+solved range reaches on every interval up to the horizon, and keeps them in
+one :class:`~idepcag.series.PanelTable`: on kernel-backed grids the series
+of e(., zeta_k) - 1, on lagged grids that of the flow and of
 y' = a y + b, y(t_k) = 0, so that z = exp(A) z(t_k) + y z(t_{k-lag}).  Both
 are one combination of flow and forced response (see :class:`Trajectory`),
 and one march serves both grid kinds.  Dense values, the knot march and
-the in-interval zeros all come from that series, read through one flat
-panel table: the march reads the terms at every end knot and base in one
-pass before it steps, ``values`` reads many points in one array pass and
-``value`` one, and zeros are the real roots of its Chebyshev interpolant
-on each panel, from numpy's ``chebroots``, fitted on the panels of every
-searched interval in one batch.
+the in-interval zeros all read that table: the march reads the terms at
+every end knot and base in one pass before it steps, ``values`` reads many
+points in one array pass and ``value`` one, and zeros are the real roots
+of the Chebyshev interpolant on each panel, from numpy's ``chebroots``,
+fitted on the panels of every searched interval in one batch.
 
 The march carries z at each interval base as its ``math.frexp`` pair, so
 |z| may leave the float range and come back; a lagged pure flow carries
@@ -49,7 +48,7 @@ from .kernel import _require_invertible
 # bench/tracing.py rebinds solver.flow_weighted_integral by name.
 from .kernel import flow_weighted_integral  # noqa: F401
 from .problem import Problem
-from .series import EXP_OVERFLOW, IntervalSeries, PanelTable, _exp, build_sides, zero_search
+from .series import EXP_OVERFLOW, PanelTable, _exp, build_sides, zero_search
 
 
 # ln 2 = _LN2_HI + _LN2_LO, the high part with 21 trailing zero bits so that
@@ -138,9 +137,9 @@ class SkeletonPoint:
 class Trajectory:
     """Solved instance: skeleton plus a dense evaluator.
 
-    Interval k holds one :class:`~idepcag.series.IntervalSeries`, giving
-    the flow exponent A(t) and the forced response y(t), and six numbers
-    p, q, r, e, m, x, built on first use, so that
+    The panel table gives, on interval k, the flow exponent A(t) and the
+    forced response y(t), and the interval holds six numbers p, q, r, e, m,
+    x, built on first use, so that
 
         z(t) = (q y(t) + r + p exp(A(t))) / e * m * 2^x.
 
@@ -164,8 +163,7 @@ class Trajectory:
         self.metadata: Dict[str, object] = {}
         self._by_time: Dict[float, SkeletonPoint] = {}
         self._by_k: Dict[int, SkeletonPoint] = {}
-        self._series: Dict[int, IntervalSeries] = {}
-        self._pieces: Dict[int, Tuple[IntervalSeries, float, float, float, float, float, int]] = {}
+        self._pieces: Dict[int, Tuple[float, float, float, float, float, int]] = {}
         self._pairs: Dict[int, Tuple[float, int]] = {}  # math.frexp of z at each interval base
         self._e: Dict[int, float] = {}  # e(base, zeta_k) of each interval, on kernel grids
         self._table: Optional[PanelTable] = None  # laid out once the sides are built
@@ -205,47 +203,48 @@ class Trajectory:
         return pt.t, pt.z_right
 
     def _build_series(self) -> None:
-        """Create the series of every interval from k_start to the horizon's, build,
-        in one :func:`~idepcag.series.build_sides` batch, the sides of their
-        anchors that the solved range reaches, and lay them out in one table."""
+        """Build, in one :func:`~idepcag.series.build_sides` batch, the sides of the
+        anchors of every interval from k_start to the horizon's that the solved
+        range reaches; row i of the table is interval k_start + i."""
         problem, grid = self.problem, self.problem.grid
-        sides = []
-        for k in range(self.k_start, grid.interval_index(problem.horizon) + 1):
+        ks = range(self.k_start, grid.interval_index(problem.horizon) + 1)
+        spans, sides = [], []
+        for i, k in enumerate(ks):
             lo, hi = grid.knot(k), grid.knot(k + 1)
             if grid.lagged:
                 anchor = lo
             else:  # an argument value behind tau on the start interval is clamped to tau
                 anchor = max(grid.zeta(k), problem.tau) if k == self.k_start else grid.zeta(k)
-            series = self._series[k] = IntervalSeries(problem.a, self._g, lo, hi, anchor, k)
+            spans.append((lo, hi, anchor))
             base, end = (problem.tau if k == self.k_start else lo), min(hi, problem.horizon)
             if base < min(anchor, end):
-                sides.append((series, False))
+                sides.append((i, False))
             if base < end and anchor < end:
-                sides.append((series, True))
-        if sides:
-            build_sides(sides)
-        self._table = PanelTable([self._series[k] for k in sorted(self._series)])
+                sides.append((i, True))
+        names = [f"interval k={k}" for k in ks]
+        self._table = build_sides(problem.a, self._g, spans, names, sides)
 
-    def _piece(self, k: int) -> Tuple[IntervalSeries, float, float, float, float, float, int]:
-        """(series, p, q, r, e, m, x) of interval k, built on first use."""
+    def _piece(self, k: int) -> Tuple[float, float, float, float, float, int]:
+        """(p, q, r, e, m, x) of interval k, built on first use."""
         piece = self._pieces.get(k)
         if piece is None:
-            grid, series = self.problem.grid, self._series[k]
+            grid = self.problem.grid
             m, x = self._pairs[k]
             if grid.lagged:
                 # z(t_k) = m 2^x, z(t_{k-lag}) = n 2^y at the larger exponent of a nonzero
                 # value that z reads; where g vanishes z reads z(t_k) alone
                 n, y = self._pairs[k - grid.lag]
-                if series.g_vanishes():
+                if self._table.g_zero[k - self.k_start]:
                     n = 0.0
                 top = max(x if m else y, y if n else x)
                 p, q = math.ldexp(m, x - top), math.ldexp(n, y - top)
-                piece = (series, p, q, 0.0, 1.0, 1.0, top)
+                piece = (p, q, 0.0, 1.0, 1.0, top)
             else:
-                series.require(self._interval_base(k)[0])  # a failed side raises here
+                # a failed side raises here
+                self._table.require(k - self.k_start, self._interval_base(k)[0])
                 e = self._e[k]
                 _require_invertible(e, e - 1.0, k)
-                piece = (series, 0.0, 1.0, 1.0, e, m, x)
+                piece = (0.0, 1.0, 1.0, e, m, x)
             self._pieces[k] = piece
         return piece
 
@@ -290,19 +289,19 @@ class Trajectory:
             keys = 3 * i + np.where(t == anchor, 0, 1 + (t > anchor))
             over = np.flatnonzero(A > EXP_OVERFLOW).tolist()
             for at in sorted({*np.unique(keys, return_index=True)[1].tolist(), *over}):
-                series, p = self._piece(ks[at])[:2]
-                series.require(ts[at])
+                p = self._piece(ks[at])[0]
+                self._table.require(i[at], ts[at])
                 if p and A[at] > EXP_OVERFLOW:
-                    raise series.overflow(float(A[at]))
+                    raise self._table.overflow(i[at], float(A[at]))
             intervals, of = np.unique(i, return_inverse=True)
-            coefs = [self._piece(k)[1:] for k in (intervals + self.k_start).tolist()]
+            coefs = [self._piece(k) for k in (intervals + self.k_start).tolist()]
             p, q, r, e, m, x = np.array(coefs, dtype=float).reshape(-1, 6)[of].T
             v, x = _scaled(p, q, r, e, m, x.astype(int), A, y)
             return np.ldexp(v, x).tolist()
 
     def zeros_in_interval(self, k: int) -> List[float]:
         """Roots of z in the solved part of interval k; on kernel-backed
-        grids these are the roots of j(t, zeta_k), that is of e(t, zeta_k)."""
+        grids these are the roots of e(t, zeta_k)."""
         return next(self.zeros_in_intervals([k]))
 
     def zeros_in_intervals(self, ks: Iterable[int]) -> Iterator[List[float]]:
@@ -313,8 +312,8 @@ class Trajectory:
         def jobs():
             for k in ks:
                 lo, hi = self._window(k)
-                series, p, q, r = self._piece(k)[:4] if lo < hi else (None, 0.0, 0.0, 0.0)
-                yield series, lo, hi, p, q, r
+                p, q, r = self._piece(k)[:3] if lo < hi else (0.0, 0.0, 0.0)
+                yield k - self.k_start, lo, hi, p, q, r
 
         return zero_search(self._table, jobs())
 
@@ -386,11 +385,11 @@ def solve(problem: Problem) -> Trajectory:
     z = problem.z0
     if problem.tau == grid.knot(k):
         traj._append(SkeletonPoint(k, problem.tau, z, z, _sgn(z), _sgn(z)))
-    for t_next, A_end, y_end in zip(ends, A.tolist(), y.tolist()):
-        series, *coefs = traj._piece(k)
-        series.require(t_next)  # a failed side raises here
+    for i, (t_next, A_end, y_end) in enumerate(zip(ends, A.tolist(), y.tolist())):
+        coefs = traj._piece(k)
+        traj._table.require(i, t_next)  # a failed side raises here
         if coefs[0] and A_end > EXP_OVERFLOW:
-            raise series.overflow(A_end)
+            raise traj._table.overflow(i, A_end)
         value, x = _scaled(*coefs, A_end, y_end)
         left, x_left = math.frexp(value)
         right, x_right = math.frexp(problem.impulses.factor(k + 1) * left)

@@ -234,7 +234,8 @@ class TestExitCodes:
         cfg["problem"]["grid"]["alpha"] = 0.5
         traj = Trajectory(build_problem(cfg))
         traj._build_series()
-        failed = [k for k, s in traj._series.items() if isinstance(s._sides.get(True), Exception)]
+        forward = traj._table._sides[1::2]  # the forward side of each interval
+        failed = [traj.k_start + i for i, s in enumerate(forward) if isinstance(s, Exception)]
         assert failed == [3, 4]
         cfg_path = write_config(tmp_path / "cfg.json", cfg)
         assert main([command, "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_RANGE
@@ -363,6 +364,12 @@ class TestExitCodes:
             ("oracle-check", "analysis", {"check_tol": -1e-6}),
             ("oracle-check", "analysis", {"check_tol": math.nan}),
             ("oracle-check", "analysis", {"check_tol": math.inf}),
+            ("solve", "output", {"samples_per_interval": 2.5}),
+            ("sweep", "sweep", {"parameter": "q0", "lo": 0.3, "hi": 0.9, "steps": 2.7}),
+            ("oracle-check", "analysis", {"oracle_steps": 200.9}),
+            ("oracle-check", "analysis", {"check_samples": 3.5}),
+            ("criterion", "analysis", {"window": {"burn_in": 8.5, "width": 64}}),
+            ("sweep", "analysis", {"window": {"burn_in": 8, "width": 64.5}}),
         ],
         ids=[
             "sweep-without-lo", "target-without-threshold", "target-as-string",
@@ -370,6 +377,8 @@ class TestExitCodes:
             "sweep-analysis-as-list", "oracle-check-analysis-as-list", "zero-samples",
             "negative-samples", "negative-check-samples", "zero-check-samples",
             "one-oracle-step", "negative-check-tol", "nan-check-tol", "inf-check-tol",
+            "fractional-samples", "fractional-sweep-steps", "fractional-oracle-steps",
+            "fractional-check-samples", "fractional-burn-in", "fractional-width",
         ],
     )
     def test_malformed_section_exits_before_any_work(
@@ -383,6 +392,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "part, key, value",
+        [("grid", "lag", 1.7), ("impulse", "start_k", 1.5)],
+    )
+    def test_a_fractional_integer_key_is_refused_by_name(self, tmp_path, capsys, part, key, value):
+        # int() would truncate the value to a whole number without a word
+        cfg = base_config()
+        cfg["problem"]["grid"] = {"type": "lagged", "t0": 0, "h": 1, "lag": 1}
+        cfg["problem"]["history"] = [1.0]
+        cfg["problem"]["impulse"] = {"type": "explicit", "values": [0.5, -0.5] * 8}
+        cfg["problem"][part][key] = value
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {part}.{key} must be an integer, got {value}" in err
+        assert not out.exists()
+        # a whole number written as a float is that integer
+        cfg["problem"][part][key] = 1.0
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        assert main(["solve", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
 
 
 class TestClassifyCommand:

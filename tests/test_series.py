@@ -29,7 +29,7 @@ from idepcag.oracle import oracle_integrate
 from idepcag.oscillation import GronwallBound
 from idepcag.problem import ImpulseRule, Problem
 from idepcag.quadrature import QuadratureError, integrate
-from idepcag.series import IntervalSeries, PanelTable, build_sides
+from idepcag.series import PanelTable, build_sides
 from idepcag.solver import Trajectory, solve
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -52,12 +52,23 @@ def _clenshaw_reference(c, x):
     return c[0] + x * b1 - b2
 
 
-def _reference_panel(series, t):
-    """The panel a point t off the anchor is read on: the last panel of its side
-    that starts at or before t, or the side's first or last one past its ends."""
-    series.require(t)  # builds the side on first use, and raises its failure
-    lo, anchor, hi = series.lo, series.anchor, series.hi
-    los, panels, _ = series._sides[t > anchor if lo < anchor < hi else anchor < hi]
+def _side(table, i, t):
+    """The side of interval i of ``table`` that holds a point t off its anchor."""
+    lo, hi, anchor = table._spans[i]
+    return 2 * i + (t > anchor if lo < anchor < hi else anchor < hi)
+
+
+def _side_panels(table, side):
+    """The panels of one side of ``table``, sorted by ``lo``."""
+    return table._panels[table._first[side] : table._last[side] + 1]
+
+
+def _reference_panel(table, i, t):
+    """The panel a point t off the anchor of interval i is read on: the last panel of
+    its side that starts at or before t, or the side's first or last one past its ends."""
+    table.require(i, t)  # raises the failure of the side
+    panels = _side_panels(table, _side(table, i, t))
+    los = [panel.lo for panel in panels]
     return panels[min(max(bisect_right(los, t) - 1, 0), len(panels) - 1)]
 
 
@@ -68,14 +79,18 @@ def _reference_read(panel, t):
     return panel.A0 + local, math.exp(local) * (panel.y0 + _clenshaw_reference(panel.C.tolist(), x))
 
 
-def _reference_terms(series, t):
-    """(A(t), y(t)): exactly 0 at the anchor, else read on :func:`_reference_panel`."""
-    return (0.0, 0.0) if t == series.anchor else _reference_read(_reference_panel(series, t), t)
+def _reference_terms(table, i, t):
+    """(A(t), y(t)) on interval i: exactly 0 at the anchor, else read on
+    :func:`_reference_panel`."""
+    if t == table._spans[i][2]:
+        return 0.0, 0.0
+    return _reference_read(_reference_panel(table, i, t), t)
 
 
-def _reference_u(series, t, flow, forced, const):
-    """forced y + const + flow exp(A) at t, the flow term only where flow is not 0."""
-    A, y = _reference_terms(series, t)
+def _reference_u(table, i, t, flow, forced, const):
+    """forced y + const + flow exp(A) at t on interval i, the flow term only where
+    flow is not 0."""
+    A, y = _reference_terms(table, i, t)
     u = forced * y + const
     return u + flow * math.exp(A) if flow else u
 
@@ -416,14 +431,17 @@ def _zero_search_spies(mp):
     def zero_search(table, batch):
         def recorded():
             for job in batch:
-                jobs.append(job)
+                jobs.append((table, *job))
                 yield job
 
         return real_search(table, recorded())
 
     def job_of(lo):
-        series, _, _, *coefs = next(j for j in jobs if j[0] and j[0].lo <= lo < j[0].hi)
-        return series, coefs
+        # the table and interval of the job whose interval holds lo, and its coefficients
+        table, i, _, _, *coefs = next(
+            j for j in jobs if j[0]._spans[j[1]][0] <= lo < j[0]._spans[j[1]][1]
+        )
+        return (table, i), coefs
 
     def one_signed(table, panel_rows, *coefs):
         cleared = real_screen(table, panel_rows, *coefs)
@@ -464,7 +482,7 @@ def test_a_skipped_panel_holds_no_root(p):
         visits, _ = _zero_search_spies(mp)
         _solved(p).zero_list()
     tol = series_module._ROOT_IMAG_TOL
-    for series, coefs, (lo, hi), c, kept in visits:
+    for interval, coefs, (lo, hi), c, kept in visits:
         if not kept or c is None:  # a panel the screen cleared has no fit: see below
             continue
         trimmed = np.trim_zeros(c, "b")
@@ -472,7 +490,8 @@ def test_a_skipped_panel_holds_no_root(p):
             for r in series_module._colleague_roots(trimmed):
                 assert abs(r.imag) > tol or abs(r.real) > 1.0 + tol, (lo, hi, r)
         for t in np.linspace(lo, hi, 257):
-            assert np.sign(_reference_u(series, float(t), *coefs)) == np.sign(c[0]), (lo, hi, t)
+            u = _reference_u(*interval, float(t), *coefs)
+            assert np.sign(u) == np.sign(c[0]), (lo, hi, t)
 
 
 @PROPERTY
@@ -484,10 +503,10 @@ def test_a_panel_the_screen_clears_holds_no_root(p):
     with pytest.MonkeyPatch.context() as mp:
         visits, _ = _zero_search_spies(mp)
         _solved(p).zero_list()
-    for series, (flow, forced, const), (lo, hi), c, _ in visits:
+    for interval, (flow, forced, const), (lo, hi), c, _ in visits:
         if c is not None:
             continue
-        panel = _reference_panel(series, 0.5 * (lo + hi))
+        panel = _reference_panel(*interval, 0.5 * (lo + hi))
         d = series_module._ROOT_IMAG_TOL * panel.hw
         rounding = 2 * (len(panel.A) + len(panel.C)) * np.finfo(float).eps
         signs = set()
@@ -603,14 +622,14 @@ def test_dense_values_of_a_pure_flow_in_the_float_range_are_unchanged():
 # -- sides built in row batches -------------------------------------------------
 
 
-def _side_bits(side):
-    """A built side, or its failure, as exact values."""
-    if isinstance(side, BaseException):
-        return type(side), str(side)
-    los, panels, err = side
-    return err.hex(), [
+def _side_bits(table, side):
+    """A built side of ``table``, or its failure, as exact values."""
+    state = table._sides[side]
+    if isinstance(state, BaseException):
+        return type(state), str(state)
+    return state.hex(), [
         (p.lo.hex(), p.hi.hex(), p.A0.hex(), p.y0.hex(), p.A.tobytes(), p.C.tobytes())
-        for p in panels
+        for p in _side_panels(table, side)
     ]
 
 
@@ -618,14 +637,17 @@ def _side_bits(side):
 @given(st.one_of(kernel_problems(), lagged_problems(), small_problems()))
 def test_a_side_built_in_the_batch_is_the_side_built_alone(p):
     # the solve builds the sides of all its intervals in one batch; each comes
-    # out bitwise as the same side built alone, as KernelTable builds one
+    # out bitwise as the same side built alone, in a one-interval table
     traj = Trajectory(p)
     traj._build_series()
-    for k, series in traj._series.items():
-        for forward, side in series._sides.items():
-            alone = IntervalSeries(series.a, series.g, series.lo, series.hi, series.anchor, k)
-            build_sides([(alone, forward)])
-            assert _side_bits(alone._sides[forward]) == _side_bits(side), (k, forward)
+    table = traj._table
+    for side, state in enumerate(table._sides):
+        if state is None:  # not built
+            continue
+        i, forward = divmod(side, 2)
+        span, name = table._spans[i], table._names[i]
+        alone = build_sides(p.a, traj._g, [span], [name], [(0, bool(forward))])
+        assert _side_bits(alone, forward) == _side_bits(table, side), (i, forward)
 
 
 _UNIT = UniformGrid(0.0, 1.0, 0.0)
@@ -651,10 +673,9 @@ def test_a_failing_side_raises_on_use(problem, error, message):
     # built alone gives, each time the side is used
     traj = Trajectory(problem)
     traj._build_series()
-    series = traj._series[traj.k_start]
     for _ in range(2):
         with pytest.raises(error) as info:
-            _reference_terms(series, series.hi)
+            _reference_terms(traj._table, 0, traj._table._spans[0][1])
         assert str(info.value) == message
     with pytest.raises(error) as info:
         solve(problem)
@@ -667,9 +688,29 @@ def test_a_failed_side_stores_its_error_without_a_traceback(a):
     # the series that stores the error
     traj = Trajectory(Problem(a=Const(a), b=Const(0.1), grid=_UNIT, horizon=3.0))
     traj._build_series()
-    sides = traj._series[traj.k_start]._sides.values()
+    sides = traj._table._sides[:2]  # those of the start interval
     failed = [side for side in sides if isinstance(side, BaseException)]
     assert failed and all(side.__traceback__ is None for side in failed)
+
+
+def test_a_side_that_was_not_built_is_refused_by_name():
+    # no side is built on use: a read on a side that build_sides was not asked
+    # for gives NaN terms, and requiring it raises, naming the interval
+    table = build_sides(Const(-1.0), Const(0.5), [(0.0, 1.0, 0.5)], ["interval k=7"], [(0, True)])
+    assert isinstance(table, PanelTable)
+    table.require(0, 0.75)
+    A, y = table.terms(np.array([0.25, 0.75]), np.zeros(2, dtype=int))
+    assert np.isnan(A[0]) and np.isnan(y[0]) and np.isfinite(A[1]) and np.isfinite(y[1])
+    with pytest.raises(ValueError, match=r"t=0\.25 lies on a side of interval k=7 that was not"):
+        table.require(0, 0.25)
+    assert table._sides[0] is None
+
+
+@pytest.mark.parametrize("alpha, built", [(0.0, [False, True]), (0.5, [True, True])])
+def test_a_kernel_table_builds_the_sides_of_nonzero_length(alpha, built):
+    # zeta_k = t_k for alpha = 0: the backward side has length 0 and is not built
+    table = KernelTable(Problem(a=Const(-1.0), b=Const(0.5), grid=UniformGrid(0.0, 1.0, alpha)))
+    assert [side is not None for side in table._table(2)._sides] == built
 
 
 def test_a_failing_solve_leaves_no_reference_cycle():
@@ -746,11 +787,8 @@ def _special_times(traj):
     """Knots, the horizon, t = zeta_k and panel edges of the solved range."""
     p = traj.problem
     ts = [pt.t for pt in traj.skeleton()] + [p.tau, p.horizon]
-    for series in traj._series.values():
-        ts.append(series.anchor)
-        for side in series._sides.values():
-            if isinstance(side, tuple):
-                ts += [panel.lo for panel in side[1]] + [panel.hi for panel in side[1]]
+    ts += [anchor for _, _, anchor in traj._table._spans]
+    ts += [panel.lo for panel in traj._table._panels] + [panel.hi for panel in traj._table._panels]
     return sorted(t for t in set(ts) if p.tau <= t <= p.horizon)
 
 
@@ -795,8 +833,10 @@ def test_values_are_scalar_combinations_on_lagged_grids(p, data):
         if knot is not None:
             expected.append(knot.z_right)
             continue
-        series, flow, forced, const, e, m, x = traj._piece(p.grid.interval_index(t))
-        expected.append(math.ldexp(_reference_u(series, t, flow, forced, const) / e * m, x))
+        k = p.grid.interval_index(t)
+        flow, forced, const, e, m, x = traj._piece(k)
+        u = _reference_u(traj._table, k - traj.k_start, t, flow, forced, const)
+        expected.append(math.ldexp(u / e * m, x))
     values = traj.values(ts)
     assert [z.hex() for z in values] == [z.hex() for z in expected]
 
@@ -814,8 +854,9 @@ def test_values_of_a_pure_flow_carry_the_exponent(a):
         if knot is not None:
             one_at_a_time.append(knot.z_right)
             continue
-        series, *coefs = traj._piece(p.grid.interval_index(t))
-        v, x = solver_module._scaled(*coefs, *_reference_terms(series, t))
+        k = p.grid.interval_index(t)
+        terms = _reference_terms(traj._table, k - traj.k_start, t)
+        v, x = solver_module._scaled(*traj._piece(k), *terms)
         one_at_a_time.append(math.ldexp(v, x))
     values = traj.values(ts)
     assert [z.hex() for z in values] == [z.hex() for z in one_at_a_time]
@@ -841,24 +882,23 @@ def test_table_reads_are_the_scalar_reads(p, fractions):
     # read of the panel before it in its chain ends
     traj = Trajectory(p)
     traj._build_series()
-    series = [traj._series[k] for k in sorted(traj._series)]
+    table = traj._table
     at, ts = [], []
-    for i, s in enumerate(series):
-        lo, anchor, hi = s.lo, s.anchor, s.hi
+    for i, (lo, hi, anchor) in enumerate(table._spans):
         for t in [anchor, max(lo, p.tau), lo, hi, *(lo + f * (hi - lo) for f in fractions)]:
-            side = s._sides.get(t > anchor if lo < anchor < hi else anchor < hi)
-            if t == anchor or isinstance(side, tuple):
+            # the anchor, or a side that was built without a failure: its error estimate
+            if t == anchor or isinstance(table._sides[_side(table, i, t)], float):
                 at.append(i)
                 ts.append(t)
-    A, y = traj._table.terms(np.array(ts, dtype=float), np.array(at, dtype=int))
-    expected = [_reference_terms(series[i], t) for i, t in zip(at, ts)]
+    A, y = table.terms(np.array(ts, dtype=float), np.array(at, dtype=int))
+    expected = [_reference_terms(table, i, t) for i, t in zip(at, ts)]
     assert _hex(zip(A.tolist(), y.tolist())) == _hex(expected)
-    for s in series:
-        for side in s._sides.values():
-            if isinstance(side, tuple):
-                chain = sorted(side[1], key=lambda panel: abs(panel.start - s.anchor))
-                ends = [_reference_read(panel, panel.stop) for panel in chain[:-1]]
-                assert _hex((panel.A0, panel.y0) for panel in chain[1:]) == _hex(ends)
+    for side, state in enumerate(table._sides):
+        if isinstance(state, float):
+            anchor = table._spans[side // 2][2]
+            chain = sorted(_side_panels(table, side), key=lambda panel: abs(panel.start - anchor))
+            ends = [_reference_read(panel, panel.stop) for panel in chain[:-1]]
+            assert _hex((panel.A0, panel.y0) for panel in chain[1:]) == _hex(ends)
 
 
 @pytest.mark.parametrize("config", ["sine_forcing.json", "lagged_unit_delay.json"])
@@ -868,7 +908,8 @@ def test_the_march_reads_the_table_once(config, monkeypatch):
     monkeypatch.setattr(PanelTable, "terms", lambda *args: calls.append(args[1]) or real(*args))
     traj = solve(build_problem(json.loads((SINE_FORCING.parent / config).read_text())))
     ends = [pt.t for pt in traj.skeleton() if pt.k > traj.k_start]
-    bases = [] if traj.problem.grid.lagged else [traj._interval_base(k)[0] for k in traj._series]
+    ks = range(traj.k_start, traj.k_start + len(traj._table._spans))
+    bases = [] if traj.problem.grid.lagged else [traj._interval_base(k)[0] for k in ks]
     assert [t.tolist() for t in calls] == [ends + bases]
 
 
